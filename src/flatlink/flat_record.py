@@ -34,6 +34,7 @@ from .rdf_ingest import LITERAL, URI, ObjectValue, Triple
 LABEL_RE = re.compile(r"[a-z0-9][a-z0-9_.-]*")
 SENTINEL_SUFFIX = "-instance"
 SENTINEL_SHAPE = re.compile(r"[a-z0-9][a-z0-9_.-]*-instance")
+_SENTINEL_SHAPE_BYTES = re.compile(SENTINEL_SHAPE.pattern.encode("ascii"))
 
 
 @dataclass
@@ -59,6 +60,23 @@ def escape_token(raw: str) -> str:
     )
     if _needs_guard(esc):
         esc = "\\s" + esc
+    return esc
+
+
+def escape_token_bytes(raw: bytes) -> bytes:
+    """escape_token on UTF-8 bytes: equals escape_token(raw.decode()).encode().
+
+    Every escaped and guard-relevant character is ASCII, and UTF-8 never
+    puts an ASCII byte inside a multi-byte sequence.
+    """
+    esc = (
+        raw.replace(b"\\", b"\\\\")
+        .replace(b"\t", b"\\t")
+        .replace(b"\n", b"\\n")
+        .replace(b"\r", b"\\r")
+    )
+    if esc.startswith(b'""') or _SENTINEL_SHAPE_BYTES.fullmatch(esc):
+        esc = b"\\s" + esc
     return esc
 
 

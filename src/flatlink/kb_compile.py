@@ -4,6 +4,10 @@ A URI gets a line iff it occurs as the subject of at least one parseable
 triple; subjects spread over multiple input files merge into a single
 record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
+
+Each line is written straight from the subject's sorted item bytes; it is
+byte-equal to ``serialize_record(record_from_triples(...))`` of the same
+triples, which ``reference_lines`` computes in memory.
 """
 
 from __future__ import annotations
@@ -12,12 +16,17 @@ import itertools
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import engine
 from .errors import FlatlinkError
-from .flat_record import LABEL_RE, record_from_triples, serialize_record
-from .rdf_ingest import LITERAL, URI, ObjectValue, ParseReport, Triple, iter_triples
+from .flat_record import (
+    LABEL_RE,
+    escape_token_bytes,
+    record_from_triples,
+    serialize_record,
+)
+from .rdf_ingest import LITERAL, ParseReport, Triple, iter_triples
 
 _SEQ = struct.Struct(">Q")
 
@@ -69,24 +78,46 @@ def _encode_triple(triple: Triple, seq: int) -> bytes:
     )
 
 
-def _decode_triple(item: bytes) -> Triple:
-    subject, predicate, rest = item.split(b"\t", 2)
-    kind = URI if rest[8:9] == b"U" else LITERAL
-    return Triple(
-        subject.decode("utf-8"),
-        predicate.decode("utf-8"),
-        ObjectValue(kind, rest[9:].decode("utf-8")),
-    )
-
-
 def _subject_of(item: bytes) -> bytes:
     return item[: item.index(b"\t")]
 
 
 def _reduce_entity(key: bytes, tagged: Iterator[tuple[int, bytes]]):
-    subject = key.decode("utf-8")
-    triples = [_decode_triple(item) for _, item in tagged]
-    yield serialize_record(record_from_triples(subject, triples)).encode("utf-8")
+    # Items arrive sorted by (predicate, seq), and UTF-8 byte order is code
+    # point order, so predicates come in record_from_triples' key order with
+    # their values in input order.  Exact duplicate (kind, lexical) values of
+    # one predicate keep their first occurrence.
+    start = len(key) + 1
+    tokens = [escape_token_bytes(key)]
+    predicate = None
+    for _, item in tagged:
+        tab = item.index(b"\t", start)
+        if item[start:tab] != predicate:
+            predicate = item[start:tab]
+            key_token, seen = escape_token_bytes(predicate), set()
+        value = item[tab + 1 + _SEQ.size :]  # kind byte, then lexical
+        if value in seen:
+            continue
+        seen.add(value)
+        tokens.append(key_token)
+        if value[:1] == b"L":
+            tokens.append(b'""' + escape_token_bytes(value[1:]) + b'""')
+        else:
+            tokens.append(escape_token_bytes(value[1:]))
+    yield b"\t".join(tokens)
+
+
+def reference_lines(triples: Iterable[Triple]) -> list[bytes]:
+    """compile_kb's output lines for `triples`, built in memory through
+    record_from_triples and serialize_record: the oracle its reduce must
+    match byte for byte."""
+    by_subject: dict[str, list[Triple]] = {}
+    for triple in triples:
+        by_subject.setdefault(triple.subject, []).append(triple)
+    return [
+        serialize_record(record_from_triples(subject, by_subject[subject])).encode("utf-8")
+        for subject in sorted(by_subject)
+    ]
 
 
 def compile_kb(

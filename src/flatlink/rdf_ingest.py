@@ -7,8 +7,16 @@ Accepts the common single-line subset::
 Blank nodes are accepted as opaque ``_:label`` tokens in subject or object
 position.  Language tags and datatype IRIs are dropped; only the literal's
 lexical form is kept.  ``\\uXXXX`` / ``\\UXXXXXXXX`` escapes are decoded
-during parsing.  Malformed lines never abort a stream: they are counted,
-sampled into the report, and skipped.
+during parsing; an escape that names a surrogate code point is malformed.
+Malformed lines never abort a stream: they are counted, sampled into the
+report, and skipped.
+
+A line without any backslash is first tried against one anchored regex for
+``<uri> <uri> (<uri> | "literal"(@lang | ^^<dtype>)?) .`` with an optional
+trailing comment.  It accepts exactly the lines of that shape that the
+character parser accepts, and yields the same triple.  Every other line
+(escapes, blank nodes, blanks, comments and anything malformed) goes to the
+character parser, which alone decides error reasons.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -39,6 +48,18 @@ _ECHAR = {
     "'": "'",
     "\\": "\\",
 }
+
+
+# The fast path's line shape.  URI bodies hold no character <= U+0020, no '>'
+# and no backslash; literal bodies no quote, backslash or raw tab; a language
+# tag stops where the character parser's does, at whitespace or '.'.
+_URI_BODY = r"[^\x00-\x20>\\]+"
+_FAST_LINE = re.compile(
+    rf"[ \t]*<({_URI_BODY})>[ \t]*<({_URI_BODY})>[ \t]*"
+    rf'(?:<({_URI_BODY})>|"([^"\\\t]*)"(?:@[^\s.\\]+|\^\^<{_URI_BODY}>)?)'
+    r"[ \t]*\.[ \t]*(?:#.*)?",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -94,6 +115,9 @@ def _decode_uchar(text: str, i: int) -> tuple[str, int]:
         cp = int(hexpart, 16)
     except ValueError:
         raise NTriplesParseError(f"bad \\{code} escape: {hexpart!r}") from None
+    if 0xD800 <= cp <= 0xDFFF:
+        # A lone surrogate cannot be encoded as UTF-8 further downstream.
+        raise NTriplesParseError(f"\\{code} escape is a surrogate code point")
     try:
         return chr(cp), i + 2 + width
     except ValueError:
@@ -175,6 +199,18 @@ def parse_ntriples_line(line: str) -> Triple | None:
     Returns None for blank lines and comment lines; raises
     NTriplesParseError for anything else that is not a well-formed triple.
     """
+    if "\\" not in line:
+        m = _FAST_LINE.fullmatch(line)
+        if m is not None:
+            subject, predicate, uri, lexical = m.groups()
+            if uri is not None:
+                return Triple(subject, predicate, ObjectValue(URI, uri))
+            return Triple(subject, predicate, ObjectValue(LITERAL, lexical))
+    return _parse_line_slow(line)
+
+
+def _parse_line_slow(line: str) -> Triple | None:
+    """The character parser: handles every line, escapes included."""
     i = _skip_ws(line, 0)
     if i == len(line) or line[i] == "#":
         return None

@@ -6,6 +6,7 @@ from flatlink.errors import FlatRecordError
 from flatlink.flat_record import (
     EntityRecord,
     escape_token,
+    escape_token_bytes,
     parse_record,
     record_from_triples,
     record_to_triples,
@@ -67,6 +68,11 @@ def test_escape_round_trip(raw):
     escaped = escape_token(raw)
     assert "\t" not in escaped and "\n" not in escaped and "\r" not in escaped
     assert unescape_token(escaped) == raw
+
+
+@given(tokens)
+def test_bytes_escape_equals_str_escape(raw):
+    assert escape_token_bytes(raw.encode("utf-8")) == escape_token(raw).encode("utf-8")
 
 
 @given(tokens)

@@ -1,12 +1,16 @@
 import collections
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import FlatlinkError
 from flatlink.flat_record import parse_record
-from flatlink.kb_compile import KbSpec, compile_kb
-from flatlink.rdf_ingest import URI, ObjectValue, Triple
+from flatlink.kb_compile import KbSpec, compile_kb, reference_lines
+from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, Triple
 
 from conftest import synth_triples, write_nt
 
@@ -161,3 +165,59 @@ def test_spills_observed_under_small_budget(tmp_path, rng):
     assert stats.spill_runs == report.spill_runs
     # spilling must not change the result
     assert flatten_lines(out) == group_oracle(triples)
+
+
+def test_surrogate_escape_line_is_skipped(tmp_path):
+    src = tmp_path / "kb.nt"
+    src.write_text(
+        '<http://x/a> <http://x/p> "bad \\uD800 surrogate" .\n'
+        '<http://x/a> <http://x/q> "ok" .\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "kb.ents"
+    report = compile_kb(KbSpec("kb", [str(src)], str(out)), cfg_for(tmp_path))
+    assert report.triples == 1
+    assert report.skipped_lines == 1
+    assert report.entities == 1
+    assert out.read_bytes() == b'http://x/a\thttp://x/q\t""ok""\n'
+
+
+# Lexical forms that hit every branch of the token codec: the literal
+# wrapper look-alike, sentinel shapes, backslashes, TAB/LF/CR, raw \b and
+# \f (left unescaped by serialize_record), non-ASCII text.
+_NASTY = ['""', '""x', 'x""', "dbpedia-instance", "my-kb.2-instance", "\\", "\\s",
+          "a\tb", "a\nb\rc", "\b\f", "", "é中", "http://x/o"]
+_URIS = ["http://x/a", "dbpedia-instance", '""s', "http://x/\\b", "http://x/é",
+         "http://x/中", "kb-instance", "http://x/o"]
+_compile_triples = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(_URIS[:4] + ["http://x/\x7f"]),
+        st.sampled_from(_URIS + ["http://x/p", "http://x/p2"]),
+        st.one_of(
+            st.builds(ObjectValue, st.just(URI), st.sampled_from(_URIS)),
+            st.builds(ObjectValue, st.just(LITERAL), st.sampled_from(_NASTY)),
+            st.builds(ObjectValue, st.just(LITERAL), st.text(max_size=6)),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_compile_triples, st.sampled_from([1, 3]))
+def test_compile_lines_equal_the_record_oracle(triples, files):
+    # A 256-byte budget spills a run every few items, so duplicates of one
+    # subject spread over many runs and input files.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"part{i}.nt") for i in range(files)]
+        for i, path in enumerate(paths):
+            write_nt(path, triples[i::files])
+        out = os.path.join(tmp, "kb.ents")
+        cfg = ExecConfig(partitions=2, memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
+        report = compile_kb(KbSpec("kb", paths, out), cfg)
+        assert report.skipped_lines == 0
+        in_order = [t for i in range(files) for t in triples[i::files]]
+        with open(out, "rb") as fh:
+            assert fh.read() == b"".join(line + b"\n" for line in reference_lines(in_order))

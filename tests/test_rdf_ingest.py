@@ -1,13 +1,17 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatlink.errors import NTriplesParseError
 from flatlink.rdf_ingest import (
+    _FAST_LINE,
     LITERAL,
     URI,
     ObjectValue,
     Triple,
+    _parse_line_slow,
     iter_triples,
     parse_ntriples_line,
     render_triple,
@@ -224,3 +228,152 @@ def test_error_cap_limits_report():
     report = stream_triples(lines, lambda t: None, error_cap=5)
     assert report.lines_skipped == 100
     assert len(report.first_errors) == 5
+
+
+@pytest.mark.parametrize(
+    "escape", ["\\uD800", "\\udfff", "\\uDBFF", "\\U0000D8FF", "\\U0000DC00"]
+)
+def test_surrogate_escapes_are_malformed(escape):
+    with pytest.raises(NTriplesParseError, match="surrogate"):
+        parse_ntriples_line(f'<http://x/a> <http://x/p> "bad {escape} x" .')
+    with pytest.raises(NTriplesParseError, match="surrogate"):
+        parse_ntriples_line(f"<http://x/a{escape}> <http://x/p> <http://x/b> .")
+
+
+def test_surrogate_escape_line_is_counted_and_skipped():
+    lines = [
+        '<http://x/a> <http://x/p> "bad \\uD800 surrogate" .',
+        '<http://x/a> <http://x/q> "ok" .',
+    ]
+    got = []
+    report = stream_triples(lines, got.append)
+    assert got == [Triple("http://x/a", "http://x/q", ObjectValue(LITERAL, "ok"))]
+    assert report.lines_skipped == 1
+    assert report.first_errors == [(1, "\\u escape is a surrogate code point")]
+
+
+def test_escapes_next_to_surrogates_still_decode():
+    t = parse_ntriples_line('<http://x/a> <http://x/p> "\\uD7FF\\uE000\\U0001F600" .')
+    assert t.object.lexical == "\ud7ff\ue000\U0001f600"
+
+
+# --- fast path vs character parser -----------------------------------------
+
+
+def _outcome(parse, line: str):
+    try:
+        return ("ok", parse(line))
+    except NTriplesParseError as exc:
+        return ("error", str(exc))
+
+
+def _takes_fast_path(line: str) -> bool:
+    return "\\" not in line and _FAST_LINE.fullmatch(line) is not None
+
+
+@pytest.mark.parametrize(
+    "line, fast",
+    [
+        ("<http://x/a> <http://x/p> <http://x/b> .", True),
+        ('<http://x/a> <http://x/p> "v" .', True),
+        ('<http://x/a> <http://x/p> "" .', True),
+        ("<a><b><c>.", True),
+        ('<a><b>"v"@en-GB.', True),
+        ('\t <a>\t<b> "v"^^<http://x/int>\t.\t# note', True),
+        ("<a> <b> <c> . # comment with \\ backslash", False),
+        ('<a> <b> "v\x0bw\x85\xa0\x1c" .', True),
+        ("<http://x/\xe9\x7f\x85> <b> <c> .", True),
+        ('<a> <b> "v"@en^^<x> .', True),
+        ('<a> <b> "v"@en\x0b.', False),
+        ('<a> <b> "v"@ .', False),
+        ('<a> <b> "v"^^<> .', False),
+        ('<a> <b> "v"^^x .', False),
+        ('<a> <b> "a\tb" .', False),
+        ("<a\tb> <p> <c> .", False),
+        ("<a b> <p> <c> .", False),
+        ("<a\x1c> <p> <c> .", False),
+        ("<a> <p> <c", False),
+        ('<a> <p> "v .', False),
+        ("<a> <p> <c> . garbage", False),
+        ("<a> <p> <c> .\x0b", False),
+        ("_:b1 <p> <c> .", False),
+        ("<a> <p> _:b2 .", False),
+        ('<a> <p> "caf\\u00e9" .', False),
+        ("", False),
+        ("# comment", False),
+    ],
+)
+def test_fast_path_takes_exactly_its_shape(line, fast):
+    assert _takes_fast_path(line) == fast
+    assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
+    if fast:
+        assert isinstance(_parse_line_slow(line), Triple)
+
+
+# Lines start from render_triple output.  Half are "clean": terms drawn from
+# characters that stay raw when rendered (non-ASCII, DEL, NEL and NBSP; TAB
+# and LF in literals once un-escaped below) and a well-formed suffix and
+# tail, so that they reach the fast path until an edit breaks them.  The
+# others draw from every character class the two parsers treat apart.
+_RAW = "abcxyz/:#.-_@^\x7f\x85\xa0é中"
+_ANY = _RAW + '"<>\\ \t\n\r\x0b\x1c'
+
+
+def _triples(alphabet: str, literal_alphabet: str, bnodes: bool):
+    uris = st.text(st.sampled_from(alphabet), min_size=1, max_size=8).map(
+        lambda s: "http://x/" + s
+    )
+    literals = st.text(st.sampled_from(literal_alphabet), max_size=8)
+    subjects, objects = uris, [
+        st.builds(ObjectValue, st.just(URI), uris),
+        st.builds(ObjectValue, st.just(LITERAL), literals),
+    ]
+    if bnodes:
+        subjects = st.one_of(uris, st.just("_:s"))
+        objects.append(st.builds(ObjectValue, st.just(URI), st.sampled_from(["_:b1", "_:x.y"])))
+    return st.builds(Triple, subjects, uris, st.one_of(objects))
+
+
+_CLEAN_TRIPLES = _triples(_RAW, _RAW + " <>\t\n\x0b\x1c", bnodes=False)
+_ANY_TRIPLES = _triples(_ANY, _ANY, bnodes=True)
+_SUFFIXES = ["", "@en", "@en-GB", "^^<http://x/dt>"]
+_BAD_SUFFIXES = ["@", "@e\x0b", "@e.", "^^<>", "^^dt", "^^<a b>"]
+_TAILS = ["", " ", "\t", " # note", "#", " # a \\ b"]
+_BAD_TAILS = [" garbage", ".", " . .", "\x0b"]
+_INSERTS = list("\t\x0b\x85\xa0\x1c\x7fé\\\"<>#. @^")
+
+
+@st.composite
+def _adversarial_lines(draw) -> str:
+    clean = draw(st.booleans())
+    suffixes = _SUFFIXES if clean else _SUFFIXES + _BAD_SUFFIXES
+    tails = _TAILS if clean else _TAILS + _BAD_TAILS
+    line = render_triple(draw(_CLEAN_TRIPLES if clean else _ANY_TRIPLES))
+    if line.endswith('" .'):
+        line = line[:-2] + draw(st.sampled_from(suffixes)) + " ."
+    line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(tails))
+    if draw(st.booleans()):
+        line = line.replace(" ", "")
+    if clean or draw(st.booleans()):
+        line = line.replace("\\t", "\t").replace("\\n", "\n")  # raw controls in literals
+    for _ in range(draw(st.integers(0, 1 if clean else 2))):
+        # Half the edits land just inside a term, where the parsers differ.
+        inside = [j + 1 for j, c in enumerate(line) if c in '<"']
+        if inside and draw(st.booleans()):
+            i = draw(st.sampled_from(inside))
+        else:
+            i = draw(st.integers(0, len(line)))
+        if draw(st.booleans()) and i < len(line):
+            line = line[:i] + line[i + 1 :]  # drops a '>', '"', space, ...
+        else:
+            line = line[:i] + draw(st.sampled_from(_INSERTS)) + line[i:]
+    return line
+
+
+@settings(max_examples=600, deadline=None)
+@given(_adversarial_lines())
+def test_fast_path_matches_character_parser(line):
+    slow = _outcome(_parse_line_slow, line)
+    if _takes_fast_path(line):
+        assert slow[0] == "ok" and isinstance(slow[1], Triple)
+    assert _outcome(parse_ntriples_line, line) == slow
