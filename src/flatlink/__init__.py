@@ -10,7 +10,7 @@ from .errors import (
     LinkJoinError,
     NTriplesParseError,
 )
-from .engine import ExecConfig, JobStats, external_sort, partition_of, run_group_by
+from .engine import ExecConfig, JobStats, external_sort, run_group_by
 from .flat_record import (
     EntityRecord,
     escape_token,

@@ -5,9 +5,9 @@ pipeline.  Every run echoes its effective configuration to stderr so results
 can be reproduced; failures print a single ``error: ...`` line and exit
 nonzero.
 
-Engine settings resolve flag > environment > config file > default, with
-``FLATLINK_SPILL_DIR`` and ``FLATLINK_PARALLELISM`` as the environment
-overrides.
+Engine settings are the sort memory budget and the spill directory.  They
+resolve flag > environment > config file > default; ``FLATLINK_SPILL_DIR`` is
+the one environment override.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .tools import (
 )
 
 ENV_SPILL_DIR = "FLATLINK_SPILL_DIR"
-ENV_PARALLELISM = "FLATLINK_PARALLELISM"
 
 
 def _echo_config(name: str, pairs: dict) -> None:
@@ -54,7 +53,6 @@ def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
 
     try:
         cfg = ExecConfig(
-            partitions=pick(getattr(args, "partitions", None), None, "partitions", 16, int),
             memory_budget_bytes=pick(
                 getattr(args, "memory_budget", None),
                 None,
@@ -65,9 +63,6 @@ def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
             spill_dir=pick(
                 getattr(args, "spill_dir", None), ENV_SPILL_DIR, "spill_dir", None, str
             ),
-            parallelism=pick(
-                getattr(args, "parallelism", None), ENV_PARALLELISM, "parallelism", 1, int
-            ),
         )
     except ValueError as exc:
         raise ConfigError(f"bad engine setting: {exc}") from exc
@@ -76,21 +71,20 @@ def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--partitions", type=int, help="shuffle partitions (default 16)")
     sub.add_argument(
         "--memory-budget", type=int, dest="memory_budget",
-        help="sort memory budget in bytes (default 256 MiB)",
+        help="memory budget in bytes of each sort, spilling past it (default 256 MiB)",
     )
-    sub.add_argument("--spill-dir", dest="spill_dir", help="directory for sort spill runs")
-    sub.add_argument("--parallelism", type=int, help="concurrent partition reduces (default 1)")
+    sub.add_argument(
+        "--spill-dir", dest="spill_dir",
+        help="directory under which each sort keeps its spill runs, removed when it ends",
+    )
 
 
 def _engine_kv(cfg: ExecConfig) -> dict:
     return {
-        "partitions": cfg.partitions,
         "memory_budget_bytes": cfg.memory_budget_bytes,
         "spill_dir": cfg.spill_dir or "<temp>",
-        "parallelism": cfg.parallelism,
     }
 
 
@@ -186,10 +180,9 @@ class PipelineConfig:
     links: list[dict] = field(default_factory=list)  # 2-way jobs, in order
     join3: dict | None = None
     engine_values: dict = field(default_factory=dict)
-    seed: int | None = None
 
 
-_ENGINE_KEYS = {"partitions", "memory_budget_bytes", "spill_dir", "parallelism"}
+_ENGINE_KEYS = {"memory_budget_bytes", "spill_dir"}
 
 
 def parse_pipeline_config(path: str) -> PipelineConfig:
@@ -198,7 +191,7 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     Keys: ``kb<i>.label / kb<i>.inputs / kb<i>.out`` for two or three KBs;
     ``link1.*`` joins kb1 x kb2 and ``link2.*`` joins kb3 x kb2 (keys gt,
     gt_format, out, optional sameas_uri); optional ``join3.out`` /
-    ``join3.order``; plus engine keys and optional seed.
+    ``join3.order``; plus the engine keys memory_budget_bytes and spill_dir.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -268,9 +261,6 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
             value = values[key]
             cfg.engine_values[key] = resolve(value) if key == "spill_dir" else value
             known.add(key)
-    if "seed" in values:
-        cfg.seed = int(values["seed"])
-        known.add("seed")
 
     unknown = set(values) - known
     if unknown:

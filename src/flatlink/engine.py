@@ -1,34 +1,33 @@
 """Local, deterministic map-shuffle-reduce with bounded-memory external sort.
 
-Items are (key, tag, value) tuples of bytes/int/bytes.  Keys are hashed with
-FNV-1a 64 into partitions; each partition is sorted by (key, tag, value),
-spilling length-prefixed runs to disk whenever its buffer exceeds its share
-of the memory budget, then merged and reduced one key group at a time.  Two
-runs over the same inputs and config are byte-identical.
+Items are (key, tag, value) tuples of bytes/int/bytes.  Each job feeds all of
+its items to one sorter that holds the whole memory budget.  The sorter
+orders them by (key, tag, value), spilling length-prefixed runs to disk
+whenever its buffer fills the budget, then merges the runs so that each key
+group is reduced once, in ascending key order.  Two runs over the same inputs
+are byte-identical, whatever the budget.
 
-Spill run format (private, deleted on success): a sequence of records
+Spill run format (private, deleted when the job ends): a sequence of records
 ``<u32 key_len><u32 tag><u32 value_len><key bytes><value bytes>``, all
 little-endian, in sorted order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import os
+import shutil
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import EngineError, FlatlinkError
 
 KeyedItem = tuple[bytes, int, bytes]  # (key, tag, value)
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _RUN_HEADER = struct.Struct("<III")
 
@@ -37,34 +36,12 @@ _RUN_HEADER = struct.Struct("<III")
 _ITEM_OVERHEAD = 64
 
 
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a, 64-bit: the fixed, documented hash behind partitioning."""
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def partition_of(key: bytes, partitions: int) -> int:
-    if partitions < 1:
-        raise EngineError("partitions must be >= 1")
-    if partitions == 1:
-        return 0
-    return fnv1a_64(key) % partitions
-
-
 @dataclass
 class ExecConfig:
-    partitions: int = 16
     memory_budget_bytes: int = 256 * 1024 * 1024
     spill_dir: str | None = None
-    parallelism: int = 1
 
     def validate(self) -> None:
-        if self.partitions < 1:
-            raise EngineError("partitions must be >= 1")
-        if self.parallelism < 1:
-            raise EngineError("parallelism must be >= 1")
         if self.memory_budget_bytes < 1:
             raise EngineError("memory_budget_bytes must be >= 1")
 
@@ -73,8 +50,10 @@ class ExecConfig:
 class JobStats:
     """Filled in as a job runs; spill_runs is the observable for scale tests.
 
-    Counters are exact when parallelism == 1 (the default); concurrent
-    reduces may undercount them.  Output bytes are unaffected either way.
+    peak_buffer_bytes is the largest in-memory buffer one sort of the job
+    held, which is that sort's whole footprint.  Sorts chained lazily (as in
+    join2 and join3) can hold their buffers at the same time; this figure
+    does not add them up.
     """
 
     items_in: int = 0
@@ -177,51 +156,29 @@ def external_sort(
     cfg.validate()
     with _spill_scope(cfg) as spill_dir:
         sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
+        add = sorter.add
         for item in items:
-            sorter.add(item)
+            add(item)
         yield from sorter.iter_sorted()
 
 
-class _spill_scope:
-    """Use cfg.spill_dir if set, else a private temp dir removed on exit."""
+@contextlib.contextmanager
+def _spill_scope(cfg: ExecConfig) -> Iterator[str]:
+    """A job-scoped spill directory, removed with its contents on exit.
 
-    def __init__(self, cfg: ExecConfig):
-        self._configured = cfg.spill_dir
-        self._own: str | None = None
-
-    def __enter__(self) -> str:
-        if self._configured:
-            os.makedirs(self._configured, exist_ok=True)
-            return self._configured
-        self._own = tempfile.mkdtemp(prefix="flatlink-")
-        return self._own
-
-    def __exit__(self, *exc) -> None:
-        if self._own is not None:
-            try:
-                os.rmdir(self._own)
-            except OSError:
-                pass  # leftover runs from an aborted job
+    It is made inside cfg.spill_dir when one is set, else in the system temp
+    dir, and removed on success and on failure alike.
+    """
+    if cfg.spill_dir:
+        os.makedirs(cfg.spill_dir, exist_ok=True)
+    path = tempfile.mkdtemp(prefix="flatlink-", dir=cfg.spill_dir or None)
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 ReduceFn = Callable[[bytes, Iterator[tuple[int, bytes]]], Iterable[bytes]]
-
-
-def _reduce_partition(
-    sorted_items: Iterator[KeyedItem],
-    reduce_fn: ReduceFn,
-    stats: JobStats,
-) -> Iterator[tuple[bytes, bytes]]:
-    for key, group in itertools.groupby(sorted_items, key=lambda item: item[0]):
-        stats.keys_reduced += 1
-        tagged = ((tag, value) for _, tag, value in group)
-        try:
-            for out in reduce_fn(key, tagged):
-                yield key, out
-        except FlatlinkError:
-            raise  # domain errors already name their context
-        except Exception as exc:
-            raise EngineError(f"reduce_fn failed for key {key!r}: {exc}") from exc
 
 
 def run_group_by(
@@ -230,64 +187,35 @@ def run_group_by(
     reduce_fn: ReduceFn,
     cfg: ExecConfig,
     stats: JobStats | None = None,
-    merged: bool = False,
 ) -> Iterator[bytes]:
     """Group all tagged input items by key and reduce each group once.
 
     reduce_fn(key, tagged_values) sees the group's (tag, item) pairs sorted
-    by (tag, item bytes) and must be pure.  Output order is ascending
-    (partition, key); with merged=True the per-partition streams are merged
-    so outputs come in ascending key order globally.
+    by (tag, item bytes) and must be pure.  Outputs come in ascending key
+    order, each group's in the order reduce_fn yields them.
     """
     cfg.validate()
     if stats is None:
         stats = JobStats()
     with _spill_scope(cfg) as spill_dir:
-        nparts = cfg.partitions
-        per_sorter = max(cfg.memory_budget_bytes // nparts, 1)
-        sorters = [ExternalSorter(per_sorter, spill_dir, stats) for _ in range(nparts)]
+        sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
+        add = sorter.add
         for tag, stream in inputs:
+            n = 0
             for item in stream:
                 key = key_fn(item)
                 if not key:
                     raise EngineError("key_fn produced an empty key")
-                sorters[partition_of(key, nparts)].add((key, tag, item))
-                stats.items_in += 1
+                add((key, tag, item))
+                n += 1
+            stats.items_in += n
 
-        def partition_stream(p: int) -> Iterator[tuple[bytes, bytes]]:
-            return _reduce_partition(sorters[p].iter_sorted(), reduce_fn, stats)
-
-        if cfg.parallelism > 1:
-            streams = _prereduce_parallel(partition_stream, nparts, cfg.parallelism, spill_dir)
-        else:
-            streams = [partition_stream(p) for p in range(nparts)]
-
-        if merged:
-            for _, out in heapq.merge(*streams, key=lambda pair: pair[0]):
-                yield out
-        else:
-            for stream in streams:
-                for _, out in stream:
-                    yield out
-
-
-def _prereduce_parallel(
-    partition_stream: Callable[[int], Iterator[tuple[bytes, bytes]]],
-    nparts: int,
-    parallelism: int,
-    spill_dir: str,
-) -> list[Iterator[tuple[bytes, bytes]]]:
-    """Run partition reduces on worker threads, spooling outputs to disk.
-
-    Partitions are independent; spools are replayed in partition order, so
-    results are identical to the sequential path.
-    """
-
-    def spool(p: int) -> _Spill:
-        run = _Spill(spill_dir)
-        run.write_items([(key, 0, out) for key, out in partition_stream(p)])
-        return run
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        spools = list(pool.map(spool, range(nparts)))
-    return [((key, value) for key, _, value in run.read_items()) for run in spools]
+        for key, group in itertools.groupby(sorter.iter_sorted(), key=itemgetter(0)):
+            stats.keys_reduced += 1
+            tagged = ((tag, value) for _, tag, value in group)
+            try:
+                yield from reduce_fn(key, tagged)
+            except FlatlinkError:
+                raise  # domain errors already name their context
+            except Exception as exc:
+                raise EngineError(f"reduce_fn failed for key {key!r}: {exc}") from exc

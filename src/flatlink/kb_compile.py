@@ -145,7 +145,6 @@ def compile_kb(
         _reduce_entity,
         cfg,
         stats=stats,
-        merged=True,
     )
     with open(spec.output_path, "wb") as out:
         for line in lines:

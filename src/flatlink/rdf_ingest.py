@@ -7,9 +7,11 @@ Accepts the common single-line subset::
 Blank nodes are accepted as opaque ``_:label`` tokens in subject or object
 position.  Language tags and datatype IRIs are dropped; only the literal's
 lexical form is kept.  ``\\uXXXX`` / ``\\UXXXXXXXX`` escapes are decoded
-during parsing; an escape that names a surrogate code point is malformed.
-Malformed lines never abort a stream: they are counted, sampled into the
-report, and skipped.
+during parsing; an escape body that is not exactly 4 or 8 hex digits, or
+that names a surrogate code point, is malformed.  Files are decoded as UTF-8
+line by line, so a line that is not valid UTF-8 is malformed too.  Malformed
+lines never abort a stream: they are counted, sampled into the report, and
+skipped.
 
 A line without any backslash is first tried against one anchored regex for
 ``<uri> <uri> (<uri> | "literal"(@lang | ^^<dtype>)?) .`` with an optional
@@ -49,6 +51,12 @@ _ECHAR = {
     "\\": "\\",
 }
 
+
+_HEX = re.compile(r"[0-9A-Fa-f]*")
+
+# open_text decodes with surrogateescape, which turns each byte that is not
+# valid UTF-8 into a lone surrogate; strict UTF-8 never decodes to one.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # The fast path's line shape.  URI bodies hold no character <= U+0020, no '>'
 # and no backslash; literal bodies no quote, backslash or raw tab; a language
@@ -111,10 +119,9 @@ def _decode_uchar(text: str, i: int) -> tuple[str, int]:
     hexpart = text[i + 2 : i + 2 + width]
     if len(hexpart) != width:
         raise NTriplesParseError(f"truncated \\{code} escape")
-    try:
-        cp = int(hexpart, 16)
-    except ValueError:
-        raise NTriplesParseError(f"bad \\{code} escape: {hexpart!r}") from None
+    if not _HEX.fullmatch(hexpart):
+        raise NTriplesParseError(f"bad \\{code} escape: {hexpart!r}")
+    cp = int(hexpart, 16)
     if 0xD800 <= cp <= 0xDFFF:
         # A lone surrogate cannot be encoded as UTF-8 further downstream.
         raise NTriplesParseError(f"\\{code} escape is a surrogate code point")
@@ -288,10 +295,16 @@ def render_triple(triple: Triple) -> str:
 
 
 def open_text(path: str | os.PathLike) -> io.TextIOBase:
-    """Open a plain or gzip-compressed text file for reading."""
+    """Open a plain or gzip-compressed text file for reading.
+
+    Bytes that are not valid UTF-8 decode to lone surrogates instead of
+    raising, so one bad line cannot abort the rest of the file.
+    """
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return io.TextIOWrapper(
+            gzip.open(path, "rb"), encoding="utf-8", errors="surrogateescape"
+        )
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def iter_triples(
@@ -310,6 +323,9 @@ def iter_triples(
         return
     for line_no, line in enumerate(source, 1):
         report.lines_total += 1
+        if not line.isascii() and _SURROGATE.search(line):
+            report.record_error(line_no, "not UTF-8")
+            continue
         try:
             triple = parse_ntriples_line(line.rstrip("\r\n"))
         except NTriplesParseError as exc:

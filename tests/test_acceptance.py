@@ -42,7 +42,6 @@ def criterion(n: int, title: str):
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
-    kw.setdefault("partitions", 4)
     kw.setdefault("memory_budget_bytes", 1 << 22)
     kw.setdefault("spill_dir", str(tmp_path / "spill"))
     return ExecConfig(**kw)
@@ -438,7 +437,6 @@ def test_criterion_8_memory_bounded_scale(tmp_path):
         assert total >= 1_000_000
 
         cfg = ExecConfig(
-            partitions=16,
             memory_budget_bytes=64 * 1024 * 1024,
             spill_dir=str(tmp_path / "spill"),
         )

@@ -168,7 +168,6 @@ def test_missing_input_reports_error(capsys, tmp_path):
 def test_env_overrides(capsys, demo_dir, tmp_path, monkeypatch):
     spill = tmp_path / "custom-spill"
     monkeypatch.setenv("FLATLINK_SPILL_DIR", str(spill))
-    monkeypatch.setenv("FLATLINK_PARALLELISM", "2")
     out = tmp_path / "fb.ents"
     code, _, stderr = run(
         capsys, "compile", "--label", "freebase",
@@ -176,19 +175,37 @@ def test_env_overrides(capsys, demo_dir, tmp_path, monkeypatch):
     )
     assert code == 0
     assert f"spill_dir={spill}" in stderr
-    assert "parallelism=2" in stderr
     assert spill.is_dir()
+    assert list(spill.iterdir()) == []  # the job's own subdirectory is gone
 
 
 def test_flag_beats_env(capsys, demo_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("FLATLINK_PARALLELISM", "2")
+    monkeypatch.setenv("FLATLINK_SPILL_DIR", str(tmp_path / "env-spill"))
     out = tmp_path / "fb.ents"
+    flag_spill = tmp_path / "flag-spill"
     _, _, stderr = run(
         capsys, "compile", "--label", "freebase",
         "--in", str(demo_dir / "freebase.nt"), "--out", str(out),
-        "--parallelism", "3",
+        "--spill-dir", str(flag_spill),
     )
-    assert "parallelism=3" in stderr
+    assert f"spill_dir={flag_spill}" in stderr
+    assert flag_spill.is_dir()
+    assert not (tmp_path / "env-spill").exists()
+
+
+def test_removed_engine_knobs_are_rejected(capsys, demo_dir, tmp_path):
+    for flag in ("--partitions", "--parallelism"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "compile", "--label", "freebase",
+                "--in", str(demo_dir / "freebase.nt"), "--out", str(tmp_path / "o"),
+                flag, "2")
+        assert exc.value.code == 2
+    for key in ("partitions=4", "parallelism=1", "seed=7"):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text((demo_dir / "demo.cfg").read_text(encoding="utf-8") + key + "\n",
+                       encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_pipeline_config(str(cfg))
 
 
 def test_config_parser_rejects_bad_files(tmp_path):

@@ -7,56 +7,15 @@ from flatlink.engine import (
     ExecConfig,
     JobStats,
     external_sort,
-    fnv1a_64,
-    partition_of,
     run_group_by,
 )
 from flatlink.errors import EngineError
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
-    kw.setdefault("partitions", 4)
     kw.setdefault("memory_budget_bytes", 1 << 20)
     kw.setdefault("spill_dir", str(tmp_path / "spill"))
     return ExecConfig(**kw)
-
-
-# --- partitioning ----------------------------------------------------------
-
-def _ref_fnv1a(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) % (1 << 64)
-    return h
-
-
-def test_fnv1a_published_vectors():
-    # vectors from the FNV reference materials
-    assert fnv1a_64(b"") == 0xCBF29CE484222325
-    assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a_64(b"foobar") == 0x85944171F73967E8
-
-
-def test_partition_stable_and_matches_reference():
-    for key in (b"abc", b"http://x/e1", b"\x00\xff", b"k" * 100):
-        assert fnv1a_64(key) == _ref_fnv1a(key)
-        assert partition_of(key, 8) == _ref_fnv1a(key) % 8
-    # frozen: this value must never change across runs or platforms
-    assert partition_of(b"abc", 8) == _ref_fnv1a(b"abc") % 8
-
-
-def test_partition_one_is_zero():
-    assert partition_of(b"anything", 1) == 0
-
-
-def test_partition_balance():
-    rng = random.Random(7)
-    counts = collections.Counter(
-        partition_of(str(rng.random()).encode(), 8) for _ in range(100_000)
-    )
-    assert len(counts) == 8
-    assert max(counts.values()) / min(counts.values()) < 1.5
 
 
 # --- external sort ---------------------------------------------------------
@@ -179,19 +138,22 @@ def test_group_by_deterministic_bytes(tmp_path):
 
 
 def test_group_by_merged_is_globally_key_sorted(tmp_path):
+    # The merge of all spill runs yields every key group in ascending order.
     items = [f"k{i:03}\tv".encode() for i in range(500)]
     random.Random(9).shuffle(items)
+    stats = JobStats()
     out = list(
         run_group_by(
             [(0, iter(items))],
             lambda item: item.split(b"\t")[0],
             lambda key, tagged: [key],
-            cfg_for(tmp_path, partitions=8),
-            merged=True,
+            cfg_for(tmp_path, memory_budget_bytes=4 * 1024),
+            stats=stats,
         )
     )
     assert out == sorted(out)
     assert len(out) == 500
+    assert stats.spill_runs >= 2
 
 
 def test_group_values_arrive_tag_then_value_sorted(tmp_path):
@@ -232,7 +194,7 @@ def test_reduce_failure_names_key(tmp_path):
 def test_memory_budget_bounds_sort_buffer(tmp_path):
     budget = 64 * 1024
     stats = JobStats()
-    # ~10x the budget in one partition
+    # ~10x the budget
     items = [(b"k%06d" % i, 0, b"v" * 50) for i in range(10_000)]
     list(external_sort(iter(items), cfg_for(tmp_path, memory_budget_bytes=budget), stats))
     assert stats.spill_runs >= 2
@@ -271,30 +233,13 @@ def test_group_by_million_items_16mib(tmp_path):
         [(0, (key + b"\t1" for key in keys))],
         lambda item: item.split(b"\t")[0],
         count_reduce,
-        cfg_for(tmp_path, memory_budget_bytes=16 * 1024 * 1024, partitions=16),
+        cfg_for(tmp_path, memory_budget_bytes=16 * 1024 * 1024),
     )
     got_counts = {}
     for out in got:
         key, _, count = out.partition(b":")
         got_counts[key] = int(count)
     assert got_counts == expected
-
-
-def test_parallel_partitions_match_sequential(tmp_path):
-    rng = random.Random(11)
-    items = [f"k{rng.randrange(200)}\t{i}".encode() for i in range(8000)]
-
-    def run(parallelism):
-        return list(
-            run_group_by(
-                [(0, iter(items))],
-                lambda item: item.split(b"\t")[0],
-                count_reduce,
-                cfg_for(tmp_path, parallelism=parallelism, partitions=8),
-            )
-        )
-
-    assert run(1) == run(4)
 
 
 def test_empty_key_rejected(tmp_path):
@@ -310,7 +255,49 @@ def test_empty_key_rejected(tmp_path):
 
 
 def test_bad_config_rejected(tmp_path):
-    with pytest.raises(EngineError):
-        list(external_sort(iter([]), ExecConfig(partitions=0)))
-    with pytest.raises(EngineError):
-        list(external_sort(iter([]), ExecConfig(parallelism=0)))
+    with pytest.raises(EngineError, match="memory_budget_bytes"):
+        list(external_sort(iter([]), ExecConfig(memory_budget_bytes=0)))
+    with pytest.raises(EngineError, match="memory_budget_bytes"):
+        list(run_group_by([], lambda x: x, count_reduce, ExecConfig(memory_budget_bytes=0)))
+
+
+def test_one_sorter_gets_the_whole_budget(tmp_path):
+    # 1000 items of 85 charged bytes fit a 100 KB budget in one sorter; a
+    # budget split between sorters would spill.
+    items = [b"k%05d\t" % i + b"v" * 8 for i in range(1000)]
+    stats = JobStats()
+    out = list(
+        run_group_by(
+            [(0, iter(items))],
+            lambda item: item.split(b"\t")[0],
+            count_reduce,
+            cfg_for(tmp_path, memory_budget_bytes=100_000),
+            stats=stats,
+        )
+    )
+    assert len(out) == 1000
+    assert stats.spill_runs == 0
+    assert stats.peak_buffer_bytes > 100_000 // 2
+
+
+def test_spill_dir_is_job_scoped_and_removed(tmp_path):
+    spill = tmp_path / "spill"
+    seen = []
+
+    def reduce_fn(key, tagged):
+        seen.append(sorted(p.name for p in spill.iterdir()))
+        yield from (value for _, value in tagged)
+
+    items = [b"k%04d\tx" % i for i in range(2000)]
+    list(
+        run_group_by(
+            [(0, iter(items))],
+            lambda item: item.split(b"\t")[0],
+            reduce_fn,
+            cfg_for(tmp_path, memory_budget_bytes=8 * 1024),
+        )
+    )
+    # While the job runs, its runs live in one subdirectory of spill_dir.
+    assert len(seen[0]) == 1 and seen[0][0].startswith("flatlink-")
+    assert list(spill.iterdir()) == []
+

@@ -16,7 +16,6 @@ from conftest import synth_triples, write_nt
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
-    kw.setdefault("partitions", 4)
     kw.setdefault("memory_budget_bytes", 1 << 20)
     kw.setdefault("spill_dir", str(tmp_path / "spill"))
     return ExecConfig(**kw)
@@ -106,13 +105,20 @@ def test_entity_iff_subject(tmp_path):
 
 
 def test_output_sorted_and_deterministic(tmp_path, rng):
+    # A spilling budget and one that sorts in memory give the same bytes.
     triples = synth_triples(rng, "kb", 2000, 300)
     src = tmp_path / "kb.nt"
     write_nt(src, triples)
     out1 = tmp_path / "a.ents"
     out2 = tmp_path / "b.ents"
-    compile_kb(KbSpec("kb", [str(src)], str(out1)), cfg_for(tmp_path, memory_budget_bytes=16 * 1024))
-    compile_kb(KbSpec("kb", [str(src)], str(out2)), cfg_for(tmp_path, partitions=9))
+    spilled = compile_kb(
+        KbSpec("kb", [str(src)], str(out1)), cfg_for(tmp_path, memory_budget_bytes=16 * 1024)
+    )
+    in_memory = compile_kb(
+        KbSpec("kb", [str(src)], str(out2)), cfg_for(tmp_path, memory_budget_bytes=1 << 24)
+    )
+    assert spilled.spill_runs >= 2
+    assert in_memory.spill_runs == 0
     b1 = out1.read_bytes()
     assert b1 == out2.read_bytes()
     subjects = [parse_record(line).uri for line in read_lines(out1)]
@@ -158,7 +164,7 @@ def test_spills_observed_under_small_budget(tmp_path, rng):
     stats = JobStats()
     report = compile_kb(
         KbSpec("kb", [str(src)], str(out)),
-        cfg_for(tmp_path, memory_budget_bytes=8 * 1024, partitions=2),
+        cfg_for(tmp_path, memory_budget_bytes=8 * 1024),
         stats=stats,
     )
     assert report.spill_runs >= 1
@@ -180,6 +186,20 @@ def test_surrogate_escape_line_is_skipped(tmp_path):
     assert report.skipped_lines == 1
     assert report.entities == 1
     assert out.read_bytes() == b'http://x/a\thttp://x/q\t""ok""\n'
+
+
+def test_invalid_utf8_line_is_skipped(tmp_path):
+    src = tmp_path / "kb.nt"
+    src.write_bytes(
+        b'<http://x/a> <http://x/p> "bad \xff byte" .\n'
+        b'<http://x/b> <http://x/q> "ok" .\n'
+    )
+    out = tmp_path / "kb.ents"
+    report = compile_kb(KbSpec("kb", [str(src)], str(out)), cfg_for(tmp_path))
+    assert report.triples == 1
+    assert report.skipped_lines == 1
+    assert report.entities == 1
+    assert out.read_bytes() == b'http://x/b\thttp://x/q\t""ok""\n'
 
 
 # Lexical forms that hit every branch of the token codec: the literal
@@ -215,7 +235,7 @@ def test_compile_lines_equal_the_record_oracle(triples, files):
         for i, path in enumerate(paths):
             write_nt(path, triples[i::files])
         out = os.path.join(tmp, "kb.ents")
-        cfg = ExecConfig(partitions=2, memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
+        cfg = ExecConfig(memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
         report = compile_kb(KbSpec("kb", paths, out), cfg)
         assert report.skipped_lines == 0
         in_order = [t for i in range(files) for t in triples[i::files]]

@@ -1,6 +1,6 @@
 import pytest
 
-from flatlink.engine import ExecConfig
+from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
 from flatlink.link_join import (
@@ -16,7 +16,6 @@ from flatlink.rdf_ingest import LITERAL, URI, ObjectValue
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
-    kw.setdefault("partitions", 4)
     kw.setdefault("memory_budget_bytes", 1 << 20)
     kw.setdefault("spill_dir", str(tmp_path / "spill"))
     return ExecConfig(**kw)
@@ -196,6 +195,26 @@ def test_join2_duplicate_subject_is_error(tmp_path):
             str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
             str(tmp_path / "out"), cfg_for(tmp_path),
         )
+
+
+def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
+    # A blank line after the first spill run aborts the job; its runs go too.
+    left = [entity(f"http://f/{i:04}", name=[f"n{i}"])[1] for i in range(400)]
+    a = tmp_path / "f.ents"
+    a.write_text("\n".join(left[:200] + [""] + left[200:]) + "\n", encoding="utf-8")
+    b = tmp_path / "d.ents"
+    write_entity_file(b, dict([entity("http://d/1", age=["1"])]))
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("http://f/0001\thttp://d/1\n", encoding="utf-8")
+    stats = JobStats()
+    with pytest.raises(LinkJoinError, match="blank line"):
+        join2(
+            str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
+            str(tmp_path / "out"), cfg_for(tmp_path, memory_budget_bytes=2048),
+            stats=stats,
+        )
+    assert stats.spill_runs >= 1
+    assert list((tmp_path / "spill").iterdir()) == []
 
 
 def join2_oracle(a_lines, b_lines, pairs, labels):

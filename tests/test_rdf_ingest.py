@@ -10,6 +10,7 @@ from flatlink.rdf_ingest import (
     LITERAL,
     URI,
     ObjectValue,
+    ParseReport,
     Triple,
     _parse_line_slow,
     iter_triples,
@@ -55,6 +56,13 @@ def test_blank_and_comment_lines_skip(line):
         "<http://x/a> <http://x/p> <> .",  # empty uri
         "<http://x/a> <http://x/p> <http://x/\\u0001b> .",  # control char via escape
         '<http://x/a> <http://x/p> "bad \\q escape" .',
+        # \u and \U bodies are exactly 4 or 8 hex digits: no sign, space or _
+        '<http://x/a> <http://x/p> "x\\u+041" .',
+        '<http://x/a> <http://x/p> "x\\u 041" .',
+        '<http://x/a> <http://x/p> "x\\u0_41" .',
+        "<http://x/a> <http://x/p> <a\\u+041> .",
+        '<http://x/a> <http://x/p> "x\\U-0000041" .',
+        "<http://x/a\\U0000_041> <http://x/p> <http://x/b> .",
     ],
 )
 def test_malformed_lines_raise(line):
@@ -198,6 +206,24 @@ def test_gzip_and_plain_files(tmp_path, rng):
         fh.write(text)
     assert list(iter_triples(str(plain))) == triples
     assert list(iter_triples(str(zipped))) == triples
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+@pytest.mark.parametrize("suffix", [".nt", ".nt.gz"])
+def test_invalid_utf8_line_is_counted_and_skipped(tmp_path, suffix, bad_first):
+    import gzip
+
+    bad = b'<http://x/a> <http://x/p> "bad \xff byte" .\n'
+    ok = b'<http://x/b> <http://x/q> "ok \xc3\xa9" .\n'
+    data = bad + ok if bad_first else ok + bad
+    path = tmp_path / ("kb" + suffix)
+    path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+    report = ParseReport()
+    got = list(iter_triples(str(path), report))
+    assert got == [Triple("http://x/b", "http://x/q", ObjectValue(LITERAL, "ok \u00e9"))]
+    assert report.lines_total == 2
+    assert report.lines_skipped == 1
+    assert report.first_errors == [(1 if bad_first else 2, "not UTF-8")]
 
 
 def test_streaming_is_bounded(rng):
