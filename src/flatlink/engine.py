@@ -153,6 +153,15 @@ def external_sort(
     stats: JobStats | None = None,
 ) -> Iterator[KeyedItem]:
     """Sort an arbitrarily large stream by (key, tag, value)."""
+    return _sorted(items, cfg, stats)
+
+
+def _sorted(
+    items: Iterable[KeyedItem], cfg: ExecConfig, stats: JobStats | None
+) -> Iterator[KeyedItem]:
+    # The sort path of external_sort and run_group_by: one sorter with the
+    # whole budget in a job-scoped spill dir, made at the first item pulled
+    # and removed when the merge ends or the generator is closed.
     cfg.validate()
     with _spill_scope(cfg) as spill_dir:
         sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
@@ -194,23 +203,24 @@ def run_group_by(
     by (tag, item bytes) and must be pure.  Outputs come in ascending key
     order, each group's in the order reduce_fn yields them.
     """
-    cfg.validate()
     if stats is None:
         stats = JobStats()
-    with _spill_scope(cfg) as spill_dir:
-        sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
-        add = sorter.add
+
+    def keyed() -> Iterator[KeyedItem]:
         for tag, stream in inputs:
             n = 0
             for item in stream:
                 key = key_fn(item)
                 if not key:
                     raise EngineError("key_fn produced an empty key")
-                add((key, tag, item))
+                yield key, tag, item
                 n += 1
             stats.items_in += n
 
-        for key, group in itertools.groupby(sorter.iter_sorted(), key=itemgetter(0)):
+    # closing() removes the spill dir as soon as a reduce raises, even while
+    # the raised exception's traceback keeps this frame alive.
+    with contextlib.closing(_sorted(keyed(), cfg, stats)) as items:
+        for key, group in itertools.groupby(items, key=itemgetter(0)):
             stats.keys_reduced += 1
             tagged = ((tag, value) for _, tag, value in group)
             try:

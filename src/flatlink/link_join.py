@@ -9,10 +9,17 @@ A 3-way line carries ``<idA>,<idB>`` in its first slot followed by three
 (sentinel, record) groups.  Sentinels never occur inside record tokens (the
 token escape layer guards them), so every line parses on its own by
 scanning for sentinel-shaped tokens.
+
+join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
+left URI the second shuffle's values arrive sorted by right URI, so its
+outputs are already in link-id order and need no third sort.  join3 is one
+shuffle on the shared URI and one sort by id pair.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -107,8 +114,11 @@ class GtReport:
             self.first_errors.append((line_no, reason))
 
 
+_UNSAFE_URI_CHAR = re.compile(r"[\x00-\x20]")
+
+
 def _safe_uri(uri: str) -> bool:
-    return bool(uri) and all(ord(c) > 0x20 for c in uri)
+    return bool(uri) and _UNSAFE_URI_CHAR.search(uri) is None
 
 
 def load_ground_truth(
@@ -116,26 +126,16 @@ def load_ground_truth(
     format: str,
     sameas_uri: str = OWL_SAMEAS,
     report: GtReport | None = None,
-    dedup: bool = True,
 ) -> Iterator[tuple[str, str]]:
     """Stream (left, right) URI pairs from a ground-truth file.
 
-    Pairs keep file orientation; with dedup=True (the default) duplicates
-    are dropped via an in-memory set, sized for desk-scale files.  join2
-    passes dedup=False and collapses duplicates inside its shuffle instead.
+    Pairs keep file orientation, and duplicates stream through: join2
+    collapses them inside its shuffle, so no pair is held in memory here.
     """
     if format not in GT_FORMATS:
         raise LinkJoinError(f"unknown ground-truth format {format!r}")
     if report is None:
         report = GtReport()
-    seen: set[tuple[str, str]] | None = set() if dedup else None
-
-    def emit(pair: tuple[str, str]) -> bool:
-        if seen is not None:
-            if pair in seen:
-                return False
-            seen.add(pair)
-        return True
 
     if format == "tsv-pairs":
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,8 +153,7 @@ def load_ground_truth(
                     report.record_error(line_no, "empty URI or control/space character")
                     continue
                 report.pairs_ok += 1
-                if emit((left, right)):
-                    yield left, right
+                yield left, right
     else:
         parse = ParseReport(error_cap=report.error_cap)
         for triple in iter_triples(path, parse):
@@ -169,8 +168,7 @@ def load_ground_truth(
                 report.record_error(parse.lines_total, "control/space character in URI")
                 continue
             report.pairs_ok += 1
-            if emit(pair):
-                yield pair
+            yield pair
         report.lines_total += parse.lines_total
         report.lines_skipped += parse.lines_skipped
         for entry in parse.first_errors:
@@ -208,66 +206,72 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
                 raise LinkJoinError(f"{path}:{line_no}: blank line in entity file")
             token = line.split(b"\t", 1)[0]
             try:
-                uri = unescape_token(token.decode("utf-8")).encode("utf-8")
+                uri = unescape_token(token.decode("utf-8"))
             except (FlatRecordError, UnicodeDecodeError) as exc:
                 raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
-            yield uri + b"\t" + line
+            _check_uri(uri, path, line_no)
+            yield uri.encode("utf-8") + b"\t" + line
+
+
+def _check_uri(uri: str, path: str, line_no: int) -> None:
+    # The URI is the join key, cut off at the item's first tab.
+    if not _safe_uri(uri):
+        raise LinkJoinError(
+            f"{path}:{line_no}: bad entity line: "
+            "empty URI or control or space character in URI"
+        )
 
 
 def _first_field(item: bytes) -> bytes:
     return item[: item.index(b"\t")]
 
 
-def _reduce_match_left(key: bytes, tagged: Iterator[tuple[int, bytes]]):
-    # tag 0: entity line for this uri (at most one); tag 1: gt items l \t r,
-    # sorted by r with duplicates adjacent.
-    line = None
-    seen_entity = 0
-    item = next(tagged, None)
-    while item is not None and item[0] == 0:
-        seen_entity += 1
-        if seen_entity > 1:
-            raise LinkJoinError(
-                f"duplicate subject {key.decode('utf-8', 'replace')!r} in left entity file"
-            )
-        line = item[1].split(b"\t", 1)[1]
-        item = next(tagged, None)
-    prev_r = None
-    while item is not None:
-        r = item[1].split(b"\t", 1)[1]
-        if r != prev_r:
-            prev_r = r
-            if line is None:
-                yield b"D"
-            else:
-                yield b"M" + r + b"\t" + key + b"\t" + line
-        item = next(tagged, None)
+def _entity_line(key: bytes, seen: bytes | None, item: bytes, side: str) -> bytes:
+    """The entity line of a tag-0 item; one key has at most one."""
+    if seen is not None:
+        raise LinkJoinError(
+            f"duplicate subject {key.decode('utf-8', 'replace')!r} in {side} entity file"
+        )
+    return item[len(key) + 1 :]
 
 
-def _reduce_match_right(key: bytes, tagged: Iterator[tuple[int, bytes]]):
-    # tag 0: entity line for this uri; tag 1: survivors r \t l \t left-line,
-    # one per unique pair, sorted by l.
+def _reduce_by_right(key: bytes, tagged: Iterator[tuple[int, bytes]]):
+    # tag 0: the right entity line; tag 1: ground-truth items r \t l, sorted
+    # by l with duplicates adjacent.  Yields l \t r \t right-line once per
+    # unique pair, with an empty right line when r has none.
     line = None
-    seen_entity = 0
-    item = next(tagged, None)
-    while item is not None and item[0] == 0:
-        seen_entity += 1
-        if seen_entity > 1:
-            raise LinkJoinError(
-                f"duplicate subject {key.decode('utf-8', 'replace')!r} in right entity file"
-            )
-        line = item[1].split(b"\t", 1)[1]
-        item = next(tagged, None)
-    while item is not None:
-        _, l, left_line = item[1].split(b"\t", 2)
-        if line is None:
-            yield b"D"
+    prev = None
+    for tag, item in tagged:
+        if tag == 0:
+            line = _entity_line(key, line, item, "right")
+        elif item != prev:
+            prev = item
+            yield item[len(key) + 1 :] + b"\t" + key + b"\t" + (line or b"")
+
+
+_DROPPED_LEFT = b"L"
+_DROPPED_RIGHT = b"R"
+
+
+def _reduce_by_left(
+    sentinels: tuple[bytes, bytes], key: bytes, tagged: Iterator[tuple[int, bytes]]
+):
+    # tag 0: the left entity line; tag 1: _reduce_by_right's items, sorted by
+    # r, so the matches of one key leave in link-id order.  A match is the
+    # output line after its link id; a drop is one marker byte.
+    s_left, s_right = sentinels
+    line = None
+    for tag, item in tagged:
+        if tag == 0:
+            line = _entity_line(key, line, item, "left")
+        elif line is None:
+            yield _DROPPED_LEFT
         else:
-            yield (
-                b"M" + l + b"\t" + key + b"\t"
-                + _LEN.pack(len(left_line)) + left_line + line
-            )
-        item = next(tagged, None)
+            right = item[item.index(b"\t", len(key) + 1) + 1 :]
+            if right:
+                yield b"\t".join((b"", s_left, line, s_right, right)) + b"\n"
+            else:
+                yield _DROPPED_RIGHT
 
 
 def join2(
@@ -297,57 +301,36 @@ def join2(
     report = Join2Report(labels=labels)
 
     def gt_items() -> Iterator[bytes]:
-        for left, right in load_ground_truth(
-            gt_path, gt_format, sameas_uri, gt_report, dedup=False
-        ):
-            yield left.encode("utf-8") + b"\t" + right.encode("utf-8")
+        for left, right in load_ground_truth(gt_path, gt_format, sameas_uri, gt_report):
+            yield right.encode("utf-8") + b"\t" + left.encode("utf-8")
 
-    matched_left = engine.run_group_by(
-        [(0, _iter_entity_items(left_path)), (1, gt_items())],
+    by_right = engine.run_group_by(
+        [(0, _iter_entity_items(right_path)), (1, gt_items())],
         _first_field,
-        _reduce_match_left,
+        _reduce_by_right,
         cfg,
         stats=stats,
     )
-
-    def survivors() -> Iterator[bytes]:
-        for out in matched_left:
-            if out == b"D":
-                report.pairs_dropped_left += 1
-            else:
-                yield out[1:]
-
-    matched_both = engine.run_group_by(
-        [(0, _iter_entity_items(right_path)), (1, survivors())],
+    by_left = engine.run_group_by(
+        [(0, _iter_entity_items(left_path)), (1, by_right)],
         _first_field,
-        _reduce_match_right,
+        functools.partial(
+            _reduce_by_left, (sentinel_left.encode("utf-8"), sentinel_right.encode("utf-8"))
+        ),
         cfg,
         stats=stats,
     )
-
-    def sortable() -> Iterator[engine.KeyedItem]:
-        for out in matched_both:
-            if out == b"D":
-                report.pairs_dropped_right += 1
-            else:
-                l, r, payload = out[1:].split(b"\t", 2)
-                yield l + b"\t" + r, 0, payload
 
     prefix = labels[0][0] + labels[1][0]
-    s_left = sentinel_left.encode("utf-8")
-    s_right = sentinel_right.encode("utf-8")
     with open(out_path, "wb") as out:
-        for n, (_, _, payload) in enumerate(engine.external_sort(sortable(), cfg, stats), 1):
-            (llen,) = _LEN.unpack_from(payload)
-            left_line = payload[4 : 4 + llen]
-            right_line = payload[4 + llen :]
-            out.write(
-                gen_link_id(prefix, n).encode("utf-8")
-                + b"\t" + s_left + b"\t" + left_line
-                + b"\t" + s_right + b"\t" + right_line
-                + b"\n"
-            )
-            report.lines_emitted += 1
+        for tail in by_left:
+            if tail == _DROPPED_LEFT:
+                report.pairs_dropped_left += 1
+            elif tail == _DROPPED_RIGHT:
+                report.pairs_dropped_right += 1
+            else:
+                report.lines_emitted += 1
+                out.write(gen_link_id(prefix, report.lines_emitted).encode("utf-8") + tail)
 
     report.pairs_read = gt_report.pairs_ok
     report.gt_lines_skipped = gt_report.lines_skipped
@@ -404,6 +387,7 @@ def _iter_link_items(
             shared_slot = by_label[shared_label]
             other_slot = by_label[other_label]
             uri = unescape_token(shared_slot.split("\t", 1)[0])
+            _check_uri(uri, path, line_no)
             counter[0] += 1
             head = (
                 uri.encode("utf-8") + b"\t"

@@ -180,15 +180,24 @@ def test_reduce_failure_names_key(tmp_path):
             raise ValueError("nope")
         return []
 
+    items = [b"ok%03d\tx" % i for i in range(300)] + [b"bad\ty"]
+    stats = JobStats()
     with pytest.raises(EngineError, match="bad"):
-        list(
-            run_group_by(
-                [(0, iter([b"ok\tx", b"bad\ty"]))],
-                lambda item: item.split(b"\t")[0],
-                boom,
-                cfg_for(tmp_path),
+        try:
+            list(
+                run_group_by(
+                    [(0, iter(items))],
+                    lambda item: item.split(b"\t")[0],
+                    boom,
+                    cfg_for(tmp_path, memory_budget_bytes=2048),
+                    stats,
+                )
             )
-        )
+        finally:
+            # Looked at while the exception, and so its traceback, is alive.
+            left_behind = list((tmp_path / "spill").iterdir())
+    assert stats.spill_runs >= 2
+    assert left_behind == []
 
 
 def test_memory_budget_bounds_sort_buffer(tmp_path):

@@ -65,10 +65,14 @@ def test_gt_ntriples_sameas(tmp_path):
 
 
 def test_gt_duplicates_collapse(tmp_path):
+    # Duplicates stream through the loader, which holds no set of pairs;
+    # join2 collapses them in its shuffle (see the join2 oracle test).
     path = tmp_path / "gt.tsv"
     path.write_text("a\tb\na\tb\nc\td\n", encoding="utf-8")
-    pairs = list(load_ground_truth(str(path), "tsv-pairs"))
-    assert pairs == [("a", "b"), ("c", "d")]
+    report = GtReport()
+    pairs = list(load_ground_truth(str(path), "tsv-pairs", report=report))
+    assert pairs == [("a", "b"), ("a", "b"), ("c", "d")]
+    assert report.pairs_ok == 3
 
 
 def test_gt_malformed_lines_skipped(tmp_path):
@@ -182,15 +186,43 @@ def test_join2_dangling_pair_dropped(tmp_path):
     assert report.pairs_dropped_left == 0
 
 
-def test_join2_duplicate_subject_is_error(tmp_path):
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_join2_duplicate_subject_is_error(tmp_path, side):
+    # Raised from a reduce after the sort has spilled; no runs stay behind.
+    f_lines = [entity(f"http://f/{i:03}", name=[f"n{i}"])[1] for i in range(100)]
+    d_lines = [entity(f"http://d/{i:03}", age=[str(i)])[1] for i in range(100)]
+    dup = f_lines if side == "left" else d_lines
+    dup.insert(51, dup[50])
     a = tmp_path / "f.ents"
-    _, line = entity("http://f/1", name=["x"])
-    a.write_text(line + "\n" + line + "\n", encoding="utf-8")
+    a.write_text("".join(line + "\n" for line in f_lines), encoding="utf-8")
     b = tmp_path / "d.ents"
-    write_entity_file(b, dict([entity("http://d/1", age=["1"])]))
+    b.write_text("".join(line + "\n" for line in d_lines), encoding="utf-8")
     gt = tmp_path / "gt.tsv"
-    gt.write_text("http://f/1\thttp://d/1\n", encoding="utf-8")
-    with pytest.raises(LinkJoinError, match="duplicate subject"):
+    gt.write_text("http://f/050\thttp://d/050\n", encoding="utf-8")
+    stats = JobStats()
+    with pytest.raises(LinkJoinError, match=f"duplicate subject .* in {side} entity file"):
+        join2(
+            str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
+            str(tmp_path / "out"), cfg_for(tmp_path, memory_budget_bytes=2048),
+            stats=stats,
+        )
+    assert stats.spill_runs >= 1
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_join2_entity_uri_with_tab_is_error(tmp_path, side):
+    # The URI `a<TAB>b` is written escaped; cut at its raw tab, its join key
+    # would read `a` and join the pair a -> a with a corrupted record.
+    ents = {"left": entity("a", name=["x"]), "right": entity("a", age=["1"])}
+    ents[side] = entity("a\tb", name=["x"])
+    a = tmp_path / "f.ents"
+    b = tmp_path / "d.ents"
+    write_entity_file(a, dict([ents["left"]]))
+    write_entity_file(b, dict([ents["right"]]))
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("a\ta\n", encoding="utf-8")
+    with pytest.raises(LinkJoinError, match="control or space character in URI"):
         join2(
             str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
             str(tmp_path / "out"), cfg_for(tmp_path),
@@ -238,13 +270,13 @@ def test_join2_matches_nested_loop_oracle(tmp_path, rng):
     b_lines = dict(entity(f"http://d/{i}", age=[str(i)]) for i in range(200))
     pairs = []
     for _ in range(300):
-        # ~30% dangling on one side or the other
-        if rng.random() < 0.15:
-            pairs.append((f"http://f/{rng.randrange(300, 400)}", f"http://d/{rng.randrange(200)}"))
-        elif rng.random() < 0.3:
-            pairs.append((f"http://f/{rng.randrange(200)}", f"http://d/{rng.randrange(300, 400)}"))
-        else:
-            pairs.append((f"http://f/{rng.randrange(200)}", f"http://d/{rng.randrange(200)}"))
+        # ~10% dangling on the left only, ~10% on both sides (which counts
+        # as dropped left), ~10% on the right only
+        kind = rng.random()
+        l = rng.randrange(300, 400) if kind < 0.2 else rng.randrange(200)
+        r = rng.randrange(300, 400) if 0.1 <= kind < 0.3 else rng.randrange(200)
+        pairs.append((f"http://f/{l}", f"http://d/{r}"))
+    pairs += pairs[::10]  # duplicates collapse to one link
     a = tmp_path / "a.ents"
     b = tmp_path / "b.ents"
     write_entity_file(a, a_lines)
@@ -253,10 +285,12 @@ def test_join2_matches_nested_loop_oracle(tmp_path, rng):
     gt.write_text("".join(f"{l}\t{r}\n" for l, r in pairs), encoding="utf-8")
     out = tmp_path / "ab.links"
 
+    stats = JobStats()
     report = join2(
         str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"), str(out),
-        cfg_for(tmp_path, memory_budget_bytes=32 * 1024),
+        cfg_for(tmp_path, memory_budget_bytes=32 * 1024), stats=stats,
     )
+    assert stats.spill_runs >= 2
     expected_lines, dropped_l, dropped_r = join2_oracle(
         a_lines, b_lines, pairs, ("freebase", "dbpedia")
     )
@@ -431,6 +465,23 @@ def test_join3_validates_order_and_shared(tmp_path):
         join3("a", "b", "dbpedia", ["dbpedia", "freebase"], "out", cfg_for(tmp_path))
     with pytest.raises(LinkJoinError):
         join3("a", "b", "wikidata", ["dbpedia", "freebase", "yago"], "out", cfg_for(tmp_path))
+
+
+def test_join3_shared_uri_with_tab_is_error(tmp_path):
+    # `http://d/1<TAB>x`, cut at its raw tab, would join on `http://d/1`.
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    _, d1x = entity("http://d/1\tx", age=["1"])
+    _, y1 = entity("http://y/1", label=["y"])
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1\tx", d1x)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("http://y/1", y1, "http://d/1", d1)])
+    with pytest.raises(LinkJoinError, match="control or space character in URI"):
+        join3(
+            fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+            str(tmp_path / "out"), cfg_for(tmp_path),
+        )
 
 
 def test_join3_shared_label_absent_from_line(tmp_path):
