@@ -12,15 +12,17 @@ scanning for sentinel-shaped tokens.
 
 join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
 left URI the second shuffle's values arrive sorted by right URI, so its
-outputs are already in link-id order and need no third sort.  join3 is one
-shuffle on the shared URI and one sort by id pair.
+outputs are already in link-id order and need no third sort.  join3 is two
+shuffles too: keyed by the shared URI, then by left link id.  Inside one
+left id the second shuffle's values arrive sorted by right id, so the lines
+leave in (idA, idB) order with no final sort.  The first shuffle keeps only
+the left link ids of one shared URI in memory.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -36,8 +38,6 @@ from .rdf_ingest import URI, ParseReport, iter_triples
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
-
-_LEN = struct.Struct("<I")
 
 
 def sentinel_for(label: str) -> str:
@@ -355,13 +355,10 @@ class Join3Report:
         )
 
 
-def _iter_link_items(
-    path: str,
-    shared_label: str,
-    allowed: set[str],
-    keep_shared_slot: bool,
-    counter: list[int],
-) -> Iterator[bytes]:
+def _iter_2way(
+    path: str, shared_label: str, allowed: set[str]
+) -> Iterator[tuple[bytes, bytes, str, dict[str, bytes]]]:
+    """(shared URI, link id, other KB label, slots by label) per 2-way line."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -374,56 +371,73 @@ def _iter_link_items(
                     f"{path}:{line_no}: expected a 2-way line, got "
                     f"{len(parsed.groups)} record groups"
                 )
-            by_label = dict(parsed.groups)
-            if shared_label not in by_label:
+            # A byte below TAB in an id would sort the second shuffle's
+            # values out of idB order; the _safe_uri rule keeps ids above 0x20.
+            if not _safe_uri(parsed.link_id):
+                raise LinkJoinError(
+                    f"{path}:{line_no}: bad link id: {parsed.link_id!r} "
+                    "holds a control or space character"
+                )
+            slots = dict(parsed.groups)
+            if shared_label not in slots:
                 raise LinkJoinError(
                     f"{path}:{line_no}: shared KB {shared_label!r} absent"
                 )
-            (other_label,) = set(by_label) - {shared_label}
+            if len(slots) != 2:
+                raise LinkJoinError(f"{path}:{line_no}: one KB holds both records")
+            (other_label,) = set(slots) - {shared_label}
             if other_label not in allowed:
                 raise LinkJoinError(
                     f"{path}:{line_no}: KB {other_label!r} is not in the output order"
                 )
-            shared_slot = by_label[shared_label]
-            other_slot = by_label[other_label]
-            uri = unescape_token(shared_slot.split("\t", 1)[0])
+            try:
+                uri = unescape_token(slots[shared_label].split("\t", 1)[0])
+            except FlatRecordError as exc:
+                raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
             _check_uri(uri, path, line_no)
-            counter[0] += 1
-            head = (
-                uri.encode("utf-8") + b"\t"
-                + parsed.link_id.encode("utf-8") + b"\t"
-                + other_label.encode("utf-8") + b"\t"
-            )
-            if keep_shared_slot:
-                shared_bytes = shared_slot.encode("utf-8")
-                yield head + _LEN.pack(len(shared_bytes)) + shared_bytes + other_slot.encode("utf-8")
-            else:
-                yield head + other_slot.encode("utf-8")
+            encoded = {label: slot.encode("utf-8") for label, slot in slots.items()}
+            yield uri.encode("utf-8"), parsed.link_id.encode("utf-8"), other_label, encoded
 
 
-def _reduce_cross(key: bytes, tagged: Iterator[tuple[int, bytes]]):
-    # tag 0: lines of file_AB containing this shared uri (buffered);
-    # tag 1: lines of file_CB, streamed against the buffer.
-    left: list[bytes] = []
-    item = next(tagged, None)
-    while item is not None and item[0] == 0:
-        left.append(item[1].split(b"\t", 1)[1])
-        item = next(tagged, None)
-    while item is not None:
-        right = item[1].split(b"\t", 1)[1]
-        id_b, label_b, slot_b = right.split(b"\t", 2)
-        for entry in left:
-            id_a, label_a, rest = entry.split(b"\t", 2)
-            (slen,) = _LEN.unpack_from(rest)
-            shared_slot = rest[4 : 4 + slen]
-            slot_a = rest[4 + slen :]
-            yield (
-                id_a + b"\t" + id_b + b"\t" + label_a + b"\t" + label_b + b"\t"
-                + _LEN.pack(len(shared_slot)) + shared_slot
-                + _LEN.pack(len(slot_a)) + slot_a
-                + slot_b
+def _reduce_by_uri(key: bytes, tagged: Iterator[tuple[int, bytes]]):
+    # tag 0: left items `uri \t idA \t C \t record`; tag 1: right items
+    # `uri \t idB \t label \t slot`.  Yields each left item once as
+    # `idA \t \t C \t record`, whose empty field sorts before every idB,
+    # then `idA \t idB \t label \t slot` per pair.  Only the ids are held.
+    ids = []
+    for tag, item in tagged:
+        rest = item[len(key) + 1 :]
+        if tag == 0:
+            id_a, record = rest.split(b"\t", 1)
+            ids.append(id_a)
+            yield id_a + b"\t\t" + record
+        else:
+            for id_a in ids:
+                yield id_a + b"\t" + rest
+
+
+def _reduce_by_left_id(left_path: str, key: bytes, tagged: Iterator[tuple[int, bytes]]):
+    # The left line comes first and its matches follow sorted by idB, so the
+    # output lines leave in (idA, idB) order.  C's record goes where the left
+    # record holds a newline.
+    head = None
+    id_a = key.decode("utf-8", "replace")
+    for _, item in tagged:
+        id_b, label, value = item[len(key) + 1 :].split(b"\t", 2)
+        if not id_b:
+            if head is not None:
+                raise LinkJoinError(
+                    f"{left_path}: duplicate link id {id_a!r} in left linkage file"
+                )
+            missing = label
+            head, tail = value.split(b"\n")
+        elif label != missing:
+            raise LinkJoinError(
+                f"{id_a},{id_b.decode('utf-8', 'replace')}: line labels do not cover the output"
+                f" order: the right line's KB {label.decode()!r} is not {missing.decode()!r}"
             )
-        item = next(tagged, None)
+        else:
+            yield key + b"," + id_b + b"\t" + head + value + tail + b"\n"
 
 
 def join3(
@@ -438,65 +452,47 @@ def join3(
     """Join two 2-way linkage files on their shared KB's entity URIs.
 
     Every AB line pairs with every CB line holding the same shared-KB URI;
-    the shared record is taken from the AB side.  Output is sorted by the
-    (idA, idB) byte pair and each first slot reads ``idA,idB``.
+    the shared record is taken from the AB side.  Output is sorted by idA,
+    then idB, and each first slot reads ``idA,idB``.  AB link ids must be
+    unique; ids in both files must hold no control or space character.
     """
     if len(order) != 3 or len(set(order)) != 3:
         raise LinkJoinError("order must list 3 distinct KB labels")
     if shared_label not in order:
         raise LinkJoinError(f"shared label {shared_label!r} missing from order")
-    for label in order:
-        sentinel_for(label)  # validates
+    sentinels = {label: sentinel_for(label).encode("utf-8") for label in order}
     allowed = set(order)
     if stats is None:
         stats = engine.JobStats()
     report = Join3Report()
-    count_ab = [0]
-    count_cb = [0]
 
-    crossed = engine.run_group_by(
-        [
-            (0, _iter_link_items(ab_path, shared_label, allowed, True, count_ab)),
-            (1, _iter_link_items(cb_path, shared_label, allowed, False, count_cb)),
-        ],
-        _first_field,
-        _reduce_cross,
-        cfg,
+    def left_items() -> Iterator[bytes]:
+        # record = the line's groups in output order, with a newline in
+        # place of the record of C, the KB that the right line supplies.
+        for uri, link_id, other_label, slots in _iter_2way(ab_path, shared_label, allowed):
+            report.lines_left += 1
+            (missing,) = allowed - set(slots)
+            record = b"\t".join(
+                sentinels[label] + b"\t" + slots.get(label, b"\n") for label in order
+            )
+            yield b"\t".join((uri, link_id, missing.encode("utf-8"), record))
+
+    def right_items() -> Iterator[bytes]:
+        for uri, link_id, other_label, slots in _iter_2way(cb_path, shared_label, allowed):
+            report.lines_right += 1
+            yield b"\t".join((uri, link_id, other_label.encode("utf-8"), slots[other_label]))
+
+    by_uri = engine.run_group_by(
+        [(0, left_items()), (1, right_items())], _first_field, _reduce_by_uri, cfg, stats=stats
+    )
+    by_left_id = engine.run_group_by(
+        [(0, by_uri)], _first_field, functools.partial(_reduce_by_left_id, ab_path), cfg,
         stats=stats,
     )
-
-    def sortable() -> Iterator[engine.KeyedItem]:
-        for out in crossed:
-            id_a, id_b, payload = out.split(b"\t", 2)
-            yield id_a + b"\t" + id_b, 0, payload
-
-    sentinels = {label: sentinel_for(label).encode("utf-8") for label in order}
     with open(out_path, "wb") as out:
-        for key, _, payload in engine.external_sort(sortable(), cfg, stats):
-            id_a, id_b = key.split(b"\t")
-            label_a, label_b, rest = payload.split(b"\t", 2)
-            (slen,) = _LEN.unpack_from(rest)
-            shared_slot = rest[4 : 4 + slen]
-            (alen,) = _LEN.unpack_from(rest, 4 + slen)
-            slot_a = rest[8 + slen : 8 + slen + alen]
-            slot_b = rest[8 + slen + alen :]
-            slots = {
-                shared_label: shared_slot,
-                label_a.decode("utf-8"): slot_a,
-                label_b.decode("utf-8"): slot_b,
-            }
-            if len(slots) != 3 or set(slots) != allowed:
-                raise LinkJoinError(
-                    f"line labels {sorted(slots)} do not cover the output order"
-                )
-            parts = [id_a + b"," + id_b]
-            for label in order:
-                parts.append(sentinels[label])
-                parts.append(slots[label])
-            out.write(b"\t".join(parts) + b"\n")
+        for line in by_left_id:
+            out.write(line)
             report.lines_emitted += 1
 
-    report.lines_left = count_ab[0]
-    report.lines_right = count_cb[0]
     report.spill_runs = stats.spill_runs
     return report

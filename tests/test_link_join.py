@@ -400,16 +400,37 @@ def test_join3_cross_product_counts(tmp_path):
     assert report.lines_emitted == 6
 
 
+def _replace_id(line: str, new_id: str) -> str:
+    return new_id + line[line.index("\t"):]
+
+
+def join3_oracle(fd_rows, yd_rows, ids_a, ids_b):
+    """Nested loop over all (fd line, yd line) pairs on one dbpedia URI, in the
+    byte order of `idA TAB idB`; equal id pairs keep the byte order of lines."""
+    pairs = []
+    for id_a, (_, f_line, d_a, d_line) in zip(ids_a, fd_rows):
+        for id_b, (_, y_line, d_b, _) in zip(ids_b, yd_rows):
+            if d_a == d_b:
+                line = (
+                    f"{id_a},{id_b}\tdbpedia-instance\t{d_line}"
+                    f"\tfreebase-instance\t{f_line}\tyago-instance\t{y_line}"
+                )
+                pairs.append((f"{id_a}\t{id_b}".encode(), line.encode(), line))
+    return [line for *_, line in sorted(pairs)]
+
+
 def test_join3_sum_of_products_oracle(tmp_path, rng):
-    # random multiplicities per shared URI; |join3| must equal sum(m_u * n_u)
-    shared = [f"http://d/{i}" for i in range(30)]
+    # random multiplicities per shared URI, plus a hub URI with several lines
+    # on each side; |join3| must equal sum(m_u * n_u) and the bytes and order
+    # must match a nested loop
+    shared = [f"http://d/{i}" for i in range(30)] + ["http://d/hub"]
     d_lines = {u: entity(u, age=[u[-1]])[1] for u in shared}
     fd_rows, yd_rows = [], []
     m = {}
     n = {}
     for u in shared:
-        m[u] = rng.randrange(0, 4)
-        n[u] = rng.randrange(0, 4)
+        m[u] = 5 if u.endswith("hub") else rng.randrange(0, 4)
+        n[u] = 4 if u.endswith("hub") else rng.randrange(0, 4)
         for i in range(m[u]):
             f_uri = f"http://f/{u[-2:]}x{i}"
             fd_rows.append((f_uri, entity(f_uri, name=[str(i)])[1], u, d_lines[u]))
@@ -418,15 +439,93 @@ def test_join3_sum_of_products_oracle(tmp_path, rng):
             yd_rows.append((y_uri, entity(y_uri, label=[str(i)])[1], u, d_lines[u]))
     fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia", fd_rows)
     yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia", yd_rows)
+    ids_a = [f"fd-{k}" for k in range(1, len(fd_rows) + 1)]
+    ids_b = [f"yd-{k}" for k in range(1, len(yd_rows) + 1)]
+    # two hub lines on the right share one id
+    ids_b[-1] = ids_b[-2]
+    lines = read_lines(yd)
+    lines[-1] = _replace_id(lines[-1], ids_b[-1])
+    (tmp_path / "yd.links").write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    assert len(fd_rows) >= 10 and len(yd_rows) >= 10
     out = tmp_path / "dfy.links"
+    stats = JobStats()
     report = join3(
         fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"], str(out),
-        cfg_for(tmp_path, memory_budget_bytes=16 * 1024),
+        cfg_for(tmp_path, memory_budget_bytes=4 * 1024), stats=stats,
     )
     expected = sum(m[u] * n[u] for u in shared)
     assert report.lines_emitted == expected
     assert report.lines_left == len(fd_rows)
     assert report.lines_right == len(yd_rows)
+    assert stats.spill_runs > 0
+    assert read_lines(out) == join3_oracle(fd_rows, yd_rows, ids_a, ids_b)
+
+
+def test_join3_bad_shared_uri_escape_names_file_and_line(tmp_path):
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    _, y1 = entity("http://y/1", label=["y"])
+    d_bad = "http://d/1\\" + d1[d1.index("\t"):]  # ends in a lone backslash
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1", d1), ("http://f/1", f1, "", d_bad)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("http://y/1", y1, "http://d/1", d1)])
+    with pytest.raises(LinkJoinError, match=r"fd\.links:2: bad entity line: .*escape"):
+        join3(
+            fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+            str(tmp_path / "out"), cfg_for(tmp_path),
+        )
+
+
+# (file, edit of its last line or None, message); file "both" makes the
+# right file carry freebase + dbpedia like the left one.
+JOIN3_INPUT_ERRORS = {
+    "three-way": ("left", lambda l: l + "\tyago-instance\thttp://y/x\tp\tv",
+                  "expected a 2-way line"),
+    "three-way-right": ("right", lambda l: l + "\tfreebase-instance\thttp://f/x\tp\tv",
+                        "expected a 2-way line"),
+    "foreign-kb": ("left", lambda l: l.replace("freebase-instance", "wikidata-instance"),
+                   "not in the output order"),
+    "foreign-kb-right": ("right", lambda l: l.replace("yago-instance", "wikidata-instance"),
+                         "not in the output order"),
+    "uncovered": ("both", None, "do not cover the output order"),
+    "duplicate-left-id": ("left", lambda l: _replace_id(l, "fd-1"), "duplicate link id"),
+    "space-in-id": ("left", lambda l: _replace_id(l, "fd 60"), "bad link id"),
+    "control-in-id": ("right", lambda l: _replace_id(l, "yd\x0160"), "bad link id"),
+    "one-kb-twice": ("right", lambda l: l.replace("yago-instance", "dbpedia-instance"),
+                     "one KB holds both records"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOIN3_INPUT_ERRORS))
+def test_join3_input_errors_at_a_spilling_budget(tmp_path, case):
+    where, edit, message = JOIN3_INPUT_ERRORS[case]
+    fd_rows, yd_rows = [], []
+    for i in range(60):
+        _, d = entity(f"http://d/{i}", age=[str(i)])
+        fd_rows.append(("", entity(f"http://f/{i}", name=[str(i)])[1], "", d))
+        yd_rows.append(("", entity(f"http://y/{i}", label=[str(i)])[1], "", d))
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia", fd_rows)
+    right_label = "freebase" if where == "both" else "yago"
+    yd = make_2way(tmp_path, "yd.links", right_label, "dbpedia", yd_rows)
+    path = fd if where == "left" else yd
+    if edit is not None:
+        lines = read_lines(path)
+        lines[-1] = edit(lines[-1])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(l + "\n" for l in lines))
+    stats = JobStats()
+    with pytest.raises(LinkJoinError, match=message) as excinfo:
+        join3(
+            fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"], str(tmp_path / "out"),
+            cfg_for(tmp_path, memory_budget_bytes=2048), stats=stats,
+        )
+    if case == "duplicate-left-id":
+        assert fd in str(excinfo.value)  # the id belongs to two lines
+    elif edit is not None:
+        assert f"{path}:60: " in str(excinfo.value)
+    assert stats.spill_runs > 0
+    assert list((tmp_path / "spill").iterdir()) == []
 
 
 def test_join3_traceability(tmp_path, rng):
