@@ -36,7 +36,6 @@ from .rdf_ingest import (
     iter_triples,
     parse_ntriples_line,
     render_triple,
-    stream_triples,
 )
 from .tools import (
     SampleSpec,

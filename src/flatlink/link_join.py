@@ -34,7 +34,7 @@ from .flat_record import (
     SENTINEL_SUFFIX,
     unescape_token,
 )
-from .rdf_ingest import URI, ParseReport, iter_triples
+from .rdf_ingest import URI, ParseReport, iter_triples, not_utf8
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
@@ -138,11 +138,14 @@ def load_ground_truth(
         report = GtReport()
 
     if format == "tsv-pairs":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, raw in enumerate(fh, 1):
                 report.lines_total += 1
                 line = raw.rstrip("\r\n")
                 if not line:
+                    continue
+                if not_utf8(line):
+                    report.record_error(line_no, "not UTF-8")
                     continue
                 fields = line.split("\t")
                 if len(fields) != 2:
@@ -359,9 +362,11 @@ def _iter_2way(
     path: str, shared_label: str, allowed: set[str]
 ) -> Iterator[tuple[bytes, bytes, str, dict[str, bytes]]]:
     """(shared URI, link id, other KB label, slots by label) per 2-way line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
+            if not_utf8(line):
+                raise LinkJoinError(f"{path}:{line_no}: not UTF-8")
             try:
                 parsed = parse_link_line(line)
             except LinkJoinError as exc:

@@ -8,17 +8,26 @@ Blank nodes are accepted as opaque ``_:label`` tokens in subject or object
 position.  Language tags and datatype IRIs are dropped; only the literal's
 lexical form is kept.  ``\\uXXXX`` / ``\\UXXXXXXXX`` escapes are decoded
 during parsing; an escape body that is not exactly 4 or 8 hex digits, or
-that names a surrogate code point, is malformed.  Files are decoded as UTF-8
-line by line, so a line that is not valid UTF-8 is malformed too.  Malformed
-lines never abort a stream: they are counted, sampled into the report, and
-skipped.
+that names a surrogate code point or one above U+10FFFF, is malformed.
+Files are decoded as UTF-8 line by line, so a line that is not valid UTF-8
+is malformed too.  Malformed lines never abort a stream: they are counted,
+sampled into the report, and skipped.
 
-A line without any backslash is first tried against one anchored regex for
-``<uri> <uri> (<uri> | "literal"(@lang | ^^<dtype>)?) .`` with an optional
-trailing comment.  It accepts exactly the lines of that shape that the
-character parser accepts, and yields the same triple.  Every other line
-(escapes, blank nodes, blanks, comments and anything malformed) goes to the
-character parser, which alone decides error reasons.
+Every line is first tried against one anchored regex for
+``(<uri> | _:label) <uri> (<uri> | _:label | "literal"(@lang | ^^<dtype>)?) .``
+with an optional trailing comment, where URIs may hold ``\\u``/``\\U``
+escapes and literals those and the ECHARs (``\\t``, ``\\"``, ...); a datatype
+IRI or language tag holds no escape.  A matched line without a backslash
+yields its groups as they are; one with escapes is decoded with ``re.sub``.
+If decoding shows the line is bad (a surrogate or out-of-range code point, or
+a URI that decodes to a control or space character), the line falls back.
+Lines the regex does not match (blanks, comments, escapes in a datatype or
+label, and anything malformed) and the lines that fall back go to the
+character parser, which alone decides error reasons.  A line parsed on the
+fast path yields the triple the character parser would.
+
+``Triple`` and ``ObjectValue`` are named tuples, so each compares equal to
+the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import io
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NTriplesParseError
 
@@ -54,32 +63,42 @@ _ECHAR = {
 
 _HEX = re.compile(r"[0-9A-Fa-f]*")
 
-# open_text decodes with surrogateescape, which turns each byte that is not
-# valid UTF-8 into a lone surrogate; strict UTF-8 never decodes to one.
+# The surrogateescape error handler (open_text uses it) turns each byte that
+# is not valid UTF-8 into a lone surrogate; strict UTF-8 never decodes to one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
-# The fast path's line shape.  URI bodies hold no character <= U+0020, no '>'
-# and no backslash; literal bodies no quote, backslash or raw tab; a language
-# tag stops where the character parser's does, at whitespace or '.'.
-_URI_BODY = r"[^\x00-\x20>\\]+"
+# The fast path's line shape, after the W3C N-Triples grammar (UCHAR, ECHAR).
+# URI bodies hold no character <= U+0020, no '>' and no backslash outside a
+# well-formed UCHAR; literal bodies no quote, raw tab or backslash outside a
+# UCHAR or ECHAR; a blank node label no whitespace, control or backslash, and
+# it ends where the character parser's does, at whitespace.  Each body is an
+# unrolled loop, normal* (special normal*)*, so a failing line cannot
+# backtrack beyond linear time.  A language tag stops where the character
+# parser's does, at whitespace or '.'; a datatype IRI holds no escape.
+_UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+_URI_CHARS = r"[^\x00-\x20>\\]"
+_URI = rf"<(?=[^>])({_URI_CHARS}*(?:{_UCHAR}{_URI_CHARS}*)*)>"
+_BNODE = r"(_:[^\s\x00-\x20\\]+)(?!\S)"
+_LIT_CHARS = r'[^"\\\t]'
+_LITERAL = rf'"({_LIT_CHARS}*(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_LIT_CHARS}*)*)"'
 _FAST_LINE = re.compile(
-    rf"[ \t]*<({_URI_BODY})>[ \t]*<({_URI_BODY})>[ \t]*"
-    rf'(?:<({_URI_BODY})>|"([^"\\\t]*)"(?:@[^\s.\\]+|\^\^<{_URI_BODY}>)?)'
+    rf"[ \t]*(?:{_URI}|{_BNODE})[ \t]*{_URI}[ \t]*"
+    rf"(?:{_URI}|{_BNODE}|{_LITERAL}(?:@[^\s.\\]+|\^\^<{_URI_CHARS}+>)?)"
     r"[ \t]*\.[ \t]*(?:#.*)?",
     re.DOTALL,
 )
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_CONTROL_OR_SPACE = re.compile(r"[\x00-\x20]")
 
 
-@dataclass(frozen=True)
-class ObjectValue:
+class ObjectValue(NamedTuple):
     """Object of a triple: either a URI reference or a bare literal."""
 
     kind: str  # URI or LITERAL
     lexical: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: ObjectValue
@@ -125,10 +144,10 @@ def _decode_uchar(text: str, i: int) -> tuple[str, int]:
     if 0xD800 <= cp <= 0xDFFF:
         # A lone surrogate cannot be encoded as UTF-8 further downstream.
         raise NTriplesParseError(f"\\{code} escape is a surrogate code point")
-    try:
-        return chr(cp), i + 2 + width
-    except ValueError:
-        raise NTriplesParseError(f"\\{code} escape out of range") from None
+    if cp > 0x10FFFF:
+        # chr() raises OverflowError, not ValueError, from \U80000000 up.
+        raise NTriplesParseError(f"\\{code} escape out of range")
+    return chr(cp), i + 2 + width
 
 
 def _read_uri(line: str, i: int, role: str) -> tuple[str, int]:
@@ -200,20 +219,49 @@ def _skip_ws(line: str, i: int) -> int:
     return i
 
 
+# Decoding a fast-path match raises ValueError where the character parser
+# would reject the line; parse_ntriples_line then hands the line to it.
+def _unescape(m: re.Match) -> str:
+    hexpart = m[1] or m[2]
+    if hexpart is None:
+        return _ECHAR[m[3]]
+    cp = int(hexpart, 16)
+    if 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF:
+        raise ValueError("surrogate or out of range")
+    return chr(cp)
+
+
+def _unescape_uri(body: str | None) -> str | None:
+    if body is None or "\\" not in body:
+        return body
+    uri = _ESCAPE.sub(_unescape, body)
+    if _CONTROL_OR_SPACE.search(uri):
+        raise ValueError("control or space character")
+    return uri
+
+
 def parse_ntriples_line(line: str) -> Triple | None:
     """Parse one physical line (no terminator).
 
     Returns None for blank lines and comment lines; raises
     NTriplesParseError for anything else that is not a well-formed triple.
     """
-    if "\\" not in line:
-        m = _FAST_LINE.fullmatch(line)
-        if m is not None:
-            subject, predicate, uri, lexical = m.groups()
-            if uri is not None:
-                return Triple(subject, predicate, ObjectValue(URI, uri))
-            return Triple(subject, predicate, ObjectValue(LITERAL, lexical))
-    return _parse_line_slow(line)
+    m = _FAST_LINE.fullmatch(line)
+    if m is None:
+        return _parse_line_slow(line)
+    subject, s_bnode, predicate, uri, o_bnode, lexical = m.groups()
+    if "\\" in line:
+        try:
+            subject = _unescape_uri(subject)
+            predicate = _unescape_uri(predicate)
+            uri = _unescape_uri(uri)
+            if lexical is not None and "\\" in lexical:
+                lexical = _ESCAPE.sub(_unescape, lexical)
+        except ValueError:
+            return _parse_line_slow(line)
+    if lexical is None:
+        return Triple(subject or s_bnode, predicate, ObjectValue(URI, uri or o_bnode))
+    return Triple(subject or s_bnode, predicate, ObjectValue(LITERAL, lexical))
 
 
 def _parse_line_slow(line: str) -> Triple | None:
@@ -307,6 +355,12 @@ def open_text(path: str | os.PathLike) -> io.TextIOBase:
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
+def not_utf8(line: str) -> bool:
+    """True if `line`, decoded with errors="surrogateescape" as open_text
+    does, came from bytes that are not UTF-8."""
+    return not line.isascii() and _SURROGATE.search(line) is not None
+
+
 def iter_triples(
     source: str | os.PathLike | Iterable[str],
     report: ParseReport | None = None,
@@ -323,7 +377,7 @@ def iter_triples(
         return
     for line_no, line in enumerate(source, 1):
         report.lines_total += 1
-        if not line.isascii() and _SURROGATE.search(line):
+        if not_utf8(line):
             report.record_error(line_no, "not UTF-8")
             continue
         try:
@@ -337,14 +391,3 @@ def iter_triples(
         report.triples_ok += 1
         yield triple
 
-
-def stream_triples(
-    source: str | os.PathLike | Iterable[str],
-    on_triple: Callable[[Triple], None],
-    error_cap: int = 20,
-) -> ParseReport:
-    """Deliver every well-formed triple, in input order, to `on_triple`."""
-    report = ParseReport(error_cap=error_cap)
-    for triple in iter_triples(source, report):
-        on_triple(triple)
-    return report

@@ -220,9 +220,12 @@ class ValidationReport:
 
 
 def _check_control_bytes(raw: bytes) -> str | None:
-    for b in raw:
-        if b < 0x20 and b not in (0x09,):
-            return f"raw control byte 0x{b:02x}"
+    # The token codec escapes backslash, TAB, LF and CR and keeps every other
+    # byte, so other C0 controls are legal record bytes.  LF ends the line;
+    # a raw CR can only come from something other than the codec (a CRLF
+    # line ending, say), and a universal-newline reader would split on it.
+    if b"\r" in raw:
+        return "raw control byte 0x0d"
     return None
 
 

@@ -85,6 +85,16 @@ def test_gt_malformed_lines_skipped(tmp_path):
     assert report.pairs_ok == 1
 
 
+def test_gt_invalid_utf8_line_is_skipped(tmp_path):
+    path = tmp_path / "gt.tsv"
+    path.write_bytes(b"a\tb\nc\xff\td\ne\tf\n")
+    report = GtReport()
+    pairs = list(load_ground_truth(str(path), "tsv-pairs", report=report))
+    assert pairs == [("a", "b"), ("e", "f")]
+    assert report.lines_skipped == 1
+    assert report.first_errors == [(2, "not UTF-8")]
+
+
 def test_gt_unknown_format(tmp_path):
     with pytest.raises(LinkJoinError):
         list(load_ground_truth("x", "csv"))
@@ -184,6 +194,25 @@ def test_join2_dangling_pair_dropped(tmp_path):
     assert report.lines_emitted == 0
     assert report.pairs_dropped_right == 1
     assert report.pairs_dropped_left == 0
+
+
+def test_join2_skips_invalid_utf8_ground_truth_line(tmp_path):
+    f_uri, f_line = entity("http://f/1", name=["x"])
+    d_uri, d_line = entity("http://d/1", age=["1"])
+    a = tmp_path / "f.ents"
+    b = tmp_path / "d.ents"
+    write_entity_file(a, {f_uri: f_line})
+    write_entity_file(b, {d_uri: d_line})
+    gt = tmp_path / "gt.tsv"
+    gt.write_bytes(b"http://f/\xff\thttp://d/1\nhttp://f/1\thttp://d/1\n")
+    out = tmp_path / "fd.links"
+    report = join2(
+        str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"), str(out),
+        cfg_for(tmp_path),
+    )
+    assert read_lines(out) == [f"fd-1\tfreebase-instance\t{f_line}\tdbpedia-instance\t{d_line}"]
+    assert report.gt_lines_skipped == 1
+    assert report.pairs_read == 1
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -475,6 +504,26 @@ def test_join3_bad_shared_uri_escape_names_file_and_line(tmp_path):
             fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
             str(tmp_path / "out"), cfg_for(tmp_path),
         )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_join3_invalid_utf8_linkage_line_names_file_and_line(tmp_path, side):
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    _, y1 = entity("http://y/1", label=["y"])
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1", d1)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("http://y/1", y1, "http://d/1", d1)])
+    path = fd if side == "left" else yd
+    with open(path, "ab") as fh:
+        fh.write(b"xx-2\tfreebase-instance\thttp://f/\xff\tdbpedia-instance\thttp://d/2\n")
+    with pytest.raises(LinkJoinError) as excinfo:
+        join3(
+            fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+            str(tmp_path / "out"), cfg_for(tmp_path),
+        )
+    assert str(excinfo.value) == f"{path}:2: not UTF-8"
 
 
 # (file, edit of its last line or None, message); file "both" makes the

@@ -1,9 +1,12 @@
 import re
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatlink import rdf_ingest
 from flatlink.errors import NTriplesParseError
 from flatlink.rdf_ingest import (
     _FAST_LINE,
@@ -16,7 +19,6 @@ from flatlink.rdf_ingest import (
     iter_triples,
     parse_ntriples_line,
     render_triple,
-    stream_triples,
 )
 
 from conftest import synth_triples
@@ -104,8 +106,8 @@ def test_stream_counts_malformed_and_blank():
         "",
         "# comment",
     ]
-    got = []
-    report = stream_triples(lines, got.append)
+    report = ParseReport()
+    got = list(iter_triples(lines, report))
     assert len(got) == 2
     assert report.lines_total == 5
     assert report.triples_ok == 2
@@ -116,7 +118,8 @@ def test_stream_counts_malformed_and_blank():
 
 
 def test_stream_empty_file():
-    report = stream_triples([], lambda t: (_ for _ in ()).throw(AssertionError))
+    report = ParseReport()
+    assert list(iter_triples([], report)) == []
     assert report.lines_total == 0
     assert report.triples_ok == 0
 
@@ -168,8 +171,8 @@ def test_corpus_matches_reference_parser(rng):
     lines.append('<http://x/a> <http://x/p> "hola"@es .')
     expected = [t for t in (_ref_parse(line) for line in lines) if t is not None]
 
-    got = []
-    report = stream_triples(lines, got.append)
+    report = ParseReport()
+    got = list(iter_triples(lines, report))
     assert got == expected
     assert report.triples_ok == len(expected)
     assert report.lines_skipped == 0
@@ -236,13 +239,9 @@ def test_streaming_is_bounded(rng):
             yield f'<http://x/e{i % 1000}> <http://x/p> "value {i}" .'
 
     count = 0
-
-    def consume(_):
-        nonlocal count
-        count += 1
-
     tracemalloc.start()
-    stream_triples(lines(), consume)
+    for _ in iter_triples(lines(), ParseReport()):
+        count += 1
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert count == 200_000
@@ -251,7 +250,8 @@ def test_streaming_is_bounded(rng):
 
 def test_error_cap_limits_report():
     lines = ["garbage"] * 100
-    report = stream_triples(lines, lambda t: None, error_cap=5)
+    report = ParseReport(error_cap=5)
+    assert list(iter_triples(lines, report)) == []
     assert report.lines_skipped == 100
     assert len(report.first_errors) == 5
 
@@ -271,11 +271,24 @@ def test_surrogate_escape_line_is_counted_and_skipped():
         '<http://x/a> <http://x/p> "bad \\uD800 surrogate" .',
         '<http://x/a> <http://x/q> "ok" .',
     ]
-    got = []
-    report = stream_triples(lines, got.append)
+    report = ParseReport()
+    got = list(iter_triples(lines, report))
     assert got == [Triple("http://x/a", "http://x/q", ObjectValue(LITERAL, "ok"))]
     assert report.lines_skipped == 1
     assert report.first_errors == [(1, "\\u escape is a surrogate code point")]
+
+
+@pytest.mark.parametrize("escape", ["\\U00110000", "\\U80000000", "\\UFFFFFFFF"])
+def test_out_of_range_escapes_are_malformed(escape):
+    lines = [
+        f'<http://x/a> <http://x/p> "bad {escape} x" .',
+        f"<http://x/a{escape}> <http://x/p> <http://x/b> .",
+        '<http://x/a> <http://x/q> "ok" .',
+    ]
+    report = ParseReport()
+    got = list(iter_triples(lines, report))
+    assert got == [Triple("http://x/a", "http://x/q", ObjectValue(LITERAL, "ok"))]
+    assert report.first_errors == [(1, "\\U escape out of range"), (2, "\\U escape out of range")]
 
 
 def test_escapes_next_to_surrogates_still_decode():
@@ -294,7 +307,18 @@ def _outcome(parse, line: str):
 
 
 def _takes_fast_path(line: str) -> bool:
-    return "\\" not in line and _FAST_LINE.fullmatch(line) is not None
+    return _FAST_LINE.fullmatch(line) is not None
+
+
+def _check_routing(line: str, fast: bool) -> None:
+    expected = _outcome(_parse_line_slow, line)
+    with mock.patch.object(rdf_ingest, "_parse_line_slow", wraps=_parse_line_slow) as slow:
+        assert _outcome(parse_ntriples_line, line) == expected
+    # A line the regex matches is parsed there, unless decoding shows that it
+    # is bad; then the character parser decides the error reason.
+    assert slow.called == (not fast or expected[0] == "error")
+    if fast and not slow.called:
+        assert isinstance(expected[1], Triple)
 
 
 @pytest.mark.parametrize(
@@ -306,25 +330,41 @@ def _takes_fast_path(line: str) -> bool:
         ("<a><b><c>.", True),
         ('<a><b>"v"@en-GB.', True),
         ('\t <a>\t<b> "v"^^<http://x/int>\t.\t# note', True),
-        ("<a> <b> <c> . # comment with \\ backslash", False),
+        ("<a> <b> <c> . # comment with \\ backslash", True),
         ('<a> <b> "v\x0bw\x85\xa0\x1c" .', True),
         ("<http://x/\xe9\x7f\x85> <b> <c> .", True),
         ('<a> <b> "v"@en^^<x> .', True),
         ('<a> <b> "v"@en\x0b.', False),
         ('<a> <b> "v"@ .', False),
         ('<a> <b> "v"^^<> .', False),
+        ('<a> <b> "v"^^< > .', False),
         ('<a> <b> "v"^^x .', False),
+        ('<a> <b> "v"^^<A> .', True),
+        ('<a> <b> "v"^^<\\u0041> .', False),
         ('<a> <b> "a\tb" .', False),
         ("<a\tb> <p> <c> .", False),
         ("<a b> <p> <c> .", False),
         ("<a\x1c> <p> <c> .", False),
+        ("<> <p> <c> .", False),
         ("<a> <p> <c", False),
         ('<a> <p> "v .', False),
         ("<a> <p> <c> . garbage", False),
         ("<a> <p> <c> .\x0b", False),
-        ("_:b1 <p> <c> .", False),
-        ("<a> <p> _:b2 .", False),
-        ('<a> <p> "caf\\u00e9" .', False),
+        ("_:b1 <p> <c> .", True),
+        ("<a> <p> _:b2 .", True),
+        ("_:a\x01 <p> <c> .", False),
+        ("_:a<p> <c> .", False),
+        ("<a> <p> _:b.", False),
+        ('<a> <p> "caf\\u00e9" .', True),
+        ('<a\\u00E9\\U0001F600> <p> "q\\"\\\\\\t\\b\\n\\r\\f\\\'" .', True),
+        ("<a\\u0020b> <p> <c> .", True),
+        ("<a\\uD800> <p> <c> .", True),
+        ('<a> <p> "\\uD800" .', True),
+        ("<a\\U00110000> <p> <c> .", True),
+        ('<a> <p> "\\U00110000" .', True),
+        ('<a> <p> "\\q" .', False),
+        ("<a\\n> <p> <c> .", False),
+        ("_:a\\b <p> <c> .", False),
         ("", False),
         ("# comment", False),
     ],
@@ -332,36 +372,57 @@ def _takes_fast_path(line: str) -> bool:
 def test_fast_path_takes_exactly_its_shape(line, fast):
     assert _takes_fast_path(line) == fast
     assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
-    if fast:
-        assert isinstance(_parse_line_slow(line), Triple)
+    _check_routing(line, fast)
+
+
+_LONG_FAILING_LINES = {
+    "unclosed-echar-literal": '<a> <p> "' + "\\t" * 100_000,
+    "unclosed-literal": '<a> <p> "' + "a" * 100_000,
+    "unclosed-uchar-uri": "<a" + "\\u0041" * 100_000 + " <p> <c> .",
+    "unclosed-uri": "<a" + "b" * 100_000 + " <p> <c> .",
+    "bad-escape-at-end": '<a> <p> "' + "\\u0041" * 100_000 + '\\q" .',
+    "long-bnode-label": "_:" + "a" * 100_000 + "<p> <c> .",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_FAILING_LINES))
+def test_long_failing_line_parses_in_linear_time(case):
+    # Nested quantifiers that can split a body two ways backtrack
+    # exponentially on a failing line; the unrolled loops do not.
+    start = time.perf_counter()
+    with pytest.raises(NTriplesParseError):
+        parse_ntriples_line(_LONG_FAILING_LINES[case])
+    assert time.perf_counter() - start < 5.0
 
 
 # Lines start from render_triple output.  Half are "clean": terms drawn from
 # characters that stay raw when rendered (non-ASCII, DEL, NEL and NBSP; TAB
-# and LF in literals once un-escaped below) and a well-formed suffix and
-# tail, so that they reach the fast path until an edit breaks them.  The
-# others draw from every character class the two parsers treat apart.
+# and LF in literals once un-escaped below) or that render as well-formed
+# escapes, a well-formed suffix and tail, and some non-ASCII characters
+# rewritten as \u or \U escapes, so that they reach the fast path until an
+# edit breaks them.  The others draw from every character class the two
+# parsers treat apart.
 _RAW = "abcxyz/:#.-_@^\x7f\x85\xa0é中"
 _ANY = _RAW + '"<>\\ \t\n\r\x0b\x1c'
 
 
-def _triples(alphabet: str, literal_alphabet: str, bnodes: bool):
+def _triples(alphabet: str, literal_alphabet: str):
     uris = st.text(st.sampled_from(alphabet), min_size=1, max_size=8).map(
         lambda s: "http://x/" + s
     )
+    bnodes = st.sampled_from(["_:s", "_:b1", "_:x.y"])
     literals = st.text(st.sampled_from(literal_alphabet), max_size=8)
-    subjects, objects = uris, [
+    objects = st.one_of(
         st.builds(ObjectValue, st.just(URI), uris),
+        st.builds(ObjectValue, st.just(URI), bnodes),
         st.builds(ObjectValue, st.just(LITERAL), literals),
-    ]
-    if bnodes:
-        subjects = st.one_of(uris, st.just("_:s"))
-        objects.append(st.builds(ObjectValue, st.just(URI), st.sampled_from(["_:b1", "_:x.y"])))
-    return st.builds(Triple, subjects, uris, st.one_of(objects))
+    )
+    return st.builds(Triple, st.one_of(uris, bnodes), uris, objects)
 
 
-_CLEAN_TRIPLES = _triples(_RAW, _RAW + " <>\t\n\x0b\x1c", bnodes=False)
-_ANY_TRIPLES = _triples(_ANY, _ANY, bnodes=True)
+_CLEAN_TRIPLES = _triples(_RAW + '<>"\\', _RAW + ' <>"\\\t\n\r\b\x0b\x1c')
+_ANY_TRIPLES = _triples(_ANY, _ANY)
+_UCHARS = ["\\u{:04X}", "\\u{:04x}", "\\U{:08X}"]
 _SUFFIXES = ["", "@en", "@en-GB", "^^<http://x/dt>"]
 _BAD_SUFFIXES = ["@", "@e\x0b", "@e.", "^^<>", "^^dt", "^^<a b>"]
 _TAILS = ["", " ", "\t", " # note", "#", " # a \\ b"]
@@ -382,6 +443,9 @@ def _adversarial_lines(draw) -> str:
         line = line.replace(" ", "")
     if clean or draw(st.booleans()):
         line = line.replace("\\t", "\t").replace("\\n", "\n")  # raw controls in literals
+    if draw(st.booleans()):
+        uchar = draw(st.sampled_from(_UCHARS))
+        line = re.sub("[é中]", lambda m: uchar.format(ord(m[0])), line)
     for _ in range(draw(st.integers(0, 1 if clean else 2))):
         # Half the edits land just inside a term, where the parsers differ.
         inside = [j + 1 for j, c in enumerate(line) if c in '<"']
@@ -399,7 +463,5 @@ def _adversarial_lines(draw) -> str:
 @settings(max_examples=600, deadline=None)
 @given(_adversarial_lines())
 def test_fast_path_matches_character_parser(line):
-    slow = _outcome(_parse_line_slow, line)
-    if _takes_fast_path(line):
-        assert slow[0] == "ok" and isinstance(slow[1], Triple)
-    assert _outcome(parse_ntriples_line, line) == slow
+    assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
+    _check_routing(line, _takes_fast_path(line))

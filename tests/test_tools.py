@@ -279,11 +279,34 @@ def test_validate_duplicate_link_id(tmp_path):
 
 
 def test_validate_control_bytes_flagged(tmp_path):
+    # CR is the one control byte the token codec never writes raw; the
+    # others, TAB aside, pass through it and are legal record bytes.
     src = tmp_path / "in"
-    write_lines(src, [b"http://x/1\tk\tv\x01x"])
+    write_lines(src, [b"http://x/1\tk\tv\x01x", b"http://x/2\tk\tv\rx", b"http://x/3\tk\tv\r"])
     report = validate(str(src), "entity")
-    assert report.violation_count == 1
-    assert "control" in report.violations[0][1]
+    assert report.violations == [(2, "raw control byte 0x0d"), (3, "raw control byte 0x0d")]
+    assert report.ok_lines == 1
+
+
+def test_validate_accepts_compiled_control_characters(tmp_path):
+    from flatlink.engine import ExecConfig
+    from flatlink.kb_compile import KbSpec, compile_kb
+
+    src = tmp_path / "kb.nt"
+    src.write_text(
+        '<http://x/a> <http://x/p> "x\\by\\f\\u0000\\u000B\\u001F\x01\x1c end" .\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "kb.ents"
+    report = compile_kb(KbSpec("kb", [str(src)], str(out)), ExecConfig())
+    assert report.entities == 1
+    assert out.read_bytes() == (
+        b'http://x/a\thttp://x/p\t""x\x08y\x0c\x00\x0b\x1f\x01\x1c end""\n'
+    )
+    assert validate(str(out), "entity").violation_count == 0
+    crlf = tmp_path / "crlf.ents"
+    crlf.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+    assert validate(str(crlf), "entity").violations == [(1, "raw control byte 0x0d")]
 
 
 def test_validate_unbalanced_literal_quotes(tmp_path):
