@@ -17,6 +17,9 @@ collide with line structure, i.e. when it
     record slots inside linkage lines, or
   * starts with two double quotes, which would mimic the literal wrapper.
 
+``unescape_token`` inverts this with one ``re.sub`` over ``\\(.?)``: each
+backslash and the character after it become one mapped code, left to right,
+so the first bad escape names the error.
 ``unescape_token(escape_token(x)) == x`` for every string x.
 """
 
@@ -33,7 +36,7 @@ from .rdf_ingest import LITERAL, URI, ObjectValue, Triple
 # sufficient to keep record tokens sentinel-free.
 LABEL_RE = re.compile(r"[a-z0-9][a-z0-9_.-]*")
 SENTINEL_SUFFIX = "-instance"
-SENTINEL_SHAPE = re.compile(r"[a-z0-9][a-z0-9_.-]*-instance")
+SENTINEL_SHAPE = re.compile(LABEL_RE.pattern + re.escape(SENTINEL_SUFFIX))
 _SENTINEL_SHAPE_BYTES = re.compile(SENTINEL_SHAPE.pattern.encode("ascii"))
 
 
@@ -80,35 +83,26 @@ def escape_token_bytes(raw: bytes) -> bytes:
     return esc
 
 
+# DOTALL, so that a backslash before a raw newline is an unknown code, not a
+# dangling one; \s is the guard marker and contributes nothing.
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+_ESCAPE_CODES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r", "s": ""}
+
+
+def _unescape_code(match: re.Match) -> str:
+    code = match.group(1)
+    out = _ESCAPE_CODES.get(code)
+    if out is None:
+        if not code:
+            raise FlatRecordError("dangling escape at end of token")
+        raise FlatRecordError(f"unknown escape code \\{code}")
+    return out
+
+
 def unescape_token(token: str) -> str:
     if "\\" not in token:
         return token
-    out: list[str] = []
-    i = 0
-    n = len(token)
-    while i < n:
-        c = token[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise FlatRecordError("dangling escape at end of token")
-        nxt = token[i + 1]
-        if nxt == "\\":
-            out.append("\\")
-        elif nxt == "t":
-            out.append("\t")
-        elif nxt == "n":
-            out.append("\n")
-        elif nxt == "r":
-            out.append("\r")
-        elif nxt == "s":
-            pass  # guard marker, contributes nothing
-        else:
-            raise FlatRecordError(f"unknown escape code \\{nxt}")
-        i += 2
-    return "".join(out)
+    return _ESCAPE.sub(_unescape_code, token)
 
 
 def _value_token(value: ObjectValue) -> str:
@@ -178,12 +172,3 @@ def record_from_triples(subject: str, triples: list[Triple]) -> EntityRecord:
         seen.add(pair)
         grouped.setdefault(t.predicate, []).append(t.object)
     return EntityRecord(subject, {k: grouped[k] for k in sorted(grouped)})
-
-
-def record_to_triples(rec: EntityRecord) -> list[Triple]:
-    """Flatten back to triples (used to check information-set equivalence)."""
-    return [
-        Triple(rec.uri, key, value)
-        for key, values in rec.properties.items()
-        for value in values
-    ]

@@ -7,8 +7,9 @@ A 2-way line has five tab-delimited slots::
 where each record slot is the verbatim line from the source entity file.
 A 3-way line carries ``<idA>,<idB>`` in its first slot followed by three
 (sentinel, record) groups.  Sentinels never occur inside record tokens (the
-token escape layer guards them), so every line parses on its own by
-scanning for sentinel-shaped tokens.
+token escape layer guards them), so every line parses on its own with one
+``re.split`` on ``TAB (<label>)-instance``, followed by a TAB or the end of
+the line.
 
 join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
 left URI the second shuffle's values arrive sorted by right URI, so its
@@ -24,16 +25,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
-from .flat_record import (
-    LABEL_RE,
-    SENTINEL_SHAPE,
-    SENTINEL_SUFFIX,
-    unescape_token,
-)
+from .flat_record import LABEL_RE, SENTINEL_SUFFIX, unescape_token
 from .rdf_ingest import URI, ParseReport, iter_triples, not_utf8
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -59,44 +55,29 @@ class LinkLine:
     groups: list[tuple[str, str]]  # (label, verbatim record slot)
 
 
-def parse_link_line(line: str, labels: Iterable[str] | None = None) -> LinkLine:
+# A sentinel token with its leading tab; \Z, since $ would also match before
+# a trailing newline.  split() puts each label between its neighbouring slots.
+_SENTINEL_SPLIT = re.compile(
+    "\t(" + LABEL_RE.pattern + ")" + re.escape(SENTINEL_SUFFIX) + r"(?=\t|\Z)"
+)
+
+
+def parse_link_line(line: str) -> LinkLine:
     """Split one linkage line into its id and (label, record) groups.
 
-    With labels=None any sentinel-shaped token opens a group; valid record
-    tokens can never be sentinel-shaped, so no registry is required.
+    Any sentinel-shaped token opens a group; valid record tokens can never
+    be sentinel-shaped, so no label registry is required.
     """
-    if labels is None:
-        def is_sentinel(tok: str) -> bool:
-            return SENTINEL_SHAPE.fullmatch(tok) is not None
-    else:
-        registry = {sentinel_for(label) for label in labels}
-
-        def is_sentinel(tok: str) -> bool:
-            return tok in registry
-
-    tokens = line.split("\t")
-    link_id = tokens[0]
-    if not link_id:
+    link_id, *parts = _SENTINEL_SPLIT.split(line)
+    if not link_id or link_id[0] == "\t":
         raise LinkJoinError("empty link id slot")
-    if len(tokens) < 2 or not is_sentinel(tokens[1]):
+    if not parts or "\t" in link_id:
         raise LinkJoinError("expected a sentinel label after the link id")
-
     groups: list[tuple[str, str]] = []
-    label: str | None = None
-    slot: list[str] = []
-    for tok in tokens[1:]:
-        if is_sentinel(tok):
-            if label is not None:
-                if not slot:
-                    raise LinkJoinError(f"empty record slot under {label!r}")
-                groups.append((label, "\t".join(slot)))
-            label = tok[: -len(SENTINEL_SUFFIX)]
-            slot = []
-        else:
-            slot.append(tok)
-    if not slot:
-        raise LinkJoinError(f"empty record slot under {label!r}")
-    groups.append((label, "\t".join(slot)))
+    for label, slot in zip(parts[::2], parts[1::2]):
+        if not slot:
+            raise LinkJoinError(f"empty record slot under {label!r}")
+        groups.append((label, slot[1:]))
     return LinkLine(link_id, groups)
 
 
@@ -207,10 +188,13 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
             line = raw.rstrip(b"\n")
             if not line:
                 raise LinkJoinError(f"{path}:{line_no}: blank line in entity file")
-            token = line.split(b"\t", 1)[0]
             try:
-                uri = unescape_token(token.decode("utf-8"))
-            except (FlatRecordError, UnicodeDecodeError) as exc:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LinkJoinError(f"{path}:{line_no}: bad entity line: not UTF-8") from exc
+            try:
+                uri = unescape_token(text.split("\t", 1)[0])
+            except FlatRecordError as exc:
                 raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
             _check_uri(uri, path, line_no)
             yield uri.encode("utf-8") + b"\t" + line

@@ -9,7 +9,6 @@ from flatlink.flat_record import (
     escape_token_bytes,
     parse_record,
     record_from_triples,
-    record_to_triples,
     serialize_record,
     unescape_token,
 )
@@ -37,6 +36,87 @@ def test_unescape_errors():
         unescape_token("dangling\\")
     with pytest.raises(FlatRecordError):
         unescape_token("bad\\q")
+
+
+def reference_unescape_token(token: str) -> str:
+    """The character loop that unescape_token's one re.sub replaced."""
+    if "\\" not in token:
+        return token
+    out: list[str] = []
+    i = 0
+    n = len(token)
+    while i < n:
+        c = token[i]
+        if c != "\\":
+            out.append(c)
+            i += 1
+            continue
+        if i + 1 >= n:
+            raise FlatRecordError("dangling escape at end of token")
+        nxt = token[i + 1]
+        if nxt == "\\":
+            out.append("\\")
+        elif nxt == "t":
+            out.append("\t")
+        elif nxt == "n":
+            out.append("\n")
+        elif nxt == "r":
+            out.append("\r")
+        elif nxt == "s":
+            pass
+        else:
+            raise FlatRecordError(f"unknown escape code \\{nxt}")
+        i += 2
+    return "".join(out)
+
+
+def outcome(fn, arg):
+    """A return value, or the type and message of what was raised."""
+    try:
+        return fn(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Every escape code, codes left bare, line breaks that `.` without DOTALL
+# or $ treat specially, NUL, quotes and sentinel pieces.
+escaped_pieces = st.sampled_from(
+    [
+        "\\", "\\\\", "\\t", "\\n", "\\r", "\\s", "\\q", "\\T", "t", "n", "s",
+        "\t", "\n", "\r", "\x85", "\u2028", "\x00", '"', '""',
+        "-instance", "dbpedia", "x", "\u00e9",
+    ]
+)
+escaped_tokens = st.one_of(
+    st.lists(escaped_pieces, max_size=16).map("".join),
+    st.text(alphabet="\\tnrsq\n\x85", max_size=30),
+)
+
+
+@settings(max_examples=1500)
+@given(escaped_tokens)
+def test_unescape_token_matches_character_loop(token):
+    assert outcome(unescape_token, token) == outcome(reference_unescape_token, token)
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("dangling\\", "dangling escape at end of token"),
+        ("\\", "dangling escape at end of token"),
+        ("\\\\\\", "dangling escape at end of token"),
+        ("bad\\q", "unknown escape code \\q"),
+        ("\\q\\", "unknown escape code \\q"),  # the first bad escape decides
+        ("a\\\n", "unknown escape code \\\n"),
+        ("\\\\\\t\\s\\n\\r", "\\\t\n\r"),
+        ("\\sdbpedia-instance", "dbpedia-instance"),
+    ],
+)
+def test_unescape_token_rows(token, expected):
+    # expected: the unescaped token, or the FlatRecordError message
+    got = outcome(unescape_token, token)
+    assert got == outcome(reference_unescape_token, token)
+    assert got in (expected, (FlatRecordError, expected))
 
 
 # Tokens that attack every special case of the codec.
@@ -231,9 +311,9 @@ def test_record_round_trip(rec):
 @given(records)
 def test_information_set_equivalence(rec):
     # flattening and regrouping reproduces the same (s, p, o) set
-    triples = record_to_triples(rec)
+    triples = [Triple(rec.uri, k, v) for k, values in rec.properties.items() for v in values]
     rebuilt = record_from_triples(rec.uri, triples)
-    assert {(t.predicate, t.object) for t in record_to_triples(rebuilt)} == {
+    assert {(k, v) for k, values in rebuilt.properties.items() for v in values} == {
         (t.predicate, t.object) for t in triples
     }
 

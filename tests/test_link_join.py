@@ -1,10 +1,15 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
 from flatlink.link_join import (
     GtReport,
+    LinkLine,
     gen_link_id,
     join2,
     join3,
@@ -129,11 +134,14 @@ def test_parse_link_line_registry_free():
     assert parsed.groups == [("freebase", "f1\tp\tv"), ("dbpedia", "d1\tq\tw")]
 
 
-def test_parse_link_line_with_registry_ignores_foreign_shapes():
-    # registry-based parsing only honors the given labels
+def test_parse_link_line_guarded_token_stays_in_its_slot():
+    # `\syago-instance` is an escaped record token, not a sentinel
     line = "id\tfreebase-instance\tx\tp\t\\syago-instance\tdbpedia-instance\td\tq\tv"
-    parsed = parse_link_line(line, labels=["freebase", "dbpedia"])
-    assert [label for label, _ in parsed.groups] == ["freebase", "dbpedia"]
+    parsed = parse_link_line(line)
+    assert parsed.groups == [
+        ("freebase", "x\tp\t\\syago-instance"),
+        ("dbpedia", "d\tq\tv"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -149,6 +157,85 @@ def test_parse_link_line_with_registry_ignores_foreign_shapes():
 def test_parse_link_line_errors(line):
     with pytest.raises(LinkJoinError):
         parse_link_line(line)
+
+
+_PARENT_SENTINEL = re.compile(r"[a-z0-9][a-z0-9_.-]*-instance")
+
+
+def reference_parse_link_line(line: str) -> LinkLine:
+    """The token loop that parse_link_line's one split replaced."""
+    tokens = line.split("\t")
+    link_id = tokens[0]
+    if not link_id:
+        raise LinkJoinError("empty link id slot")
+    if len(tokens) < 2 or not _PARENT_SENTINEL.fullmatch(tokens[1]):
+        raise LinkJoinError("expected a sentinel label after the link id")
+    groups = []
+    label = None
+    slot: list[str] = []
+    for tok in tokens[1:]:
+        if _PARENT_SENTINEL.fullmatch(tok):
+            if label is not None:
+                if not slot:
+                    raise LinkJoinError(f"empty record slot under {label!r}")
+                groups.append((label, "\t".join(slot)))
+            label = tok[: -len("-instance")]
+            slot = []
+        else:
+            slot.append(tok)
+    if not slot:
+        raise LinkJoinError(f"empty record slot under {label!r}")
+    groups.append((label, "\t".join(slot)))
+    return LinkLine(link_id, groups)
+
+
+def outcome(fn, arg):
+    """A return value, or the type and message of what was raised."""
+    try:
+        return fn(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Line breaks that str.splitlines() or $ treat specially, NUL, quotes, the
+# escape guard, and sentinel pieces that almost or exactly form a sentinel.
+link_line_pieces = st.sampled_from(
+    [
+        "\t", "\\", "\n", "\r", "\x85", "\u2028", "\x00", '"', '""', "\\s",
+        "-instance", "freebase", "dbpedia", "my-kb.2", "x", "Y", "_", ".", "-",
+        "freebase-instance", "\tdbpedia-instance", "\tyago-instance\t", "fd-1",
+    ]
+)
+link_lines = st.one_of(
+    st.lists(link_line_pieces, max_size=24).map("".join),
+    st.text(alphabet="\tab-.\n\r\\", max_size=40),
+)
+
+
+@settings(max_examples=1500)
+@given(link_lines)
+def test_parse_link_line_matches_token_loop(line):
+    assert outcome(parse_link_line, line) == outcome(reference_parse_link_line, line)
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("\tfreebase-instance\tx", "empty link id slot"),
+        ("\t\tfreebase-instance\tx", "empty link id slot"),
+        ("\tx", "empty link id slot"),
+        ("id\tx\tfreebase-instance\ty", "expected a sentinel label after the link id"),
+        ("id\tfreebase-instance\tdbpedia-instance\tx", "empty record slot under 'freebase'"),
+        ("id\tfreebase-instance\tx\tdbpedia-instance\n", [("freebase", "x\tdbpedia-instance\n")]),
+        ("id\tfreebase-instance\t\tdbpedia-instance\tx", [("freebase", ""), ("dbpedia", "x")]),
+        ("id\ta-instance-instance\tx", [("a-instance", "x")]),
+    ],
+)
+def test_parse_link_line_rows(line, expected):
+    # expected: the groups, or the LinkJoinError message
+    got = outcome(parse_link_line, line)
+    assert got == outcome(reference_parse_link_line, line)
+    assert got == (LinkJoinError, expected) or got.groups == expected
 
 
 # --- join2 ------------------------------------------------------------------
@@ -256,6 +343,27 @@ def test_join2_entity_uri_with_tab_is_error(tmp_path, side):
             str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
             str(tmp_path / "out"), cfg_for(tmp_path),
         )
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_join2_entity_line_not_utf8_is_error(tmp_path, side):
+    # The bad byte sits in a literal, past the URI token.
+    lines = {
+        "left": entity("http://f/1", name=["x"])[1],
+        "right": entity("http://d/1", age=["1"])[1],
+    }
+    paths = {"left": tmp_path / "f.ents", "right": tmp_path / "d.ents"}
+    for s, path in paths.items():
+        tail = b'\tnote\t""bad \xff""' if s == side else b""
+        path.write_bytes(lines[s].encode("utf-8") + tail + b"\n")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("http://f/1\thttp://d/1\n", encoding="utf-8")
+    with pytest.raises(LinkJoinError) as excinfo:
+        join2(
+            str(paths["left"]), str(paths["right"]), str(gt), "tsv-pairs",
+            ("freebase", "dbpedia"), str(tmp_path / "out"), cfg_for(tmp_path),
+        )
+    assert str(excinfo.value) == f"{paths[side]}:1: bad entity line: not UTF-8"
 
 
 def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
