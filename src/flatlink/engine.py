@@ -51,9 +51,10 @@ class JobStats:
     """Filled in as a job runs; spill_runs is the observable for scale tests.
 
     peak_buffer_bytes is the largest in-memory buffer one sort of the job
-    held, which is that sort's whole footprint.  Sorts chained lazily (as in
-    join2 and join3) can hold their buffers at the same time; this figure
-    does not add them up.
+    held, which is that sort's whole footprint.  A sort that spilled holds
+    no buffer while it merges, so sorts chained lazily (as in join2 and
+    join3) hold two buffers at once only when the earlier one never
+    spilled; this figure does not add those two up.
     """
 
     items_in: int = 0
@@ -133,17 +134,20 @@ class ExternalSorter:
         self._buffer_bytes = 0
 
     def iter_sorted(self) -> Iterator[KeyedItem]:
-        """Consume the sorter: yields all items sorted by (key, tag, value)."""
-        self.stats.saw_buffer(self._buffer_bytes)
-        self._buffer.sort()
+        """Consume the sorter: yields all items sorted by (key, tag, value).
+
+        A sort that never spilled yields from memory.  One that did spills
+        its tail as one more run and merges runs only, so it holds no buffer
+        while a later sort of the same job fills its own.
+        """
         if not self._runs:
+            self.stats.saw_buffer(self._buffer_bytes)
+            self._buffer.sort()
             yield from self._buffer
             self._buffer = []
             return
-        streams = [run.read_items() for run in self._runs]
-        streams.append(iter(self._buffer))
-        yield from heapq.merge(*streams)
-        self._buffer = []
+        self._spill()
+        yield from heapq.merge(*[run.read_items() for run in self._runs])
         self._runs = []
 
 

@@ -134,10 +134,8 @@ def compile_kb(
     def items() -> Iterator[bytes]:
         seq = itertools.count()
         for path in spec.input_paths:
-            file_report = ParseReport()
-            for triple in iter_triples(path, file_report):
+            for triple in iter_triples(path, report.parse):
                 yield _encode_triple(triple, next(seq))
-            report.parse.merge(file_report)
 
     lines = engine.run_group_by(
         [(0, items())],

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import engine
@@ -82,17 +82,15 @@ def parse_link_line(line: str) -> LinkLine:
 
 
 @dataclass
-class GtReport:
-    lines_total: int = 0
-    pairs_ok: int = 0
-    lines_skipped: int = 0
-    first_errors: list[tuple[int, str]] = field(default_factory=list)
-    error_cap: int = 20
+class GtReport(ParseReport):
+    """Ground-truth accounting: lines_total == pairs_ok + lines_skipped +
+    lines_blank in either format, and first_errors come in line order.
 
-    def record_error(self, line_no: int, reason: str) -> None:
-        self.lines_skipped += 1
-        if len(self.first_errors) < self.error_cap:
-            self.first_errors.append((line_no, reason))
+    For ntriples-sameas, triples_ok also counts the triples that the sameAs
+    filter skips.
+    """
+
+    pairs_ok: int = 0
 
 
 _UNSAFE_URI_CHAR = re.compile(r"[\x00-\x20]")
@@ -124,6 +122,7 @@ def load_ground_truth(
                 report.lines_total += 1
                 line = raw.rstrip("\r\n")
                 if not line:
+                    report.lines_blank += 1
                     continue
                 if not_utf8(line):
                     report.record_error(line_no, "not UTF-8")
@@ -139,25 +138,21 @@ def load_ground_truth(
                 report.pairs_ok += 1
                 yield left, right
     else:
-        parse = ParseReport(error_cap=report.error_cap)
-        for triple in iter_triples(path, parse):
+        # In a report that starts at zero, as join2's does, lines_total is
+        # the number of the line that produced the triple.
+        for triple in iter_triples(path, report):
             if triple.predicate != sameas_uri:
-                report.record_error(parse.lines_total, f"predicate is not {sameas_uri}")
+                report.record_error(report.lines_total, f"predicate is not {sameas_uri}")
                 continue
             if triple.object.kind != URI:
-                report.record_error(parse.lines_total, "sameAs object is a literal")
+                report.record_error(report.lines_total, "sameAs object is a literal")
                 continue
             pair = (triple.subject, triple.object.lexical)
             if not (_safe_uri(pair[0]) and _safe_uri(pair[1])):
-                report.record_error(parse.lines_total, "control/space character in URI")
+                report.record_error(report.lines_total, "control/space character in URI")
                 continue
             report.pairs_ok += 1
             yield pair
-        report.lines_total += parse.lines_total
-        report.lines_skipped += parse.lines_skipped
-        for entry in parse.first_errors:
-            if len(report.first_errors) < report.error_cap:
-                report.first_errors.append(entry)
 
 
 @dataclass
@@ -188,6 +183,9 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
             line = raw.rstrip(b"\n")
             if not line:
                 raise LinkJoinError(f"{path}:{line_no}: blank line in entity file")
+            # The line goes into the output verbatim, and validate flags a raw CR.
+            if b"\r" in line:
+                raise LinkJoinError(f"{path}:{line_no}: bad entity line: raw control byte 0x0d")
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -299,7 +297,9 @@ def join2(
         stats=stats,
     )
     by_left = engine.run_group_by(
-        [(0, _iter_entity_items(left_path)), (1, by_right)],
+        # by_right first: the first shuffle drains, and its sorter's buffer
+        # goes, before this one buffers the left file.  Tags set the order.
+        [(1, by_right), (0, _iter_entity_items(left_path))],
         _first_field,
         functools.partial(
             _reduce_by_left, (sentinel_left.encode("utf-8"), sentinel_right.encode("utf-8"))

@@ -106,7 +106,11 @@ class Triple(NamedTuple):
 
 @dataclass
 class ParseReport:
-    """Per-stream accounting; lines_total = ok + skipped + blank/comment."""
+    """Line accounting; lines_total = ok + skipped + blank/comment.
+
+    Streams parsed into one report add up their counts, and each numbers
+    its first_errors from its own line 1.
+    """
 
     lines_total: int = 0
     triples_ok: int = 0
@@ -119,16 +123,6 @@ class ParseReport:
         self.lines_skipped += 1
         if len(self.first_errors) < self.error_cap:
             self.first_errors.append((line_no, reason))
-
-    def merge(self, other: "ParseReport") -> None:
-        self.lines_total += other.lines_total
-        self.triples_ok += other.triples_ok
-        self.lines_skipped += other.lines_skipped
-        self.lines_blank += other.lines_blank
-        for entry in other.first_errors:
-            if len(self.first_errors) >= self.error_cap:
-                break
-            self.first_errors.append(entry)
 
 
 def _decode_uchar(text: str, i: int) -> tuple[str, int]:

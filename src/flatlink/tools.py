@@ -181,6 +181,8 @@ def stats(
     """Single-pass line/byte counts, per-slot distinct entities, type histogram."""
     if mode not in MODES:
         raise FlatlinkError(f"unknown mode {mode!r}")
+    if top_k < 0:
+        raise FlatlinkError("top_k must be >= 0")
     report = StatsReport(mode=mode)
     slot_uris: list[set[str]] = [set() for _ in range(_ARITY[mode])]
     histogram: Counter[str] = Counter()

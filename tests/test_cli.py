@@ -146,6 +146,20 @@ def test_sample_and_filter_and_stats(capsys, demo_dir, tmp_path):
     assert f"bytes={links.stat().st_size}" in stdout
 
 
+def test_stats_rejects_negative_top_k(capsys, tmp_path):
+    # A negative top_k used to slice the last type off the histogram.
+    ents = tmp_path / "kb.ents"
+    ents.write_text("http://x/1\thttp://www.w3.org/1999/02/22-rdf-syntax-ns#type\thttp://x/T\n",
+                    encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys, "stats", "--in", str(ents), "--mode", "entity", "--top-k", "-1",
+    )
+    assert code == 2
+    assert [l for l in stderr.splitlines() if l.startswith("error: ")] == [
+        "error: top_k must be >= 0"
+    ]
+
+
 def test_error_is_single_line(capsys, tmp_path):
     code, stdout, stderr = run(
         capsys, "compile", "--label", "BAD LABEL", "--in", "x.nt",

@@ -139,6 +139,21 @@ def test_malformed_lines_counted_not_fatal(tmp_path):
     assert report.skipped_lines == 1
     assert report.entities == 1
 
+    # A second file adds its counts; its errors follow the first file's,
+    # numbered from its own line 1, until the one cap of 20 is reached.
+    more = tmp_path / "more.nt"
+    more.write_text("\n" + "bad\n" * 25 + "<http://x/b> <http://x/p> <http://x/o> .\n",
+                    encoding="utf-8")
+    report = compile_kb(KbSpec("kb", [str(src), str(more)], str(out)), cfg_for(tmp_path))
+    assert report.triples == 3
+    assert report.skipped_lines == 26
+    assert report.entities == 2
+    parse = report.parse
+    assert (parse.lines_total, parse.triples_ok, parse.lines_skipped, parse.lines_blank) == (
+        30, 3, 26, 1
+    )
+    assert [n for n, _ in parse.first_errors] == [2] + list(range(2, 21))
+
 
 def test_empty_kb_is_an_error(tmp_path):
     src = tmp_path / "kb.nt"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatlink import engine
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
@@ -98,6 +99,52 @@ def test_gt_invalid_utf8_line_is_skipped(tmp_path):
     assert pairs == [("a", "b"), ("e", "f")]
     assert report.lines_skipped == 1
     assert report.first_errors == [(2, "not UTF-8")]
+
+
+@pytest.mark.parametrize("cap", [20, 1])
+def test_gt_ntriples_sameas_errors_in_line_order(tmp_path, cap):
+    path = tmp_path / "gt.nt"
+    path.write_text(
+        "<http://f/1> <http://www.w3.org/2002/07/owl#sameAs>\n"
+        "<http://f/2> <http://other/pred> <http://d/2> .\n"
+        "<http://f/3> <http://www.w3.org/2002/07/owl#sameAs> <http://d/3> .\n",
+        encoding="utf-8",
+    )
+    report = GtReport(error_cap=cap)
+    pairs = list(load_ground_truth(str(path), "ntriples-sameas", report=report))
+    assert pairs == [("http://f/3", "http://d/3")]
+    expected = [
+        (1, "missing object term"),
+        (2, "predicate is not http://www.w3.org/2002/07/owl#sameAs"),
+    ]
+    assert report.first_errors == expected[:cap]
+    assert report.lines_skipped == 2
+
+
+GT_MIXED = {
+    "tsv-pairs": "a\tb\n\nonly-one-field\n\nbad uri\tx\nc\td\n",
+    "ntriples-sameas": (
+        "<http://f/1> <http://www.w3.org/2002/07/owl#sameAs> <http://d/1> .\n"
+        "\n"
+        "# a comment\n"
+        "not a triple\n"
+        "<http://f/2> <http://other/pred> <http://d/2> .\n"
+        '<http://f/3> <http://www.w3.org/2002/07/owl#sameAs> "literal" .\n'
+        "<http://f/4> <http://www.w3.org/2002/07/owl#sameAs> <http://d/4> .\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GT_MIXED))
+def test_gt_line_counts_add_up(tmp_path, fmt):
+    path = tmp_path / "gt"
+    path.write_text(GT_MIXED[fmt], encoding="utf-8")
+    report = GtReport()
+    pairs = list(load_ground_truth(str(path), fmt, report=report))
+    assert report.pairs_ok == len(pairs) == 2
+    assert report.lines_blank == 2
+    assert report.lines_skipped == (3 if fmt == "ntriples-sameas" else 2)
+    assert report.lines_total == report.pairs_ok + report.lines_skipped + report.lines_blank
 
 
 def test_gt_unknown_format(tmp_path):
@@ -364,6 +411,26 @@ def test_join2_entity_line_not_utf8_is_error(tmp_path, side):
             ("freebase", "dbpedia"), str(tmp_path / "out"), cfg_for(tmp_path),
         )
     assert str(excinfo.value) == f"{paths[side]}:1: bad entity line: not UTF-8"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_join2_entity_line_with_raw_cr_is_error(tmp_path, side):
+    # A CRLF line would carry its CR into the link file, which validate flags.
+    lines = {
+        "left": entity("http://f/1", name=["x"])[1],
+        "right": entity("http://d/1", age=["1"])[1],
+    }
+    paths = {"left": tmp_path / "f.ents", "right": tmp_path / "d.ents"}
+    for s, path in paths.items():
+        path.write_bytes(lines[s].encode("utf-8") + (b"\r\n" if s == side else b"\n"))
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("http://f/1\thttp://d/1\n", encoding="utf-8")
+    with pytest.raises(LinkJoinError) as excinfo:
+        join2(
+            str(paths["left"]), str(paths["right"]), str(gt), "tsv-pairs",
+            ("freebase", "dbpedia"), str(tmp_path / "out"), cfg_for(tmp_path),
+        )
+    assert str(excinfo.value) == f"{paths[side]}:1: bad entity line: raw control byte 0x0d"
 
 
 def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
@@ -750,6 +817,62 @@ def test_join3_shared_label_absent_from_line(tmp_path):
             bad, bad, "dbpedia", ["dbpedia", "freebase", "yago"],
             str(tmp_path / "out"), cfg_for(tmp_path),
         )
+
+
+# --- memory ------------------------------------------------------------------
+
+@pytest.fixture
+def live_buffer_peak(monkeypatch):
+    """Records, at every add, the bytes that all of a job's sorters hold in
+    their buffers once the item is in: the peak the budget must bound."""
+    sorters = []
+    peak = {"bytes": 0, "item": 0}
+
+    class Recording(engine.ExternalSorter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sorters.append(self)
+
+        def add(self, item):
+            charge = len(item[0]) + len(item[2]) + engine._ITEM_OVERHEAD
+            live = sum(s._buffer_bytes for s in sorters if s._buffer) + charge
+            peak["bytes"] = max(peak["bytes"], live)
+            peak["item"] = max(peak["item"], charge)
+            super().add(item)
+
+    monkeypatch.setattr(engine, "ExternalSorter", Recording)
+    return peak
+
+
+@pytest.mark.parametrize("stage", ["join2", "join3"])
+def test_chained_sorts_hold_one_buffer_when_they_spill(tmp_path, live_buffer_peak, stage):
+    # join2's second shuffle drains the first before it reads the left file,
+    # and a sort that spilled holds no buffer while it merges.
+    budget = 8 * 1024
+    cfg = cfg_for(tmp_path, memory_budget_bytes=budget)
+    stats = JobStats()
+    d_lines = [entity(f"http://d/{i:03}", age=[str(i)])[1] for i in range(200)]
+    if stage == "join2":
+        a, b = tmp_path / "f.ents", tmp_path / "d.ents"
+        write_entity_file(a, dict(entity(f"http://f/{i:03}", name=[f"n{i}"]) for i in range(200)))
+        b.write_text("".join(line + "\n" for line in d_lines), encoding="utf-8")
+        gt = tmp_path / "gt.tsv"
+        gt.write_text("".join(f"http://f/{i:03}\thttp://d/{i:03}\n" for i in range(200)),
+                      encoding="utf-8")
+        report = join2(str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
+                       str(tmp_path / "out"), cfg, stats=stats)
+    else:
+        fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                       [("", entity(f"http://f/{i}", name=[str(i)])[1], "", d)
+                        for i, d in enumerate(d_lines)])
+        yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                       [("", entity(f"http://y/{i}", label=[str(i)])[1], "", d)
+                        for i, d in enumerate(d_lines)])
+        report = join3(fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+                       str(tmp_path / "out"), cfg, stats=stats)
+    assert report.lines_emitted == 200
+    assert stats.spill_runs >= 4
+    assert live_buffer_peak["bytes"] <= budget + live_buffer_peak["item"]
 
 
 # --- self-containment -------------------------------------------------------
