@@ -22,7 +22,9 @@ from .errors import ConfigError, FlatlinkError
 from .kb_compile import KbSpec, compile_kb
 from .link_join import GT_FORMATS, OWL_SAMEAS, join2, join3
 from .tools import (
+    MODES,
     RDF_TYPE,
+    SIDES,
     SampleSpec,
     TypeFilterSpec,
     filter_by_type,
@@ -95,9 +97,6 @@ def _cmd_compile(args) -> int:
                              **_engine_kv(cfg)})
     report = compile_kb(spec, cfg)
     print(report.as_kv())
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(report.as_kv().replace(" ", "\n") + "\n")
     return 0
 
 
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", required=True)
     p.add_argument("--in", dest="inputs", required=True, help="comma-separated N-Triples files")
     p.add_argument("--out", required=True)
-    p.add_argument("--report-out", dest="report_out")
     _add_engine_flags(p)
     p.set_defaults(func=_cmd_compile)
 
@@ -376,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("filter-type", help="keep lines whose records carry an rdf:type value")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("entity", "link2", "link3"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--type-uri", dest="type_uri", required=True)
-    p.add_argument("--side", choices=("first", "second", "third", "any", "all"), default="any")
+    p.add_argument("--side", choices=SIDES, default="any")
     p.add_argument("--type-predicate", dest="type_predicate", default=RDF_TYPE)
     p.set_defaults(func=_cmd_filter_type)
 
     p = subs.add_parser("stats", help="line/byte counts, entities per slot, type histogram")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=("entity", "link2", "link3"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--type-predicate", dest="type_predicate", default=RDF_TYPE)
     p.add_argument("--top-k", dest="top_k", type=int, default=10)
     p.add_argument("--machine", action="store_true", help="key=value output")
@@ -392,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check a file line by line; nonzero exit on violations")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=("entity", "link2", "link3"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_validate)
 

@@ -10,6 +10,9 @@ are byte-identical, whatever the budget.
 Spill run format (private, deleted when the job ends): a sequence of records
 ``<u32 key_len><u32 tag><u32 value_len><key bytes><value bytes>``, all
 little-endian, in sorted order.
+
+Every stage writes its output file through ``atomic_output``, so the file
+appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import struct
 import tempfile
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import EngineError, FlatlinkError
 
@@ -173,6 +176,27 @@ def _sorted(
         for item in items:
             add(item)
         yield from sorter.iter_sorted()
+
+
+@contextlib.contextmanager
+def atomic_output(path: str) -> Iterator[BinaryIO]:
+    """Open a temp file beside `path` for binary writing, and os.replace it
+    onto `path` when the block ends cleanly; on any exception remove it and
+    leave `path` as it was.
+
+    A failed stage so leaves no partial output, and an output may name one
+    of its stage's inputs.  The temp file is opened as `path` would be, so
+    it gets the same mode (not mkstemp's 0o600).
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 @contextlib.contextmanager

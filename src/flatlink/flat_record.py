@@ -111,9 +111,18 @@ def _value_token(value: ObjectValue) -> str:
     return escape_token(value.lexical)
 
 
+def literal_body(token: str) -> str:
+    """The inside of a token that starts with two double quotes.  The escape
+    guard keeps all other tokens from starting so, so in any position such a
+    token must be a whole literal wrapper ``""lexical""``."""
+    if len(token) < 4 or not token.endswith('""'):
+        raise FlatRecordError(f"unbalanced literal quotes in token {token[:40]!r}")
+    return token[2:-2]
+
+
 def _parse_value_token(token: str) -> ObjectValue:
-    if len(token) >= 4 and token.startswith('""') and token.endswith('""'):
-        return ObjectValue(LITERAL, unescape_token(token[2:-2]))
+    if token.startswith('""'):
+        return ObjectValue(LITERAL, unescape_token(literal_body(token)))
     return ObjectValue(URI, unescape_token(token))
 
 
@@ -132,19 +141,25 @@ def parse_record(line: str) -> EntityRecord:
     """Single-pass, non-recursive inverse of serialize_record.
 
     Repeats of a key (adjacent or not) aggregate into one ordered value
-    list; key order is first occurrence in the line.
+    list; key order is first occurrence in the line.  A URI, key or value
+    token that opens a literal wrapper must close it.
     """
     tokens = line.split("\t")
     if len(tokens) % 2 == 0:
         raise FlatRecordError(f"even token count ({len(tokens)})")
     if len(tokens) == 1:
         raise FlatRecordError("record has no properties")
+    if tokens[0].startswith('""'):
+        literal_body(tokens[0])
     uri = unescape_token(tokens[0])
     if not uri:
         raise FlatRecordError("empty record URI")
     properties: dict[str, list[ObjectValue]] = {}
     for i in range(1, len(tokens), 2):
-        key = unescape_token(tokens[i])
+        key = tokens[i]
+        if key.startswith('""'):
+            literal_body(key)
+        key = unescape_token(key)
         if not key:
             raise FlatRecordError(f"empty key at token {i}")
         properties.setdefault(key, []).append(_parse_value_token(tokens[i + 1]))

@@ -13,7 +13,6 @@ triples, which ``reference_lines`` computes in memory.
 from __future__ import annotations
 
 import itertools
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -144,18 +143,17 @@ def compile_kb(
         cfg,
         stats=stats,
     )
-    with open(spec.output_path, "wb") as out:
+    with engine.atomic_output(spec.output_path) as out:
         for line in lines:
             out.write(line)
             out.write(b"\n")
             report.entities += 1
+        if report.parse.triples_ok == 0:
+            raise FlatlinkError(
+                f"KB {spec.label!r}: no parseable triples in {spec.input_paths}"
+            )
 
     report.triples = report.parse.triples_ok
     report.skipped_lines = report.parse.lines_skipped
     report.spill_runs = stats.spill_runs
-    if report.triples == 0:
-        os.unlink(spec.output_path)
-        raise FlatlinkError(
-            f"KB {spec.label!r}: no parseable triples in {spec.input_paths}"
-        )
     return report

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
-from .flat_record import LABEL_RE, SENTINEL_SUFFIX, unescape_token
+from .flat_record import LABEL_RE, SENTINEL_SUFFIX, literal_body, unescape_token
 from .rdf_ingest import URI, ParseReport, iter_triples, not_utf8
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -100,6 +100,16 @@ def _safe_uri(uri: str) -> bool:
     return bool(uri) and _UNSAFE_URI_CHAR.search(uri) is None
 
 
+def check_link_id(link_id: str) -> None:
+    """The link-id rule of join3 and validate.  No character at or below
+    U+0020, since a byte below TAB would sort join3's second shuffle out of
+    idB order, and, as for every token, no unclosed literal wrapper."""
+    if _UNSAFE_URI_CHAR.search(link_id):
+        raise LinkJoinError(f"bad link id: {link_id!r} holds a control or space character")
+    if link_id.startswith('""'):
+        literal_body(link_id)
+
+
 def load_ground_truth(
     path: str,
     format: str,
@@ -139,7 +149,9 @@ def load_ground_truth(
                 yield left, right
     else:
         # In a report that starts at zero, as join2's does, lines_total is
-        # the number of the line that produced the triple.
+        # the number of the line that produced the triple.  The parser's URIs
+        # and blank-node labels are non-empty and hold no character at or
+        # below U+0020, so its pairs keep the tsv-pairs URI rule unchecked.
         for triple in iter_triples(path, report):
             if triple.predicate != sameas_uri:
                 report.record_error(report.lines_total, f"predicate is not {sameas_uri}")
@@ -147,12 +159,8 @@ def load_ground_truth(
             if triple.object.kind != URI:
                 report.record_error(report.lines_total, "sameAs object is a literal")
                 continue
-            pair = (triple.subject, triple.object.lexical)
-            if not (_safe_uri(pair[0]) and _safe_uri(pair[1])):
-                report.record_error(report.lines_total, "control/space character in URI")
-                continue
             report.pairs_ok += 1
-            yield pair
+            yield triple.subject, triple.object.lexical
 
 
 @dataclass
@@ -309,7 +317,7 @@ def join2(
     )
 
     prefix = labels[0][0] + labels[1][0]
-    with open(out_path, "wb") as out:
+    with engine.atomic_output(out_path) as out:
         for tail in by_left:
             if tail == _DROPPED_LEFT:
                 report.pairs_dropped_left += 1
@@ -353,19 +361,13 @@ def _iter_2way(
                 raise LinkJoinError(f"{path}:{line_no}: not UTF-8")
             try:
                 parsed = parse_link_line(line)
-            except LinkJoinError as exc:
+                check_link_id(parsed.link_id)
+            except (LinkJoinError, FlatRecordError) as exc:
                 raise LinkJoinError(f"{path}:{line_no}: {exc}") from exc
             if len(parsed.groups) != 2:
                 raise LinkJoinError(
                     f"{path}:{line_no}: expected a 2-way line, got "
                     f"{len(parsed.groups)} record groups"
-                )
-            # A byte below TAB in an id would sort the second shuffle's
-            # values out of idB order; the _safe_uri rule keeps ids above 0x20.
-            if not _safe_uri(parsed.link_id):
-                raise LinkJoinError(
-                    f"{path}:{line_no}: bad link id: {parsed.link_id!r} "
-                    "holds a control or space character"
                 )
             slots = dict(parsed.groups)
             if shared_label not in slots:
@@ -478,7 +480,7 @@ def join3(
         [(0, by_uri)], _first_field, functools.partial(_reduce_by_left_id, ab_path), cfg,
         stats=stats,
     )
-    with open(out_path, "wb") as out:
+    with engine.atomic_output(out_path) as out:
         for line in by_left_id:
             out.write(line)
             report.lines_emitted += 1

@@ -10,9 +10,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .engine import atomic_output
 from .errors import FlatlinkError
 from .flat_record import EntityRecord, parse_record
-from .link_join import parse_link_line
+from .link_join import check_link_id, parse_link_line
 from .rdf_ingest import URI
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -54,7 +55,7 @@ def sample_lines(in_path: str, spec: SampleSpec, out_path: str) -> int:
             if j < spec.n:
                 reservoir[j] = (i, line)
     reservoir.sort()
-    with open(out_path, "wb") as out:
+    with atomic_output(out_path) as out:
         for _, line in reservoir:
             out.write(line)
     return len(reservoir)
@@ -87,15 +88,27 @@ class FilterReport:
         )
 
 
-def _line_records(line: str, mode: str) -> list[EntityRecord]:
+def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[EntityRecord]]:
+    """The one judge of a line for validate, filter-type and stats: its link
+    id (None in entity mode) and records, or a FlatlinkError giving the
+    reason.  The codec escapes CR, so a raw CR comes from elsewhere (a CRLF
+    ending, say); the other checks run in line order."""
+    line = raw.rstrip(b"\n")
+    if b"\r" in line:
+        raise FlatlinkError("raw control byte 0x0d")
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FlatlinkError(f"not UTF-8: {exc.reason}") from None
     if mode == "entity":
-        return [parse_record(line)]
-    parsed = parse_link_line(line)
+        return None, [parse_record(text)]
+    parsed = parse_link_line(text)
+    check_link_id(parsed.link_id)
     if len(parsed.groups) != _ARITY[mode]:
         raise FlatlinkError(
             f"expected {_ARITY[mode]} record groups, found {len(parsed.groups)}"
         )
-    return [parse_record(slot) for _, slot in parsed.groups]
+    return parsed.link_id, [parse_record(slot) for _, slot in parsed.groups]
 
 
 def _has_type(rec: EntityRecord, spec: TypeFilterSpec) -> bool:
@@ -125,12 +138,12 @@ def filter_by_type(
     spec.validate(mode)
     if report is None:
         report = FilterReport()
-    with open(in_path, "rb") as fh, open(out_path, "wb") as out:
+    with open(in_path, "rb") as fh, atomic_output(out_path) as out:
         for raw in fh:
             report.lines_read += 1
             try:
-                records = _line_records(raw.rstrip(b"\n").decode("utf-8"), mode)
-            except (FlatlinkError, UnicodeDecodeError):
+                _, records = _line_records(raw, mode)
+            except FlatlinkError:
                 report.lines_skipped += 1
                 continue
             if _matches(records, spec):
@@ -191,8 +204,8 @@ def stats(
             report.lines += 1
             report.bytes += len(raw)
             try:
-                records = _line_records(raw.rstrip(b"\n").decode("utf-8"), mode)
-            except (FlatlinkError, UnicodeDecodeError):
+                _, records = _line_records(raw, mode)
+            except FlatlinkError:
                 report.unparseable += 1
                 continue
             for slot, rec in enumerate(records):
@@ -221,28 +234,8 @@ class ValidationReport:
         return f"ok_lines={self.ok_lines} violations={self.violation_count}"
 
 
-def _check_control_bytes(raw: bytes) -> str | None:
-    # The token codec escapes backslash, TAB, LF and CR and keeps every other
-    # byte, so other C0 controls are legal record bytes.  LF ends the line;
-    # a raw CR can only come from something other than the codec (a CRLF
-    # line ending, say), and a universal-newline reader would split on it.
-    if b"\r" in raw:
-        return "raw control byte 0x0d"
-    return None
-
-
-def _check_literal_quoting(line: str) -> str | None:
-    # Escaped tokens never begin with two double quotes unless they are a
-    # complete literal wrapper, so any prefix-only match is a violation.
-    for token in line.split("\t"):
-        if token.startswith('""'):
-            if not (len(token) >= 4 and token.endswith('""')):
-                return f"unbalanced literal quotes in token {token[:40]!r}"
-    return None
-
-
 def validate(in_path: str, mode: str) -> ValidationReport:
-    """Check parseability, structure, quoting and link-id uniqueness per line.
+    """Flag each line that _line_records rejects, and each repeated link id.
 
     Violations are data findings, not failures; callers decide the exit
     status.  Link ids are tracked in a streaming set sized by file line
@@ -254,27 +247,12 @@ def validate(in_path: str, mode: str) -> ValidationReport:
     seen_ids: set[str] = set()
     with open(in_path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
-            stripped = raw.rstrip(b"\n")
-            bad = _check_control_bytes(stripped)
-            if bad is not None:
-                report.flag(line_no, bad)
-                continue
             try:
-                line = stripped.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                report.flag(line_no, f"not UTF-8: {exc.reason}")
-                continue
-            bad = _check_literal_quoting(line)
-            if bad is not None:
-                report.flag(line_no, bad)
-                continue
-            try:
-                _line_records(line, mode)
+                link_id, _ = _line_records(raw, mode)
             except FlatlinkError as exc:
                 report.flag(line_no, str(exc))
                 continue
-            if mode != "entity":
-                link_id = line.split("\t", 1)[0]
+            if link_id is not None:
                 if link_id in seen_ids:
                     report.flag(line_no, f"duplicate link id {link_id!r}")
                     continue

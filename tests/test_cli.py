@@ -264,3 +264,89 @@ def test_config_relative_paths_resolve_to_config_dir(tmp_path):
     pipe = parse_pipeline_config(str(cfg))
     assert pipe.kbs[0].input_paths == [str(sub / "x.nt")]
     assert pipe.links[0]["out"] == str(sub / "out" / "ab.links")
+
+
+def test_compile_out_naming_its_input_keeps_it_on_error(capsys, tmp_path):
+    # With no parseable triple compile fails; its input, also its output,
+    # stays byte-equal and no temp file is left beside it.
+    src = tmp_path / "a.nt"
+    src.write_bytes(b"not a triple\n# comment\n")
+    code, _, stderr = run(capsys, "compile", "--label", "kb", "--in", str(src),
+                          "--out", str(src))
+    assert code == 2
+    assert "no parseable triples" in stderr
+    assert src.read_bytes() == b"not a triple\n# comment\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.nt"]
+
+
+def test_report_out_flag_is_gone(capsys, demo_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "compile", "--label", "freebase", "--in", str(demo_dir / "freebase.nt"),
+            "--out", str(tmp_path / "o"), "--report-out", str(tmp_path / "r"))
+    assert exc.value.code == 2
+
+
+def test_join3_subcommand_matches_pipeline(capsys, demo_dir, tmp_path):
+    run(capsys, "pipeline", "--config", str(demo_dir / "demo.cfg"))
+    out_dir = demo_dir / "out"
+    dfy = tmp_path / "dfy.links"
+    code, stdout, stderr = run(
+        capsys, "join3", "--left", str(out_dir / "fd.links"),
+        "--right", str(out_dir / "yd.links"), "--shared", "dbpedia",
+        "--order", "dbpedia,freebase,yago", "--out", str(dfy),
+    )
+    assert code == 0
+    assert stderr.startswith("config: cmd=join3")
+    assert stdout.startswith("lines_left=6 lines_right=")
+    assert dfy.read_bytes() == (out_dir / "dfy.links").read_bytes()
+
+
+def test_stats_text_output(capsys, demo_dir):
+    run(capsys, "pipeline", "--config", str(demo_dir / "demo.cfg"))
+    links = demo_dir / "out" / "fd.links"
+    code, stdout, _ = run(capsys, "stats", "--in", str(links), "--mode", "link2",
+                          "--top-k", "1")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[:5] == [
+        "lines:       6",
+        f"bytes:       {links.stat().st_size}",
+        "unparseable: 0",
+        "slot 1 distinct entities: 6",
+        "slot 2 distinct entities: 6",
+    ]
+    assert lines[5] == "top types:"
+    count, uri = lines[6].split()
+    assert int(count) > 0 and uri.startswith("http://")
+    assert len(lines) == 7
+
+
+_KB = "kb{i}.label=k{i}\nkb{i}.inputs=x{i}.nt\nkb{i}.out=o{i}.ents\n"
+_LINK = "link{i}.gt=g{i}\nlink{i}.gt_format=tsv-pairs\nlink{i}.out=l{i}.links\n"
+CONFIG_ERRORS = {
+    "duplicate-key": (_KB.format(i=1) + "kb1.label=again\n", "duplicate key 'kb1.label'"),
+    "kb-key-missing": ("kb1.label=a\nkb1.out=o\n", "kb1 needs label, inputs and out"),
+    "link-key-missing": (_KB.format(i=1) + _KB.format(i=2) + "link1.gt=g\n",
+                         "link1 needs gt, gt_format and out"),
+    "bad-gt-format": (_KB.format(i=1) + _KB.format(i=2)
+                      + _LINK.format(i=1).replace("tsv-pairs", "csv"),
+                      "link1.gt_format must be one of"),
+    "one-kb": (_KB.format(i=1) + _LINK.format(i=1), "at least kb1 and kb2"),
+    "no-link": (_KB.format(i=1) + _KB.format(i=2), "at least link1"),
+    "three-kbs-one-link": (_KB.format(i=1) + _KB.format(i=2) + _KB.format(i=3)
+                           + _LINK.format(i=1), "three KBs need link1 and link2"),
+    "two-kbs-two-links": (_KB.format(i=1) + _KB.format(i=2) + _LINK.format(i=1)
+                          + _LINK.format(i=2), "two KBs take exactly link1"),
+    "join3-two-kbs": (_KB.format(i=1) + _KB.format(i=2) + _LINK.format(i=1)
+                      + "join3.out=j.links\n", "join3 needs three KBs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_parser_errors(tmp_path, case):
+    text, message = CONFIG_ERRORS[case]
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        parse_pipeline_config(str(cfg))
+    assert message in str(exc.value)

@@ -1,4 +1,5 @@
 import collections
+import os
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from flatlink.engine import (
     ExecConfig,
     JobStats,
+    atomic_output,
     external_sort,
     run_group_by,
 )
@@ -310,3 +312,42 @@ def test_spill_dir_is_job_scoped_and_removed(tmp_path):
     assert len(seen[0]) == 1 and seen[0][0].startswith("flatlink-")
     assert list(spill.iterdir()) == []
 
+
+
+# --- output files ------------------------------------------------------------
+
+
+def test_atomic_output_replaces_target_on_success(tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"old\n")
+    with atomic_output(str(target)) as out:
+        out.write(b"new\n")
+        assert target.read_bytes() == b"old\n"  # readers see the old file meanwhile
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_atomic_output_failure_keeps_target_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "out"
+    target.write_bytes(b"old\n")
+    with pytest.raises(ZeroDivisionError):
+        with atomic_output(str(target)) as out:
+            out.write(b"partial")
+            1 / 0
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_atomic_output_gets_the_mode_of_a_plainly_opened_file(tmp_path):
+    # mkstemp would create 0600; a new file from open(path, "wb") gets
+    # 0666 less the umask.
+    old_mask = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        with atomic_output(str(tmp_path / "atomic")):
+            pass
+    finally:
+        os.umask(old_mask)
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert (tmp_path / "atomic").stat().st_mode & 0o777 == 0o640

@@ -215,6 +215,31 @@ def test_parse_errors(line, reason):
     assert reason.split()[0] in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line,bad",
+    [
+        (f'""x{TAB}:p{TAB}:v', '""x'),
+        (f':e{TAB}""p{TAB}:v', '""p'),
+        (f':e{TAB}:p{TAB}""broken', '""broken'),
+        (f':e{TAB}:p{TAB}""', '""'),
+        (f':e{TAB}:p{TAB}"""', '"""'),
+        (f':e{TAB}:p{TAB}:v{TAB}:q{TAB}""v"', '""v"'),
+    ],
+    ids=["uri", "key", "value", "bare-quotes", "three-quotes", "later-value"],
+)
+def test_parse_rejects_unbalanced_literal_wrapper(line, bad):
+    # The escape guard keeps every token but a whole wrapper from starting
+    # with two double quotes, in any position.
+    with pytest.raises(FlatRecordError) as exc:
+        parse_record(line)
+    assert str(exc.value) == f"unbalanced literal quotes in token {bad!r}"
+
+
+def test_parse_accepts_whole_wrappers_in_every_position():
+    rec = parse_record(f'""e""{TAB}""p""{TAB}""""{TAB}""p""{TAB}""v""')
+    assert rec == EntityRecord('""e""', {'""p""': [ObjectValue(LITERAL, ""), ObjectValue(LITERAL, "v")]})
+
+
 def test_nonadjacent_repeated_keys_aggregate():
     line = f":e{TAB}:p{TAB}:a{TAB}:q{TAB}:x{TAB}:p{TAB}:b"
     rec = parse_record(line)

@@ -453,6 +453,35 @@ def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
     assert list((tmp_path / "spill").iterdir()) == []
 
 
+def test_join2_failure_after_output_lines_leaves_no_output(tmp_path):
+    # The duplicate subject sorts near the end of the left file, so the
+    # second shuffle has emitted many lines when it raises; the old output
+    # stays as it was and no temp file is left beside it.
+    left = [entity(f"http://f/{i:03}", name=[f"n{i}"])[1] for i in range(200)]
+    left.insert(191, left[190])
+    right = [entity(f"http://d/{i:03}", age=[str(i)])[1] for i in range(200)]
+    a = tmp_path / "f.ents"
+    a.write_text("".join(line + "\n" for line in left), encoding="utf-8")
+    b = tmp_path / "d.ents"
+    b.write_text("".join(line + "\n" for line in right), encoding="utf-8")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("".join(f"http://f/{i:03}\thttp://d/{i:03}\n" for i in range(200)),
+                  encoding="utf-8")
+    out = tmp_path / "out"
+    out.write_bytes(b"old\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    stats = JobStats()
+    with pytest.raises(LinkJoinError, match="duplicate subject .* in left entity file"):
+        join2(
+            str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"), str(out),
+            cfg_for(tmp_path, memory_budget_bytes=2048), stats=stats,
+        )
+    assert stats.spill_runs >= 1
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before + ["spill"]
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
 def join2_oracle(a_lines, b_lines, pairs, labels):
     """Brute-force nested loop over all (pair, A, B) combinations."""
     unique = list(dict.fromkeys(pairs))
@@ -716,6 +745,8 @@ JOIN3_INPUT_ERRORS = {
     "duplicate-left-id": ("left", lambda l: _replace_id(l, "fd-1"), "duplicate link id"),
     "space-in-id": ("left", lambda l: _replace_id(l, "fd 60"), "bad link id"),
     "control-in-id": ("right", lambda l: _replace_id(l, "yd\x0160"), "bad link id"),
+    "unclosed-wrapper-id": ("right", lambda l: _replace_id(l, '""yd-60'),
+                            "unbalanced literal quotes"),
     "one-kb-twice": ("right", lambda l: l.replace("yago-instance", "dbpedia-instance"),
                      "one KB holds both records"),
 }

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flatlink.errors import FlatlinkError
-from flatlink.flat_record import EntityRecord, serialize_record
+from flatlink.flat_record import EntityRecord, parse_record, serialize_record
+from flatlink.link_join import parse_link_line
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue
 from flatlink.tools import (
     RDF_TYPE,
+    FilterReport,
     SampleSpec,
     TypeFilterSpec,
     filter_by_type,
@@ -357,3 +361,202 @@ def test_validate_fuzzed_corruption_never_crashes(tmp_path, rng):
 def test_validate_mode_checked():
     with pytest.raises(FlatlinkError):
         validate("x", "link9")
+
+
+# --- one judge per line -------------------------------------------------------
+
+BAD_TYPED_LINES = {
+    "crlf": entity_line("http://x/2", FOOT).encode() + b"\r",
+    "unbalanced-quotes": f"http://x/2\t{RDF_TYPE}\t{FOOT}\tk\t\"\"broken".encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TYPED_LINES))
+def test_filter_and_stats_skip_what_validate_flags(tmp_path, case):
+    # Both bad lines carry the type, so a tool that parsed them would keep them.
+    good = entity_line("http://x/1", FOOT).encode()
+    src = tmp_path / "in"
+    write_lines(src, [good, BAD_TYPED_LINES[case]])
+    assert validate(str(src), "entity").violation_count == 1
+    out = tmp_path / "out"
+    report = FilterReport()
+    assert filter_by_type(str(src), TypeFilterSpec(FOOT), str(out), "entity", report) == 1
+    assert (report.lines_read, report.lines_skipped) == (2, 1)
+    assert out.read_bytes() == good + b"\n"
+    assert validate(str(out), "entity").violation_count == 0
+    assert stats(str(src), "entity").unparseable == 1
+
+
+@pytest.mark.parametrize("mode,link_id,reason", [
+    ("link2", "fd 1", "bad link id: 'fd 1' holds a control or space character"),
+    ("link3", "fd-1,yd\x011", "bad link id: 'fd-1,yd\\x011' holds a control or space character"),
+    ("link2", '""fd-1', "unbalanced literal quotes in token '\"\"fd-1'"),
+])
+def test_validate_applies_join3_link_id_rule(tmp_path, mode, link_id, reason):
+    rec = entity_line("http://f/1", FOOT)
+    groups = 2 if mode == "link2" else 3
+    line = link_id + "".join(f"\t{kb}-instance\t{rec}" for kb in ("a", "b", "c")[:groups])
+    src = tmp_path / "in"
+    write_lines(src, [line])
+    assert validate(str(src), mode).violations == [(1, reason)]
+    assert stats(str(src), mode).unparseable == 1
+
+
+def test_filter_out_may_name_its_input(tmp_path):
+    src = tmp_path / "in"
+    keep = entity_line("http://x/1", FOOT)
+    write_lines(src, [keep, entity_line("http://x/2", BAND)])
+    assert filter_by_type(str(src), TypeFilterSpec(FOOT), str(src), "entity") == 1
+    assert src.read_bytes() == keep.encode() + b"\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+def test_sample_out_may_name_its_input(tmp_path):
+    src = tmp_path / "in"
+    lines = [f"line{i}" for i in range(10)]
+    write_lines(src, lines)
+    assert sample_lines(str(src), SampleSpec(3, 42), str(src)) == 3
+    assert read_binary_lines(src) == reference_reservoir(
+        [l.encode() + b"\n" for l in lines], 3, 42
+    )
+
+
+# Lines built from serialized records, then given at most one defect each.
+_TEXT = st.text(alphabet='ab "\\\t\né-', min_size=1, max_size=6)
+_RECORDS = st.builds(
+    lambda uri, props, typed: EntityRecord(
+        "http://x/" + uri,
+        {**({RDF_TYPE: [ObjectValue(URI, FOOT)]} if typed else {}), **props},
+    ),
+    _TEXT,
+    st.dictionaries(
+        _TEXT,
+        st.lists(st.builds(ObjectValue, st.sampled_from([URI, LITERAL]), _TEXT),
+                 min_size=1, max_size=2),
+        min_size=1, max_size=2,
+    ),
+    st.booleans(),
+)
+_MUTATIONS = (
+    None, "cr", "utf8", "quote-uri", "quote-key", "quote-value", "quote-id",
+    "backslash", "drop-tab", "space-id",
+)
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["ab-1", "ab-2", "ab-3"]),
+        st.lists(_RECORDS, min_size=3, max_size=3),
+        st.sampled_from(_MUTATIONS),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _mutated_line(mode, link_id, records, mutation, at):
+    """One line's bytes, with `mutation` applied at a spot picked by `at`."""
+    groups = {"entity": 0, "link2": 2, "link3": 3}[mode]
+    tokens, roles = [], []
+    if groups:
+        tokens.append(link_id if mode == "link2" else f"{link_id},cd-{at % 3}")
+        roles.append("id")
+    for label, rec in zip("abc", records[: groups or 1]):
+        if groups:
+            tokens.append(f"{label}-instance")
+            roles.append("sentinel")
+        record_tokens = serialize_record(rec).split("\t")
+        tokens += record_tokens
+        roles += ["uri"] + ["key", "value"] * (len(record_tokens) // 2)
+    if mutation and mutation.startswith("quote-"):
+        spots = [i for i, r in enumerate(roles) if r == mutation[len("quote-"):]]
+        if spots:
+            i = spots[at % len(spots)]
+            tokens[i] = '""' + tokens[i]
+    elif mutation == "space-id" and groups:
+        tokens[0] = tokens[0].replace("-", " ", 1)
+    text = "\t".join(tokens)
+    if mutation == "drop-tab":
+        tabs = [i for i, c in enumerate(text) if c == "\t"]
+        i = tabs[at % len(tabs)]
+        text = text[:i] + text[i + 1 :]
+    elif mutation in ("cr", "backslash"):
+        i = at % (len(text) + 1)
+        text = text[:i] + ("\r" if mutation == "cr" else "\\") + text[i:]
+    line = text.encode("utf-8")
+    if mutation == "utf8":
+        i = at % (len(line) + 1)
+        line = line[:i] + b"\xff" + line[i:]
+    return line
+
+
+def _parent_validate(in_path: str, mode: str) -> dict[int, str]:
+    """validate as it stood before one function judged each line: a raw CR
+    check, the UTF-8 decode, a whole-line quote pass, then the line parse.
+    Once the quote pass has passed, parse_record's own wrapper check cannot
+    fire, so this copy flags what the old validate did, with its reasons."""
+    arity = {"entity": 1, "link2": 2, "link3": 3}
+    flagged, seen_ids = {}, set()
+    with open(in_path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            stripped = raw.rstrip(b"\n")
+            if b"\r" in stripped:
+                flagged[line_no] = "raw control byte 0x0d"
+                continue
+            try:
+                line = stripped.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                flagged[line_no] = f"not UTF-8: {exc.reason}"
+                continue
+            bad = [
+                t for t in line.split("\t")
+                if t.startswith('""') and not (len(t) >= 4 and t.endswith('""'))
+            ]
+            if bad:
+                flagged[line_no] = f"unbalanced literal quotes in token {bad[0][:40]!r}"
+                continue
+            try:
+                if mode == "entity":
+                    parse_record(line)
+                else:
+                    parsed = parse_link_line(line)
+                    if len(parsed.groups) != arity[mode]:
+                        raise FlatlinkError(
+                            f"expected {arity[mode]} record groups, found {len(parsed.groups)}"
+                        )
+                    for _, slot in parsed.groups:
+                        parse_record(slot)
+            except FlatlinkError as exc:
+                flagged[line_no] = str(exc)
+                continue
+            if mode != "entity":
+                link_id = line.split("\t", 1)[0]
+                if link_id in seen_ids:
+                    flagged[line_no] = f"duplicate link id {link_id!r}"
+                    continue
+                seen_ids.add(link_id)
+    return flagged
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(["entity", "link2", "link3"]), rows=_ROWS)
+def test_tools_agree_on_every_line(tmp_path, mode, rows):
+    src = tmp_path / "in"
+    src.write_bytes(b"".join(_mutated_line(mode, *row) + b"\n" for row in rows))
+    report = validate(str(src), mode)
+    assert report.violation_count == len(report.violations)  # under the cap
+    flagged = dict(report.violations)
+    bad = [n for n, reason in flagged.items() if not reason.startswith("duplicate link id")]
+    filtered = FilterReport()
+    filter_by_type(str(src), TypeFilterSpec(FOOT), str(tmp_path / "out"), mode, filtered)
+    assert stats(str(src), mode).unparseable == filtered.lines_skipped == len(bad)
+
+    # The old validate's flags are a subset, with the same reason on lines
+    # whose one defect is a raw CR, a bad byte or an unclosed wrapper; a line
+    # it accepted is flagged now only for its link id.
+    parent = _parent_validate(str(src), mode)
+    assert set(parent) <= set(flagged)
+    for line_no, (_, _, mutation, _) in enumerate(rows, 1):
+        if line_no not in parent:
+            assert line_no not in flagged or flagged[line_no].startswith("bad link id: ")
+        elif mutation in ("cr", "utf8") or (mutation or "").startswith("quote-"):
+            assert flagged[line_no] == parent[line_no]
