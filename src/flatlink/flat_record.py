@@ -21,6 +21,11 @@ collide with line structure, i.e. when it
 backslash and the character after it become one mapped code, left to right,
 so the first bad escape names the error.
 ``unescape_token(escape_token(x)) == x`` for every string x.
+
+``parse_record`` builds a record and names the first fault of a bad line.
+``record_tokens`` is its quick stand-in for callers that only judge a line
+or read a few tokens: whole-line tests clear a well-formed line and return
+its escaped tokens, without building the record.
 """
 
 from __future__ import annotations
@@ -135,6 +140,40 @@ def serialize_record(rec: EntityRecord) -> str:
             tokens.append(ekey)
             tokens.append(_value_token(value))
     return "\t".join(tokens)
+
+
+# Every backslash of the line opens a known two-character code.  The loop is
+# unrolled, so it runs in linear time; a backslash before a TAB fails it.
+_CLEAN_ESCAPES = re.compile(r"[^\\]*(?:\\[\\tnrs][^\\]*)*")
+# A token after a TAB that opens a literal wrapper and does not close it.  The
+# pattern starts with a literal, so the engine skips straight to each "".
+_UNCLOSED_WRAPPER = re.compile(r'\t""(?![^\t]*""(?:\t|\Z))')
+
+
+def record_tokens(line: str) -> list[str] | None:
+    """The escaped tokens of a record line that parse_record accepts, or None.
+
+    A few whole-line tests stand in for parse_record's checks without
+    building the record.  They are conservative: None means only that they
+    could not prove the line well-formed, and parse_record then gives the
+    reason, or accepts the line after all.
+    """
+    tokens = line.split("\t")
+    if len(tokens) % 2 == 0 or len(tokens) == 1 or not tokens[0] or "" in tokens[1::2]:
+        return None
+    # With every escape known, a token unescapes to "" only if it is \s
+    # guards alone.  The codec guards only rare tokens (a leading "" or a
+    # sentinel shape), so any token that opens with a guard is left to
+    # parse_record.
+    if "\\" in line and (
+        not _CLEAN_ESCAPES.fullmatch(line) or "\t\\s" in line or line.startswith("\\s")
+    ):
+        return None
+    # The codec guards a URI that starts with "", so such a line is no output
+    # of it and is left to parse_record as well.
+    if line.startswith('""') or _UNCLOSED_WRAPPER.search(line):
+        return None
+    return tokens
 
 
 def parse_record(line: str) -> EntityRecord:

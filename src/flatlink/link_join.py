@@ -9,7 +9,9 @@ A 3-way line carries ``<idA>,<idB>`` in its first slot followed by three
 (sentinel, record) groups.  Sentinels never occur inside record tokens (the
 token escape layer guards them), so every line parses on its own with one
 ``re.split`` on ``TAB (<label>)-instance``, followed by a TAB or the end of
-the line.
+the line.  join3 runs that split on the bytes of each line, and hands only
+a line it does not cut cleanly into an id and two records to
+``parse_link_line``, which names the fault.
 
 join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
 left URI the second shuffle's values arrive sorted by right URI, so its
@@ -60,6 +62,10 @@ class LinkLine:
 _SENTINEL_SPLIT = re.compile(
     "\t(" + LABEL_RE.pattern + ")" + re.escape(SENTINEL_SUFFIX) + r"(?=\t|\Z)"
 )
+# The same split on bytes.  It matches ASCII bytes only, and UTF-8 never puts
+# an ASCII byte inside a multi-byte sequence, so on a UTF-8 line both splits
+# cut at the same places.
+_SENTINEL_SPLIT_BYTES = re.compile(_SENTINEL_SPLIT.pattern.encode("ascii"))
 
 
 def parse_link_line(line: str) -> LinkLine:
@@ -94,6 +100,7 @@ class GtReport(ParseReport):
 
 
 _UNSAFE_URI_CHAR = re.compile(r"[\x00-\x20]")
+_UNSAFE_URI_BYTE = re.compile(_UNSAFE_URI_CHAR.pattern.encode("ascii"))
 
 
 def _safe_uri(uri: str) -> bool:
@@ -202,13 +209,14 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
                 uri = unescape_token(text.split("\t", 1)[0])
             except FlatRecordError as exc:
                 raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
-            _check_uri(uri, path, line_no)
-            yield uri.encode("utf-8") + b"\t" + line
+            key = uri.encode("utf-8")
+            _check_uri(key, path, line_no)
+            yield key + b"\t" + line
 
 
-def _check_uri(uri: str, path: str, line_no: int) -> None:
+def _check_uri(uri: bytes, path: str, line_no: int) -> None:
     # The URI is the join key, cut off at the item's first tab.
-    if not _safe_uri(uri):
+    if not uri or _UNSAFE_URI_BYTE.search(uri):
         raise LinkJoinError(
             f"{path}:{line_no}: bad entity line: "
             "empty URI or control or space character in URI"
@@ -350,44 +358,71 @@ class Join3Report:
         )
 
 
+def _split_2way(line: bytes) -> list[bytes]:
+    """[link id, label, record, label, record] of a 2-way linkage line, or
+    the reason it is not one.  A line that the bytes split does not give as
+    a clean id and two non-empty slots goes to parse_link_line, which names
+    its fault, or accepts it after all."""
+    # Text mode would read a CR as a line end; validate flags it.
+    if b"\r" in line:
+        raise LinkJoinError("raw control byte 0x0d")
+    if not line.isascii():
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise LinkJoinError("not UTF-8") from None
+    parts = _SENTINEL_SPLIT_BYTES.split(line)
+    link_id = parts[0]
+    if (
+        len(parts) == 5
+        and parts[2]
+        and parts[4]
+        and link_id
+        and not link_id.startswith(b'""')
+        and not _UNSAFE_URI_BYTE.search(link_id)
+    ):
+        # Each slot holds the tab after its sentinel, then the record.
+        return [link_id, parts[1], parts[2][1:], parts[3], parts[4][1:]]
+    parsed = parse_link_line(line.decode("utf-8"))
+    check_link_id(parsed.link_id)
+    if len(parsed.groups) != 2:
+        raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
+    (label_a, slot_a), (label_b, slot_b) = parsed.groups
+    return [field.encode("utf-8") for field in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
+
+
 def _iter_2way(
     path: str, shared_label: str, allowed: set[str]
 ) -> Iterator[tuple[bytes, bytes, str, dict[str, bytes]]]:
-    """(shared URI, link id, other KB label, slots by label) per 2-way line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    """(shared URI, link id, other KB label, records by label) per 2-way line."""
+    shared = shared_label.encode("ascii")
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not_utf8(line):
-                raise LinkJoinError(f"{path}:{line_no}: not UTF-8")
             try:
-                parsed = parse_link_line(line)
-                check_link_id(parsed.link_id)
+                link_id, label_a, slot_a, label_b, slot_b = _split_2way(raw.rstrip(b"\n"))
             except (LinkJoinError, FlatRecordError) as exc:
                 raise LinkJoinError(f"{path}:{line_no}: {exc}") from exc
-            if len(parsed.groups) != 2:
-                raise LinkJoinError(
-                    f"{path}:{line_no}: expected a 2-way line, got "
-                    f"{len(parsed.groups)} record groups"
-                )
-            slots = dict(parsed.groups)
-            if shared_label not in slots:
-                raise LinkJoinError(
-                    f"{path}:{line_no}: shared KB {shared_label!r} absent"
-                )
-            if len(slots) != 2:
+            if label_a == shared:
+                other, shared_slot, other_slot = label_b, slot_a, slot_b
+            elif label_b == shared:
+                other, shared_slot, other_slot = label_a, slot_b, slot_a
+            else:
+                raise LinkJoinError(f"{path}:{line_no}: shared KB {shared_label!r} absent")
+            if other == shared:
                 raise LinkJoinError(f"{path}:{line_no}: one KB holds both records")
-            (other_label,) = set(slots) - {shared_label}
+            other_label = other.decode("ascii")
             if other_label not in allowed:
                 raise LinkJoinError(
                     f"{path}:{line_no}: KB {other_label!r} is not in the output order"
                 )
-            try:
-                uri = unescape_token(slots[shared_label].split("\t", 1)[0])
-            except FlatRecordError as exc:
-                raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
+            uri = shared_slot.split(b"\t", 1)[0]
+            if b"\\" in uri:
+                try:
+                    uri = unescape_token(uri.decode("utf-8")).encode("utf-8")
+                except FlatRecordError as exc:
+                    raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
             _check_uri(uri, path, line_no)
-            encoded = {label: slot.encode("utf-8") for label, slot in slots.items()}
-            yield uri.encode("utf-8"), parsed.link_id.encode("utf-8"), other_label, encoded
+            yield uri, link_id, other_label, {shared_label: shared_slot, other_label: other_slot}
 
 
 def _reduce_by_uri(key: bytes, tagged: Iterator[tuple[int, bytes]]):

@@ -1,7 +1,10 @@
 """Post-processing utilities: seeded sampling, type filtering, stats, validation.
 
 All tools are single-pass and streaming; sampled or filtered lines are
-copied byte-identically, so link ids and provenance survive.
+copied byte-identically, so link ids and provenance survive.  validate,
+filter-type and stats judge a record by its escaped tokens
+(``record_tokens``) and build no ``EntityRecord``; ``parse_record`` runs
+only on a record the quick test cannot clear, to name its fault.
 """
 
 from __future__ import annotations
@@ -9,12 +12,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .engine import atomic_output
 from .errors import FlatlinkError
-from .flat_record import EntityRecord, parse_record
+from .flat_record import parse_record, record_tokens, unescape_token
 from .link_join import check_link_id, parse_link_line
-from .rdf_ingest import URI
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -88,11 +91,21 @@ class FilterReport:
         )
 
 
-def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[EntityRecord]]:
+def _checked_tokens(slot: str) -> list[str]:
+    tokens = record_tokens(slot)
+    if tokens is None:
+        parse_record(slot)  # raises the reason, or accepts the slot after all
+        tokens = slot.split("\t")
+    return tokens
+
+
+def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[list[str]]]:
     """The one judge of a line for validate, filter-type and stats: its link
-    id (None in entity mode) and records, or a FlatlinkError giving the
-    reason.  The codec escapes CR, so a raw CR comes from elsewhere (a CRLF
-    ending, say); the other checks run in line order."""
+    id (None in entity mode) and the escaped tokens of its records, or a
+    FlatlinkError giving the reason.  The codec escapes CR, so a raw CR comes
+    from elsewhere (a CRLF ending, say); the other checks run in line order.
+    record_tokens clears a record without building it; parse_record names
+    the reason of a record it cannot clear."""
     line = raw.rstrip(b"\n")
     if b"\r" in line:
         raise FlatlinkError("raw control byte 0x0d")
@@ -101,22 +114,30 @@ def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[EntityRecord]
     except UnicodeDecodeError as exc:
         raise FlatlinkError(f"not UTF-8: {exc.reason}") from None
     if mode == "entity":
-        return None, [parse_record(text)]
+        return None, [_checked_tokens(text)]
     parsed = parse_link_line(text)
     check_link_id(parsed.link_id)
     if len(parsed.groups) != _ARITY[mode]:
         raise FlatlinkError(
             f"expected {_ARITY[mode]} record groups, found {len(parsed.groups)}"
         )
-    return parsed.link_id, [parse_record(slot) for _, slot in parsed.groups]
+    return parsed.link_id, [_checked_tokens(slot) for _, slot in parsed.groups]
 
 
-def _has_type(rec: EntityRecord, spec: TypeFilterSpec) -> bool:
-    values = rec.properties.get(spec.type_predicate, [])
-    return any(v.kind == URI and v.lexical == spec.type_uri for v in values)
+def _type_values(tokens: list[str], type_predicate: str) -> Iterator[str]:
+    """The URI values under type_predicate; literal values are skipped.  A
+    key compares after unescaping, since a guard may prefix any token."""
+    for key, value in zip(tokens[1::2], tokens[2::2]):
+        if (unescape_token(key) if "\\" in key else key) == type_predicate:
+            if not value.startswith('""'):
+                yield unescape_token(value)
 
 
-def _matches(records: list[EntityRecord], spec: TypeFilterSpec) -> bool:
+def _has_type(tokens: list[str], spec: TypeFilterSpec) -> bool:
+    return spec.type_uri in _type_values(tokens, spec.type_predicate)
+
+
+def _matches(records: list[list[str]], spec: TypeFilterSpec) -> bool:
     if spec.side == "any":
         return any(_has_type(r, spec) for r in records)
     if spec.side == "all":
@@ -208,11 +229,9 @@ def stats(
             except FlatlinkError:
                 report.unparseable += 1
                 continue
-            for slot, rec in enumerate(records):
-                slot_uris[slot].add(rec.uri)
-                for value in rec.properties.get(type_predicate, []):
-                    if value.kind == URI:
-                        histogram[value.lexical] += 1
+            for slot, tokens in enumerate(records):
+                slot_uris[slot].add(unescape_token(tokens[0]))
+                histogram.update(_type_values(tokens, type_predicate))
     report.slot_entities = [len(s) for s in slot_uris]
     report.top_types = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
     return report

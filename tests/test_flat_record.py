@@ -9,6 +9,7 @@ from flatlink.flat_record import (
     escape_token_bytes,
     parse_record,
     record_from_triples,
+    record_tokens,
     serialize_record,
     unescape_token,
 )
@@ -351,3 +352,77 @@ def test_self_containment_single_line():
     lines = [serialize_record(r1), serialize_record(r2)]
     assert parse_record(lines[1]) == r2
     assert parse_record(lines[0]) == r1
+
+
+
+# --- the quick record check ---------------------------------------------------
+
+def record_via_tokens(line: str) -> EntityRecord:
+    """parse_record's record, rebuilt from the tokens that record_tokens
+    clears; a line it cannot clear gets parse_record's own verdict."""
+    tokens = record_tokens(line)
+    if tokens is None:
+        return parse_record(line)
+    assert tokens == line.split(TAB)
+    properties: dict[str, list[ObjectValue]] = {}
+    for key, value in zip(tokens[1::2], tokens[2::2]):
+        if value.startswith('""'):
+            obj = ObjectValue(LITERAL, unescape_token(value[2:-2]))
+        else:
+            obj = ObjectValue(URI, unescape_token(value))
+        properties.setdefault(unescape_token(key), []).append(obj)
+    return EntityRecord(unescape_token(tokens[0]), properties)
+
+
+# Tabs, backslashes, the escape letters and a bad one, quote runs, a raw line
+# break, a non-ASCII letter and whole guards.
+record_pieces = st.sampled_from(
+    [TAB, TAB, TAB, "\\", "\\\\", "\\s", "s", "t", "n", "r", "q", '"', '""', '"""',
+     '""""', "\n", "é", "x"]
+)
+record_lines = st.one_of(
+    st.lists(record_pieces, max_size=30).map("".join),
+    records.map(serialize_record),
+)
+
+
+@settings(max_examples=1500)
+@given(record_lines)
+def test_record_tokens_agrees_with_parse_record(line):
+    assert outcome(record_via_tokens, line) == outcome(parse_record, line)
+
+
+Q3 = '"""'
+
+
+@pytest.mark.parametrize(
+    "line, cleared, reason",
+    [
+        (f"u\\{TAB}k{TAB}v", False, "dangling escape at end of token"),  # \ before TAB
+        (f"u{TAB}k{TAB}v\\", False, "dangling escape at end of token"),
+        (f"u{TAB}k{TAB}back\\\\slash", True, None),  # \\s is no guard
+        (f"\\s{TAB}k{TAB}v", False, "empty record URI"),
+        (f"\\s\\s{TAB}k{TAB}v", False, "empty record URI"),
+        (f"u{TAB}\\s{TAB}v", False, "empty key at token 1"),
+        (f"u{TAB}k{TAB}v{TAB}\\s\\s{TAB}v", False, "empty key at token 3"),
+        (f"u{TAB}k{TAB}\\s", False, None),
+        (f"u{TAB}k{TAB}\\s\\s", False, None),
+        (f"\\su{TAB}k\\s{TAB}v", False, None),
+        (f'u{TAB}k{TAB}""""', True, None),
+        (f'""u""{TAB}""k""{TAB}""v""', False, None),
+        (f'u{TAB}k{TAB}"""""', True, None),
+        (f"{Q3}{TAB}k{TAB}v", False, f"unbalanced literal quotes in token {Q3!r}"),
+        (f"u{TAB}{Q3}{TAB}v", False, f"unbalanced literal quotes in token {Q3!r}"),
+        (f"u{TAB}k{TAB}{Q3}", False, f"unbalanced literal quotes in token {Q3!r}"),
+    ],
+)
+def test_record_tokens_rows(line, cleared, reason):
+    # cleared: whether the quick check alone accepts the line; reason: the
+    # FlatRecordError message, or None where parse_record accepts the line.
+    assert (record_tokens(line) is not None) == cleared
+    got = outcome(record_via_tokens, line)
+    assert got == outcome(parse_record, line)
+    if reason is None:
+        assert isinstance(got, EntityRecord)
+    else:
+        assert got == (FlatRecordError, reason)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from flatlink import engine
 from flatlink.engine import ExecConfig, JobStats
-from flatlink.errors import LinkJoinError
+from flatlink.errors import FlatRecordError, LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
 from flatlink.link_join import (
     GtReport,
     LinkLine,
+    _split_2way,
+    check_link_id,
     gen_link_id,
     join2,
     join3,
@@ -283,6 +285,86 @@ def test_parse_link_line_rows(line, expected):
     got = outcome(parse_link_line, line)
     assert got == outcome(reference_parse_link_line, line)
     assert got == (LinkJoinError, expected) or got.groups == expected
+
+
+
+def reference_split_2way(line: bytes) -> list[bytes]:
+    """join3's line checks as they ran on decoded text, before its reader
+    split bytes: raw CR (which text mode read as a line end), UTF-8, the
+    line split, the link-id rule and the group count."""
+    if b"\r" in line:
+        raise LinkJoinError("raw control byte 0x0d")
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise LinkJoinError("not UTF-8") from None
+    parsed = parse_link_line(text)
+    check_link_id(parsed.link_id)
+    if len(parsed.groups) != 2:
+        raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
+    (label_a, slot_a), (label_b, slot_b) = parsed.groups
+    return [f.encode("utf-8") for f in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
+
+
+# Whole 2-way lines whose id and records draw on the characters that make
+# the bytes split hand a line on: tabs, spaces, controls, quotes, sentinels.
+_SLOT_TEXT = st.lists(
+    st.sampled_from(["x", "\t", "\\s", "\t", '""', '"', " ", "\x01", "é", "yago-instance",
+                     "\tyago-instance", "\r"]),
+    max_size=6,
+).map("".join)
+two_way_lines = st.builds(
+    lambda id_, a, left, b, right: f"{id_}\t{a}-instance\t{left}\t{b}-instance\t{right}",
+    st.one_of(st.sampled_from(["fd-1", "", '""fd-1""', '""fd']), _SLOT_TEXT),
+    st.sampled_from(["freebase", "dbpedia"]),
+    _SLOT_TEXT,
+    st.sampled_from(["dbpedia", "yago"]),
+    _SLOT_TEXT,
+)
+
+
+def outcome_bytes(fn, line: str):
+    return outcome(fn, line.encode("utf-8"))
+
+
+@settings(max_examples=1500)
+@given(st.one_of(link_lines, two_way_lines))
+def test_split_2way_matches_text_checks(line):
+    assert outcome_bytes(_split_2way, line) == outcome_bytes(reference_split_2way, line)
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        (b"fd-1\tfreebase-instance\tf\tp\tv\tdbpedia-instance\td\tq\tw",
+         [b"fd-1", b"freebase", b"f\tp\tv", b"dbpedia", b"d\tq\tw"]),
+        (b"fd-1\tfreebase-instance\t\tdbpedia-instance\td",
+         [b"fd-1", b"freebase", b"", b"dbpedia", b"d"]),
+        (b'""fd-1""\tfreebase-instance\tf\tdbpedia-instance\td',
+         [b'""fd-1""', b"freebase", b"f", b"dbpedia", b"d"]),
+        (b'""fd-1\tfreebase-instance\tf\tdbpedia-instance\td',
+         (FlatRecordError, "unbalanced literal quotes in token '\"\"fd-1'")),
+        (b"fd 1\tfreebase-instance\tf\tdbpedia-instance\td",
+         (LinkJoinError, "bad link id: 'fd 1' holds a control or space character")),
+        (b"fd-1\tfreebase-instance\tf\tdbpedia-instance\td\r",
+         (LinkJoinError, "raw control byte 0x0d")),
+        (b"fd-1\tfreebase-instance\t\xff\tdbpedia-instance\td",
+         (LinkJoinError, "not UTF-8")),
+        (b"fd-1\tfreebase-instance\tf",
+         (LinkJoinError, "expected a 2-way line, got 1 record groups")),
+        (b"fd-1\tfreebase-instance\tf\tdbpedia-instance",
+         (LinkJoinError, "empty record slot under 'dbpedia'")),
+        (b"fd-1\tfreebase-instance\tdbpedia-instance\td",
+         (LinkJoinError, "empty record slot under 'freebase'")),
+        (b"\tfreebase-instance\tf\tdbpedia-instance\td",
+         (LinkJoinError, "empty link id slot")),
+    ],
+)
+def test_split_2way_rows(line, expected):
+    # expected: the fields, or the type and message of the error
+    got = outcome(_split_2way, line)
+    assert got == outcome(reference_split_2way, line)
+    assert got == expected
 
 
 # --- join2 ------------------------------------------------------------------
@@ -728,6 +810,35 @@ def test_join3_invalid_utf8_linkage_line_names_file_and_line(tmp_path, side):
             str(tmp_path / "out"), cfg_for(tmp_path),
         )
     assert str(excinfo.value) == f"{path}:2: not UTF-8"
+
+
+
+@pytest.mark.parametrize("edit", ["crlf", "mid-line"])
+def test_join3_raw_cr_in_linkage_line_names_file_and_line(tmp_path, edit):
+    # Text mode read a CRLF file as if it were LF, and a CR inside a line as
+    # a line end; validate flags both lines, so join3 refuses them too.
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    _, y1 = entity("http://y/1", label=["y"])
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1", d1)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("http://y/1", y1, "http://d/1", d1)])
+    with open(fd, "rb") as fh:
+        data = fh.read()
+    if edit == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    else:
+        data = data.replace(b"\tdbpedia-instance", b"\r\tdbpedia-instance")
+    with open(fd, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(LinkJoinError) as excinfo:
+        join3(
+            fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+            str(tmp_path / "out"), cfg_for(tmp_path),
+        )
+    assert str(excinfo.value) == f"{fd}:1: raw control byte 0x0d"
+    assert not (tmp_path / "out").exists()
 
 
 # (file, edit of its last line or None, message); file "both" makes the

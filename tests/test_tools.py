@@ -560,3 +560,32 @@ def test_tools_agree_on_every_line(tmp_path, mode, rows):
             assert line_no not in flagged or flagged[line_no].startswith("bad link id: ")
         elif mutation in ("cr", "utf8") or (mutation or "").startswith("quote-"):
             assert flagged[line_no] == parent[line_no]
+
+
+# Each line's type key and values, as stats counts them and filter-type
+# matches them: keys compare after unescaping, literals never count, and
+# every occurrence of the key counts, adjacent or not.
+TYPE_SPELLINGS = {
+    "guarded-key": (f"http://x/1\t\\s{RDF_TYPE}\t{FOOT}", [FOOT]),
+    "escaped-key": (f"http://x/1\t{RDF_TYPE[:-4]}\\stype\t{FOOT}", [FOOT]),
+    "literal-value": (f'http://x/1\t{RDF_TYPE}\t""{FOOT}""', []),
+    "guarded-literal-lookalike": (f'http://x/1\t{RDF_TYPE}\t\\s""{FOOT}""', [f'""{FOOT}""']),
+    "nonadjacent-repeats": (
+        f'http://x/1\t{RDF_TYPE}\t{FOOT}\thttp://x/name\t""n""\t{RDF_TYPE}\t{BAND}'
+        f"\thttp://x/name\t\"\"m\"\"\t{RDF_TYPE}\t{FOOT}",
+        [FOOT, BAND, FOOT],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_SPELLINGS))
+def test_stats_and_filter_read_type_values(tmp_path, case):
+    line, types = TYPE_SPELLINGS[case]
+    src = tmp_path / "in"
+    write_lines(src, [line])
+    report = stats(str(src), "entity")
+    assert report.unparseable == 0
+    assert dict(report.top_types) == {t: types.count(t) for t in types}
+    for type_uri in (FOOT, BAND):
+        kept = filter_by_type(str(src), TypeFilterSpec(type_uri), str(tmp_path / "out"), "entity")
+        assert kept == (type_uri in types)
