@@ -1,15 +1,18 @@
 """Local, deterministic map-shuffle-reduce with bounded-memory external sort.
 
-Items are (key, tag, value) tuples of bytes/int/bytes.  Each job feeds all of
-its items to one sorter that holds the whole memory budget.  The sorter
-orders them by (key, tag, value), spilling length-prefixed runs to disk
-whenever its buffer fills the budget, then merges the runs so that each key
-group is reduced once, in ascending key order.  Two runs over the same inputs
-are byte-identical, whatever the budget.
+An engine item is one ``bytes`` object, ``key TAB tag-byte rest``: the key is
+the input item's first TAB-delimited field, the tag byte names its input
+stream, and rest is what followed the key's TAB.  Each job feeds all of its
+items to one sorter that holds the whole memory budget.  The sorter orders
+the bytes as they are, spilling sorted runs to disk whenever its buffer fills
+the budget, then merges the runs, so each key's items are contiguous, by tag
+and then rest, and each key group is reduced once.  No key holds a byte at or
+below 0x20, so a key that is a prefix of another meets the TAB first and keys
+come in ascending byte order.  Two runs over the same inputs are
+byte-identical, whatever the budget.
 
-Spill run format (private, deleted when the job ends): a sequence of records
-``<u32 key_len><u32 tag><u32 value_len><key bytes><value bytes>``, all
-little-endian, in sorted order.
+Spill run format (private, deleted when the job ends): ``<u32 len><item>``
+per item, the length little-endian, in sorted order.
 
 Every stage writes its output file through ``atomic_output``, so the file
 appears whole or not at all.
@@ -22,21 +25,22 @@ import heapq
 import itertools
 import os
 import shutil
-import struct
+import sys
 import tempfile
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import EngineError, FlatlinkError
 
-KeyedItem = tuple[bytes, int, bytes]  # (key, tag, value)
+# What a buffered item costs on top of len(item): the rest of
+# sys.getsizeof(item), and its slot in the buffer list (a 64-bit pointer).
+_ITEM_OVERHEAD = sys.getsizeof(b"") + 8
 
-_RUN_HEADER = struct.Struct("<III")
 
-# Rough per-item bookkeeping cost charged against the sort budget on top of
-# the raw key/value bytes (tuple + object headers).
-_ITEM_OVERHEAD = 64
+def first_field(item: bytes) -> bytes:
+    """The bytes before the item's first TAB: every stage's shuffle key, and
+    the key of an engine item."""
+    return item[: item.index(b"\t")]
 
 
 @dataclass
@@ -54,9 +58,10 @@ class JobStats:
     """Filled in as a job runs; spill_runs is the observable for scale tests.
 
     peak_buffer_bytes is the largest in-memory buffer one sort of the job
-    held, which is that sort's whole footprint.  A sort that spilled holds
-    no buffer while it merges, so sorts chained lazily (as in join2 and
-    join3) hold two buffers at once only when the earlier one never
+    held, as an exact byte count: sys.getsizeof(item) plus an 8-byte list
+    slot per item (the list's spare capacity aside).  A sort that spilled
+    holds no buffer while it merges, so sorts chained lazily (as in join2
+    and join3) hold two buffers at once only when the earlier one never
     spilled; this figure does not add those two up.
     """
 
@@ -77,50 +82,42 @@ class _Spill:
         fd, self.path = tempfile.mkstemp(prefix="run-", suffix=".spill", dir=spill_dir)
         self._fh = os.fdopen(fd, "wb", buffering=1 << 16)
 
-    def write_items(self, items: Iterable[KeyedItem]) -> None:
+    def write_items(self, items: Iterable[bytes]) -> None:
         write = self._fh.write
-        for key, tag, value in items:
-            write(_RUN_HEADER.pack(len(key), tag, len(value)))
-            write(key)
-            write(value)
+        for item in items:
+            write(len(item).to_bytes(4, "little"))
+            write(item)
         self._fh.close()
 
-    def read_items(self) -> Iterator[KeyedItem]:
+    def read_items(self) -> Iterator[bytes]:
         try:
             with open(self.path, "rb", buffering=1 << 16) as fh:
-                while True:
-                    header = fh.read(_RUN_HEADER.size)
-                    if not header:
-                        return
-                    if len(header) != _RUN_HEADER.size:
+                read = fh.read
+                while header := read(4):
+                    size = int.from_bytes(header, "little")
+                    item = read(size)
+                    if len(item) != size or len(header) != 4:
                         raise EngineError(f"truncated spill run {self.path}")
-                    klen, tag, vlen = _RUN_HEADER.unpack(header)
-                    key = fh.read(klen)
-                    value = fh.read(vlen)
-                    if len(key) != klen or len(value) != vlen:
-                        raise EngineError(f"truncated spill run {self.path}")
-                    yield key, tag, value
+                    yield item
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(self.path)
-            except OSError:
-                pass
 
 
 class ExternalSorter:
-    """Buffers (key, tag, value) items, spilling sorted runs past the budget."""
+    """Buffers byte-string items, spilling sorted runs past the budget."""
 
     def __init__(self, budget_bytes: int, spill_dir: str, stats: JobStats | None = None):
         self.budget_bytes = max(budget_bytes, 1)
         self.spill_dir = spill_dir
         self.stats = stats if stats is not None else JobStats()
-        self._buffer: list[KeyedItem] = []
+        self._buffer: list[bytes] = []
         self._buffer_bytes = 0
         self._runs: list[_Spill] = []
 
-    def add(self, item: KeyedItem) -> None:
+    def add(self, item: bytes) -> None:
         self._buffer.append(item)
-        self._buffer_bytes += len(item[0]) + len(item[2]) + _ITEM_OVERHEAD
+        self._buffer_bytes += len(item) + _ITEM_OVERHEAD
         if self._buffer_bytes >= self.budget_bytes:
             self._spill()
 
@@ -136,8 +133,8 @@ class ExternalSorter:
         self._buffer = []
         self._buffer_bytes = 0
 
-    def iter_sorted(self) -> Iterator[KeyedItem]:
-        """Consume the sorter: yields all items sorted by (key, tag, value).
+    def iter_sorted(self) -> Iterator[bytes]:
+        """Consume the sorter: yields all items in ascending byte order.
 
         A sort that never spilled yields from memory.  One that did spills
         its tail as one more run and merges runs only, so it holds no buffer
@@ -155,17 +152,13 @@ class ExternalSorter:
 
 
 def external_sort(
-    items: Iterable[KeyedItem],
-    cfg: ExecConfig,
-    stats: JobStats | None = None,
-) -> Iterator[KeyedItem]:
-    """Sort an arbitrarily large stream by (key, tag, value)."""
+    items: Iterable[bytes], cfg: ExecConfig, stats: JobStats | None = None
+) -> Iterator[bytes]:
+    """Sort an arbitrarily large stream of byte strings."""
     return _sorted(items, cfg, stats)
 
 
-def _sorted(
-    items: Iterable[KeyedItem], cfg: ExecConfig, stats: JobStats | None
-) -> Iterator[KeyedItem]:
+def _sorted(items: Iterable[bytes], cfg: ExecConfig, stats: JobStats | None) -> Iterator[bytes]:
     # The sort path of external_sort and run_group_by: one sorter with the
     # whole budget in a job-scoped spill dir, made at the first item pulled
     # and removed when the merge ends or the generator is closed.
@@ -215,44 +208,47 @@ def _spill_scope(cfg: ExecConfig) -> Iterator[str]:
         shutil.rmtree(path, ignore_errors=True)
 
 
-ReduceFn = Callable[[bytes, Iterator[tuple[int, bytes]]], Iterable[bytes]]
+def _tag_items(inputs: list[tuple[int, Iterable[bytes]]], stats: JobStats) -> Iterator[bytes]:
+    # `key TAB rest` becomes `key TAB tag-byte rest`.  The replace adds a
+    # byte only where it found a TAB, and a TAB in front is an empty key.
+    for tag, stream in inputs:
+        tab_tag = b"\t" + bytes((tag,))
+        n = 0
+        for item in stream:
+            tagged = item.replace(b"\t", tab_tag, 1)
+            if len(tagged) == len(item) or item[0] == 9:
+                raise EngineError(f"input item has an empty key or no TAB: {item[:60]!r}")
+            yield tagged
+            n += 1
+        stats.items_in += n
 
 
 def run_group_by(
     inputs: list[tuple[int, Iterable[bytes]]],
     key_fn: Callable[[bytes], bytes],
-    reduce_fn: ReduceFn,
+    reduce_fn: Callable[[bytes, Iterator[bytes]], Iterable[bytes]],
     cfg: ExecConfig,
     stats: JobStats | None = None,
 ) -> Iterator[bytes]:
     """Group all tagged input items by key and reduce each group once.
 
-    reduce_fn(key, tagged_values) sees the group's (tag, item) pairs sorted
-    by (tag, item bytes) and must be pure.  Outputs come in ascending key
-    order, each group's in the order reduce_fn yields them.
+    An input item is `key TAB rest` with a non-empty key, and a tag is one
+    byte (0-255).  key_fn reads the key of an engine item back; every caller
+    passes first_field.  reduce_fn(key, items) sees the group's engine items
+    `key TAB tag-byte rest` sorted by (tag, rest bytes), finds the tag at
+    item[len(key) + 1] and the rest from len(key) + 2 on, and must be pure.
+    Outputs come in ascending key order, each group's in the order reduce_fn
+    yields them.
     """
     if stats is None:
         stats = JobStats()
-
-    def keyed() -> Iterator[KeyedItem]:
-        for tag, stream in inputs:
-            n = 0
-            for item in stream:
-                key = key_fn(item)
-                if not key:
-                    raise EngineError("key_fn produced an empty key")
-                yield key, tag, item
-                n += 1
-            stats.items_in += n
-
     # closing() removes the spill dir as soon as a reduce raises, even while
     # the raised exception's traceback keeps this frame alive.
-    with contextlib.closing(_sorted(keyed(), cfg, stats)) as items:
-        for key, group in itertools.groupby(items, key=itemgetter(0)):
+    with contextlib.closing(_sorted(_tag_items(inputs, stats), cfg, stats)) as items:
+        for key, group in itertools.groupby(items, key=key_fn):
             stats.keys_reduced += 1
-            tagged = ((tag, value) for _, tag, value in group)
             try:
-                yield from reduce_fn(key, tagged)
+                yield from reduce_fn(key, group)
             except FlatlinkError:
                 raise  # domain errors already name their context
             except Exception as exc:

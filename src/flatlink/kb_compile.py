@@ -77,19 +77,16 @@ def _encode_triple(triple: Triple, seq: int) -> bytes:
     )
 
 
-def _subject_of(item: bytes) -> bytes:
-    return item[: item.index(b"\t")]
-
-
-def _reduce_entity(key: bytes, tagged: Iterator[tuple[int, bytes]]):
-    # Items arrive sorted by (predicate, seq), and UTF-8 byte order is code
-    # point order, so predicates come in record_from_triples' key order with
-    # their values in input order.  Exact duplicate (kind, lexical) values of
-    # one predicate keep their first occurrence.
-    start = len(key) + 1
+def _reduce_entity(key: bytes, items: Iterator[bytes]):
+    # Engine items `subject TAB tag predicate TAB seq8 kind lexical` arrive
+    # sorted by (predicate, seq), and UTF-8 byte order is code point order,
+    # so predicates come in record_from_triples' key order with their values
+    # in input order.  Exact duplicate (kind, lexical) values of one
+    # predicate keep their first occurrence.
+    start = len(key) + 2
     tokens = [escape_token_bytes(key)]
     predicate = None
-    for _, item in tagged:
+    for item in items:
         tab = item.index(b"\t", start)
         if item[start:tab] != predicate:
             predicate = item[start:tab]
@@ -138,7 +135,7 @@ def compile_kb(
 
     lines = engine.run_group_by(
         [(0, items())],
-        _subject_of,
+        engine.first_field,
         _reduce_entity,
         cfg,
         stats=stats,

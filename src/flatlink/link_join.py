@@ -223,52 +223,52 @@ def _check_uri(uri: bytes, path: str, line_no: int) -> None:
         )
 
 
-def _first_field(item: bytes) -> bytes:
-    return item[: item.index(b"\t")]
-
-
 def _entity_line(key: bytes, seen: bytes | None, item: bytes, side: str) -> bytes:
     """The entity line of a tag-0 item; one key has at most one."""
     if seen is not None:
         raise LinkJoinError(
             f"duplicate subject {key.decode('utf-8', 'replace')!r} in {side} entity file"
         )
-    return item[len(key) + 1 :]
+    return item[len(key) + 2 :]
 
 
-def _reduce_by_right(key: bytes, tagged: Iterator[tuple[int, bytes]]):
+# Each reduce below reads an engine item `key TAB tag-byte rest` in place:
+# the tag at item[len(key) + 1] and the rest from len(key) + 2 on.
+
+
+def _reduce_by_right(key: bytes, items: Iterator[bytes]):
     # tag 0: the right entity line; tag 1: ground-truth items r \t l, sorted
     # by l with duplicates adjacent.  Yields l \t r \t right-line once per
     # unique pair, with an empty right line when r has none.
+    at = len(key) + 1
     line = None
     prev = None
-    for tag, item in tagged:
-        if tag == 0:
+    for item in items:
+        if item[at] == 0:
             line = _entity_line(key, line, item, "right")
         elif item != prev:
             prev = item
-            yield item[len(key) + 1 :] + b"\t" + key + b"\t" + (line or b"")
+            yield item[at + 1 :] + b"\t" + key + b"\t" + (line or b"")
 
 
 _DROPPED_LEFT = b"L"
 _DROPPED_RIGHT = b"R"
 
 
-def _reduce_by_left(
-    sentinels: tuple[bytes, bytes], key: bytes, tagged: Iterator[tuple[int, bytes]]
-):
+def _reduce_by_left(sentinels: tuple[bytes, bytes], key: bytes, items: Iterator[bytes]):
     # tag 0: the left entity line; tag 1: _reduce_by_right's items, sorted by
     # r, so the matches of one key leave in link-id order.  A match is the
     # output line after its link id; a drop is one marker byte.
     s_left, s_right = sentinels
+    at = len(key) + 1
     line = None
-    for tag, item in tagged:
-        if tag == 0:
+    for item in items:
+        if item[at] == 0:
             line = _entity_line(key, line, item, "left")
         elif line is None:
             yield _DROPPED_LEFT
         else:
-            right = item[item.index(b"\t", len(key) + 1) + 1 :]
+            right = item[item.index(b"\t", at + 1) + 1 :]
             if right:
                 yield b"\t".join((b"", s_left, line, s_right, right)) + b"\n"
             else:
@@ -307,7 +307,7 @@ def join2(
 
     by_right = engine.run_group_by(
         [(0, _iter_entity_items(right_path)), (1, gt_items())],
-        _first_field,
+        engine.first_field,
         _reduce_by_right,
         cfg,
         stats=stats,
@@ -316,7 +316,7 @@ def join2(
         # by_right first: the first shuffle drains, and its sorter's buffer
         # goes, before this one buffers the left file.  Tags set the order.
         [(1, by_right), (0, _iter_entity_items(left_path))],
-        _first_field,
+        engine.first_field,
         functools.partial(
             _reduce_by_left, (sentinel_left.encode("utf-8"), sentinel_right.encode("utf-8"))
         ),
@@ -380,6 +380,7 @@ def _split_2way(line: bytes) -> list[bytes]:
         and link_id
         and not link_id.startswith(b'""')
         and not _UNSAFE_URI_BYTE.search(link_id)
+        and b"," not in link_id
     ):
         # Each slot holds the tab after its sentinel, then the record.
         return [link_id, parts[1], parts[2][1:], parts[3], parts[4][1:]]
@@ -387,6 +388,9 @@ def _split_2way(line: bytes) -> list[bytes]:
     check_link_id(parsed.link_id)
     if len(parsed.groups) != 2:
         raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
+    if "," in parsed.link_id:
+        # The output id is `idA,idB`: ids `a,b` + `c` and `a` + `b,c` would share it.
+        raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
     (label_a, slot_a), (label_b, slot_b) = parsed.groups
     return [field.encode("utf-8") for field in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
 
@@ -425,15 +429,16 @@ def _iter_2way(
             yield uri, link_id, other_label, {shared_label: shared_slot, other_label: other_slot}
 
 
-def _reduce_by_uri(key: bytes, tagged: Iterator[tuple[int, bytes]]):
+def _reduce_by_uri(key: bytes, items: Iterator[bytes]):
     # tag 0: left items `uri \t idA \t C \t record`; tag 1: right items
     # `uri \t idB \t label \t slot`.  Yields each left item once as
     # `idA \t \t C \t record`, whose empty field sorts before every idB,
     # then `idA \t idB \t label \t slot` per pair.  Only the ids are held.
+    at = len(key) + 1
     ids = []
-    for tag, item in tagged:
-        rest = item[len(key) + 1 :]
-        if tag == 0:
+    for item in items:
+        rest = item[at + 1 :]
+        if item[at] == 0:
             id_a, record = rest.split(b"\t", 1)
             ids.append(id_a)
             yield id_a + b"\t\t" + record
@@ -442,14 +447,15 @@ def _reduce_by_uri(key: bytes, tagged: Iterator[tuple[int, bytes]]):
                 yield id_a + b"\t" + rest
 
 
-def _reduce_by_left_id(left_path: str, key: bytes, tagged: Iterator[tuple[int, bytes]]):
+def _reduce_by_left_id(left_path: str, key: bytes, items: Iterator[bytes]):
     # The left line comes first and its matches follow sorted by idB, so the
     # output lines leave in (idA, idB) order.  C's record goes where the left
     # record holds a newline.
     head = None
     id_a = key.decode("utf-8", "replace")
-    for _, item in tagged:
-        id_b, label, value = item[len(key) + 1 :].split(b"\t", 2)
+    start = len(key) + 2  # every item has tag 0
+    for item in items:
+        id_b, label, value = item[start:].split(b"\t", 2)
         if not id_b:
             if head is not None:
                 raise LinkJoinError(
@@ -480,7 +486,8 @@ def join3(
     Every AB line pairs with every CB line holding the same shared-KB URI;
     the shared record is taken from the AB side.  Output is sorted by idA,
     then idB, and each first slot reads ``idA,idB``.  AB link ids must be
-    unique; ids in both files must hold no control or space character.
+    unique; ids in both files must hold no control or space character and,
+    so that no two pairs share an output id, no comma.
     """
     if len(order) != 3 or len(set(order)) != 3:
         raise LinkJoinError("order must list 3 distinct KB labels")
@@ -509,10 +516,17 @@ def join3(
             yield b"\t".join((uri, link_id, other_label.encode("utf-8"), slots[other_label]))
 
     by_uri = engine.run_group_by(
-        [(0, left_items()), (1, right_items())], _first_field, _reduce_by_uri, cfg, stats=stats
+        [(0, left_items()), (1, right_items())],
+        engine.first_field,
+        _reduce_by_uri,
+        cfg,
+        stats=stats,
     )
     by_left_id = engine.run_group_by(
-        [(0, by_uri)], _first_field, functools.partial(_reduce_by_left_id, ab_path), cfg,
+        [(0, by_uri)],
+        engine.first_field,
+        functools.partial(_reduce_by_left_id, ab_path),
+        cfg,
         stats=stats,
     )
     with engine.atomic_output(out_path) as out:

@@ -426,7 +426,7 @@ def _write_scale_kb(path, kb: str, n_subjects: int, rng) -> int:
 
 @pytest.mark.slow
 def test_criterion_8_memory_bounded_scale(tmp_path):
-    with criterion(8, "1M-triple pair compiles and joins under a 64 MiB budget"):
+    with criterion(8, "1M-triple pair compiles and joins under a 32 MiB budget"):
         started = time.monotonic()
         rng = random.Random(8)
         n_subjects = 50_000
@@ -437,7 +437,7 @@ def test_criterion_8_memory_bounded_scale(tmp_path):
         assert total >= 1_000_000
 
         cfg = ExecConfig(
-            memory_budget_bytes=64 * 1024 * 1024,
+            memory_budget_bytes=32 * 1024 * 1024,
             spill_dir=str(tmp_path / "spill"),
         )
         stats = JobStats()

@@ -1,14 +1,20 @@
 import collections
+import itertools
 import os
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatlink import engine
 from flatlink.engine import (
     ExecConfig,
     JobStats,
     atomic_output,
     external_sort,
+    first_field,
     run_group_by,
 )
 from flatlink.errors import EngineError
@@ -23,7 +29,7 @@ def cfg_for(tmp_path, **kw) -> ExecConfig:
 # --- external sort ---------------------------------------------------------
 
 def test_sort_already_sorted(tmp_path):
-    items = [(b"a", 0, b"1"), (b"b", 0, b"2"), (b"c", 0, b"3")]
+    items = [b"a\t1", b"b\t2", b"c\t3"]
     assert list(external_sort(iter(items), cfg_for(tmp_path))) == items
 
 
@@ -34,8 +40,7 @@ def test_sort_empty(tmp_path):
 def test_sort_spills_and_matches_in_memory_oracle(tmp_path):
     rng = random.Random(1)
     items = [
-        (f"k{rng.randrange(1000):04}".encode(), rng.randrange(3), f"v{i}".encode())
-        for i in range(20_000)
+        f"k{rng.randrange(1000):04}\t{rng.randrange(3)}v{i}".encode() for i in range(20_000)
     ]
     reverse_sorted = sorted(items, reverse=True)
     stats = JobStats()
@@ -48,24 +53,29 @@ def test_sort_spills_and_matches_in_memory_oracle(tmp_path):
 
 def test_sort_cleans_spill_files(tmp_path):
     cfg = cfg_for(tmp_path, memory_budget_bytes=1024)
-    items = [(f"{i:05}".encode(), 0, b"x" * 50) for i in range(2000)]
+    items = [f"{i:05}\t".encode() + b"x" * 50 for i in range(2000)]
     list(external_sort(iter(items), cfg))
     assert list((tmp_path / "spill").iterdir()) == []
 
 
 # --- group by --------------------------------------------------------------
 
-def count_reduce(key, tagged):
+def count_reduce(key, items):
     n = 0
-    for _ in tagged:
+    for _ in items:
         n += 1
     yield key + b":" + str(n).encode()
 
 
+def untag(key, item):
+    """(tag, input item) of an engine item `key TAB tag-byte rest`."""
+    return item[len(key) + 1], key + b"\t" + item[len(key) + 2 :]
+
+
 def test_word_count(tmp_path):
-    items = [b"a", b"b", b"a"]
+    items = [b"a\t", b"b\t", b"a\t"]
     out = list(
-        run_group_by([(0, iter(items))], lambda x: x, count_reduce, cfg_for(tmp_path))
+        run_group_by([(0, iter(items))], first_field, count_reduce, cfg_for(tmp_path))
     )
     assert sorted(out) == [b"a:2", b"b:1"]
 
@@ -73,9 +83,9 @@ def test_word_count(tmp_path):
 def test_cogroup_sees_both_tags_once(tmp_path):
     calls = []
 
-    def reduce_fn(key, tagged):
+    def reduce_fn(key, items):
         groups = collections.defaultdict(list)
-        for tag, value in tagged:
+        for tag, value in (untag(key, item) for item in items):
             groups[tag].append(value)
         calls.append((key, dict(groups)))
         return []
@@ -83,7 +93,7 @@ def test_cogroup_sees_both_tags_once(tmp_path):
     list(
         run_group_by(
             [(0, iter([b"k\tx"])), (1, iter([b"k\ty", b"k\tz"]))],
-            lambda item: item.split(b"\t")[0],
+            first_field,
             reduce_fn,
             cfg_for(tmp_path),
         )
@@ -114,7 +124,7 @@ def test_group_by_matches_oracle_under_tiny_budget(tmp_path):
     got = list(
         run_group_by(
             [(0, iter(items0)), (1, iter(items1))],
-            lambda item: item.split(b"\t")[0],
+            first_field,
             count_reduce,
             cfg_for(tmp_path, memory_budget_bytes=32 * 1024),
         )
@@ -130,7 +140,7 @@ def test_group_by_deterministic_bytes(tmp_path):
         return b"\n".join(
             run_group_by(
                 [(0, iter(items))],
-                lambda item: item.split(b"\t")[0],
+                first_field,
                 count_reduce,
                 cfg_for(tmp_path, memory_budget_bytes=8 * 1024),
             )
@@ -147,8 +157,8 @@ def test_group_by_merged_is_globally_key_sorted(tmp_path):
     out = list(
         run_group_by(
             [(0, iter(items))],
-            lambda item: item.split(b"\t")[0],
-            lambda key, tagged: [key],
+            first_field,
+            lambda key, items: [key],
             cfg_for(tmp_path, memory_budget_bytes=4 * 1024),
             stats=stats,
         )
@@ -161,14 +171,14 @@ def test_group_by_merged_is_globally_key_sorted(tmp_path):
 def test_group_values_arrive_tag_then_value_sorted(tmp_path):
     seen = []
 
-    def reduce_fn(key, tagged):
-        seen.extend(tagged)
+    def reduce_fn(key, items):
+        seen.extend(untag(key, item) for item in items)
         return []
 
     list(
         run_group_by(
             [(1, iter([b"k\t9", b"k\t1"])), (0, iter([b"k\t5", b"k\t0"]))],
-            lambda item: item.split(b"\t")[0],
+            first_field,
             reduce_fn,
             cfg_for(tmp_path),
         )
@@ -177,7 +187,7 @@ def test_group_values_arrive_tag_then_value_sorted(tmp_path):
 
 
 def test_reduce_failure_names_key(tmp_path):
-    def boom(key, tagged):
+    def boom(key, items):
         if key == b"bad":
             raise ValueError("nope")
         return []
@@ -189,7 +199,7 @@ def test_reduce_failure_names_key(tmp_path):
             list(
                 run_group_by(
                     [(0, iter(items))],
-                    lambda item: item.split(b"\t")[0],
+                    first_field,
                     boom,
                     cfg_for(tmp_path, memory_budget_bytes=2048),
                     stats,
@@ -206,7 +216,7 @@ def test_memory_budget_bounds_sort_buffer(tmp_path):
     budget = 64 * 1024
     stats = JobStats()
     # ~10x the budget
-    items = [(b"k%06d" % i, 0, b"v" * 50) for i in range(10_000)]
+    items = [b"k%06d\t" % i + b"v" * 50 for i in range(10_000)]
     list(external_sort(iter(items), cfg_for(tmp_path, memory_budget_bytes=budget), stats))
     assert stats.spill_runs >= 2
     # per-item accounting grants a constant overhead on top of the raw bytes
@@ -223,7 +233,7 @@ def test_skewed_key_streams_through_reducer(tmp_path):
     out = list(
         run_group_by(
             [(0, iter(skewed + rest))],
-            lambda item: item.split(b"\t")[0],
+            first_field,
             count_reduce,
             cfg_for(tmp_path, memory_budget_bytes=16 * 1024),
             stats=stats,
@@ -242,7 +252,7 @@ def test_group_by_million_items_16mib(tmp_path):
     expected = collections.Counter(keys)
     got = run_group_by(
         [(0, (key + b"\t1" for key in keys))],
-        lambda item: item.split(b"\t")[0],
+        first_field,
         count_reduce,
         cfg_for(tmp_path, memory_budget_bytes=16 * 1024 * 1024),
     )
@@ -258,29 +268,114 @@ def test_empty_key_rejected(tmp_path):
         list(
             run_group_by(
                 [(0, iter([b"\tx"]))],
-                lambda item: item.split(b"\t")[0],
+                first_field,
                 count_reduce,
                 cfg_for(tmp_path),
             )
         )
 
 
+# Keys from the bytes above 0x20, with some prefixes of others; payloads with
+# the bytes that delimit items, lines and C strings.
+_KEYS = st.one_of(
+    st.sampled_from([b"a", b"a!", b"ab", b"b", b"\xff", b"a\xff"]),
+    st.lists(st.integers(0x21, 0xFF), min_size=1, max_size=4).map(bytes),
+)
+_PAYLOADS = st.lists(st.sampled_from([b"\t", b"\n", b"\x00", b"x", b"\xff", b"!"]), max_size=6).map(
+    b"".join
+)
+_TRIPLES = st.lists(st.tuples(_KEYS, st.integers(0, 2), _PAYLOADS), min_size=24, max_size=80)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=_TRIPLES, spill=st.booleans())
+def test_group_by_matches_tuple_sort_reference(tmp_path_factory, triples, spill):
+    # The reference orders (key, tag, payload) tuples and groups them by key:
+    # a key that is a prefix of another comes first, as its TAB sorts below
+    # every key byte, and each key's items come by tag, then payload.
+    expected = [
+        (key, [(tag, payload) for _, tag, payload in group])
+        for key, group in itertools.groupby(sorted(triples), key=lambda t: t[0])
+    ]
+    inputs = [
+        (tag, [key + b"\t" + payload for key, t, payload in triples if t == tag])
+        for tag in (2, 0, 1)
+    ]
+    # Two of the largest items fill the budget, so no run holds more than
+    # three items' charge and the 24 or more items make at least 3 runs.
+    charge = max(len(item) + 1 + engine._ITEM_OVERHEAD for _, items in inputs for item in items)
+    tmp_path = tmp_path_factory.mktemp("group")
+    cfg = cfg_for(tmp_path, memory_budget_bytes=2 * charge if spill else 1 << 20)
+    got = []
+
+    def record(key, items):
+        got.append((key, [(item[len(key) + 1], item[len(key) + 2 :]) for item in items]))
+        return []
+
+    stats = JobStats()
+    assert list(run_group_by(inputs, first_field, record, cfg, stats)) == []
+    assert got == expected
+    assert stats.spill_runs >= 3 if spill else stats.spill_runs == 0
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [b"no tab", b"\tempty key", b""])
+def test_item_without_a_key_field_rejected(tmp_path, bad):
+    items = [b"k%04d\tx" % i for i in range(500)] + [bad]
+    stats = JobStats()
+    with pytest.raises(EngineError, match="empty key or no TAB"):
+        try:
+            list(
+                run_group_by(
+                    [(0, iter(items))],
+                    first_field,
+                    count_reduce,
+                    cfg_for(tmp_path, memory_budget_bytes=2048),
+                    stats,
+                )
+            )
+        finally:
+            left_behind = list((tmp_path / "spill").iterdir())
+    assert stats.spill_runs >= 2
+    assert left_behind == []
+
+
+# Bytes cut off the run's end: into the last item, all of it, and all but
+# the first byte of its length, which alone reads as a length of 0.
+@pytest.mark.parametrize("cut", [1, 256, 259])
+def test_truncated_spill_run_names_the_run(tmp_path, cut):
+    run = engine._Spill(str(tmp_path))
+    run.write_items([b"a\t\x00first", b"b\t\x00" + b"s" * 253])  # 4 + 8, then 4 + 256 bytes
+    with open(run.path, "r+b") as fh:
+        fh.truncate(272 - cut)
+    with pytest.raises(EngineError, match=f"truncated spill run {run.path}"):
+        list(run.read_items())
+    assert not os.path.exists(run.path)
+
+
+def test_item_charge_is_its_real_size(tmp_path):
+    items = [b"k\t", b"key\t" + b"v" * 100, "ключ\tзначение".encode()]
+    stats = JobStats()
+    assert list(external_sort(iter(items), cfg_for(tmp_path), stats)) == sorted(items)
+    assert stats.peak_buffer_bytes == sum(sys.getsizeof(item) + 8 for item in items)
+
+
 def test_bad_config_rejected(tmp_path):
     with pytest.raises(EngineError, match="memory_budget_bytes"):
         list(external_sort(iter([]), ExecConfig(memory_budget_bytes=0)))
     with pytest.raises(EngineError, match="memory_budget_bytes"):
-        list(run_group_by([], lambda x: x, count_reduce, ExecConfig(memory_budget_bytes=0)))
+        list(run_group_by([], first_field, count_reduce, ExecConfig(memory_budget_bytes=0)))
 
 
 def test_one_sorter_gets_the_whole_budget(tmp_path):
-    # 1000 items of 85 charged bytes fit a 100 KB budget in one sorter; a
+    # 1000 items of 57 charged bytes fit a 100 KB budget in one sorter; a
     # budget split between sorters would spill.
     items = [b"k%05d\t" % i + b"v" * 8 for i in range(1000)]
     stats = JobStats()
     out = list(
         run_group_by(
             [(0, iter(items))],
-            lambda item: item.split(b"\t")[0],
+            first_field,
             count_reduce,
             cfg_for(tmp_path, memory_budget_bytes=100_000),
             stats=stats,
@@ -295,15 +390,15 @@ def test_spill_dir_is_job_scoped_and_removed(tmp_path):
     spill = tmp_path / "spill"
     seen = []
 
-    def reduce_fn(key, tagged):
+    def reduce_fn(key, items):
         seen.append(sorted(p.name for p in spill.iterdir()))
-        yield from (value for _, value in tagged)
+        yield from items
 
     items = [b"k%04d\tx" % i for i in range(2000)]
     list(
         run_group_by(
             [(0, iter(items))],
-            lambda item: item.split(b"\t")[0],
+            first_field,
             reduce_fn,
             cfg_for(tmp_path, memory_budget_bytes=8 * 1024),
         )

@@ -291,7 +291,8 @@ def test_parse_link_line_rows(line, expected):
 def reference_split_2way(line: bytes) -> list[bytes]:
     """join3's line checks as they ran on decoded text, before its reader
     split bytes: raw CR (which text mode read as a line end), UTF-8, the
-    line split, the link-id rule and the group count."""
+    line split, the link-id rule, the group count and join3's own rule
+    that a 2-way id holds no comma."""
     if b"\r" in line:
         raise LinkJoinError("raw control byte 0x0d")
     try:
@@ -302,6 +303,8 @@ def reference_split_2way(line: bytes) -> list[bytes]:
     check_link_id(parsed.link_id)
     if len(parsed.groups) != 2:
         raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
+    if "," in parsed.link_id:
+        raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
     (label_a, slot_a), (label_b, slot_b) = parsed.groups
     return [f.encode("utf-8") for f in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
 
@@ -315,7 +318,7 @@ _SLOT_TEXT = st.lists(
 ).map("".join)
 two_way_lines = st.builds(
     lambda id_, a, left, b, right: f"{id_}\t{a}-instance\t{left}\t{b}-instance\t{right}",
-    st.one_of(st.sampled_from(["fd-1", "", '""fd-1""', '""fd']), _SLOT_TEXT),
+    st.one_of(st.sampled_from(["fd-1", "", '""fd-1""', '""fd', "fd,1", ","]), _SLOT_TEXT),
     st.sampled_from(["freebase", "dbpedia"]),
     _SLOT_TEXT,
     st.sampled_from(["dbpedia", "yago"]),
@@ -358,6 +361,10 @@ def test_split_2way_matches_text_checks(line):
          (LinkJoinError, "empty record slot under 'freebase'")),
         (b"\tfreebase-instance\tf\tdbpedia-instance\td",
          (LinkJoinError, "empty link id slot")),
+        (b"fd,1\tfreebase-instance\tf\tdbpedia-instance\td",
+         (LinkJoinError, "bad link id: 'fd,1' holds a comma")),
+        (b'""fd,1""\tfreebase-instance\tf\tdbpedia-instance\td',
+         (LinkJoinError, "bad link id: '\"\"fd,1\"\"' holds a comma")),
     ],
 )
 def test_split_2way_rows(line, expected):
@@ -856,6 +863,8 @@ JOIN3_INPUT_ERRORS = {
     "duplicate-left-id": ("left", lambda l: _replace_id(l, "fd-1"), "duplicate link id"),
     "space-in-id": ("left", lambda l: _replace_id(l, "fd 60"), "bad link id"),
     "control-in-id": ("right", lambda l: _replace_id(l, "yd\x0160"), "bad link id"),
+    "comma-in-id": ("left", lambda l: _replace_id(l, "fd,60"), "holds a comma"),
+    "comma-in-id-right": ("right", lambda l: _replace_id(l, "yd,60"), "holds a comma"),
     "unclosed-wrapper-id": ("right", lambda l: _replace_id(l, '""yd-60'),
                             "unbalanced literal quotes"),
     "one-kb-twice": ("right", lambda l: l.replace("yago-instance", "dbpedia-instance"),
@@ -949,6 +958,30 @@ def test_join3_shared_uri_with_tab_is_error(tmp_path):
         )
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_join3_rejects_a_comma_in_a_link_id(tmp_path, side):
+    # join3 writes `idA,idB`, so left ids `a,b` and `a` with right ids `c`
+    # and `b,c` on one shared URI would give two lines the id `a,b,c`.
+    _, d1 = entity("http://d/1", age=["1"])
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("", entity(f"http://f/{i}", name=["f"])[1], "", d1) for i in range(2)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("", entity(f"http://y/{i}", label=["y"])[1], "", d1) for i in range(2)])
+    for path, ids in ((fd, ["a,b" if side == "left" else "a:b", "a"]),
+                      (yd, ["c", "b,c" if side == "right" else "b:c"])):
+        lines = [_replace_id(line, new_id) for line, new_id in zip(read_lines(path), ids)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+    bad, line_no, bad_id = (fd, 1, "a,b") if side == "left" else (yd, 2, "b,c")
+    with pytest.raises(LinkJoinError) as excinfo:
+        join3(
+            fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+            str(tmp_path / "out"), cfg_for(tmp_path),
+        )
+    assert str(excinfo.value) == f"{bad}:{line_no}: bad link id: {bad_id!r} holds a comma"
+    assert not (tmp_path / "out").exists()
+
+
 def test_join3_shared_label_absent_from_line(tmp_path):
     _, f1 = entity("http://f/1", name=["f"])
     _, y1 = entity("http://y/1", label=["y"])
@@ -976,7 +1009,7 @@ def live_buffer_peak(monkeypatch):
             sorters.append(self)
 
         def add(self, item):
-            charge = len(item[0]) + len(item[2]) + engine._ITEM_OVERHEAD
+            charge = len(item) + engine._ITEM_OVERHEAD
             live = sum(s._buffer_bytes for s in sorters if s._buffer) + charge
             peak["bytes"] = max(peak["bytes"], live)
             peak["item"] = max(peak["item"], charge)
