@@ -5,9 +5,12 @@ triple; subjects spread over multiple input files merge into a single
 record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
-Each line is written straight from the subject's sorted item bytes; it is
-byte-equal to ``serialize_record(record_from_triples(...))`` of the same
-triples, which ``reference_lines`` computes in memory.
+Items are built straight from the bytes of each matched input line
+(``iter_triple_bytes``), and each line is written straight from the
+subject's sorted item bytes.  It is byte-equal to
+``serialize_record(record_from_triples(...))`` of the triples
+``iter_triples`` reads from the same files, which ``reference_lines``
+computes in memory.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .flat_record import (
     record_from_triples,
     serialize_record,
 )
-from .rdf_ingest import LITERAL, ParseReport, Triple, iter_triples
+from .rdf_ingest import ParseReport, Triple, iter_triple_bytes, iter_triples
 
 _SEQ = struct.Struct(">Q")
 
@@ -61,22 +64,6 @@ class CompileReport:
         )
 
 
-def _encode_triple(triple: Triple, seq: int) -> bytes:
-    # subject \t predicate \t seq8 kind obj; subject/predicate are free of
-    # bytes <= 0x20, so byte order on the item equals (subject, predicate,
-    # seq) order and split(b"\t", 2) recovers the fields unambiguously.
-    kind = b"L" if triple.object.kind == LITERAL else b"U"
-    return (
-        triple.subject.encode("utf-8")
-        + b"\t"
-        + triple.predicate.encode("utf-8")
-        + b"\t"
-        + _SEQ.pack(seq)
-        + kind
-        + triple.object.lexical.encode("utf-8")
-    )
-
-
 def _reduce_entity(key: bytes, items: Iterator[bytes]):
     # Engine items `subject TAB tag predicate TAB seq8 kind lexical` arrive
     # sorted by (predicate, seq), and UTF-8 byte order is code point order,
@@ -103,13 +90,17 @@ def _reduce_entity(key: bytes, items: Iterator[bytes]):
     yield b"\t".join(tokens)
 
 
-def reference_lines(triples: Iterable[Triple]) -> list[bytes]:
-    """compile_kb's output lines for `triples`, built in memory through
-    record_from_triples and serialize_record: the oracle its reduce must
-    match byte for byte."""
+def reference_lines(
+    paths: Iterable[str], report: ParseReport | None = None
+) -> list[bytes]:
+    """compile_kb's output lines for the files `paths`, read through
+    iter_triples and built in memory through record_from_triples and
+    serialize_record: the oracle its items and reduce must match byte for
+    byte."""
     by_subject: dict[str, list[Triple]] = {}
-    for triple in triples:
-        by_subject.setdefault(triple.subject, []).append(triple)
+    for path in paths:
+        for triple in iter_triples(path, report):
+            by_subject.setdefault(triple.subject, []).append(triple)
     return [
         serialize_record(record_from_triples(subject, by_subject[subject])).encode("utf-8")
         for subject in sorted(by_subject)
@@ -128,10 +119,13 @@ def compile_kb(
         stats = engine.JobStats()
 
     def items() -> Iterator[bytes]:
+        # subject TAB predicate TAB seq8 kind lexical.  Subject and predicate
+        # hold no byte <= 0x20, so byte order on the item is (subject,
+        # predicate, seq) order and the TABs split it unambiguously.
         seq = itertools.count()
         for path in spec.input_paths:
-            for triple in iter_triples(path, report.parse):
-                yield _encode_triple(triple, next(seq))
+            for subject, predicate, value in iter_triple_bytes(path, report.parse):
+                yield b"%b\t%b\t%b%b" % (subject, predicate, _SEQ.pack(next(seq)), value)
 
     lines = engine.run_group_by(
         [(0, items())],

@@ -117,6 +117,14 @@ def check_link_id(link_id: str) -> None:
         literal_body(link_id)
 
 
+def check_2way_id(link_id: str) -> None:
+    """The rule join3 and validate add for a 2-way link id: no comma.
+    join3's output id is `idA,idB`, so ids `a,b` + `c` and `a` + `b,c`
+    would share it."""
+    if "," in link_id:
+        raise LinkJoinError(f"bad link id: {link_id!r} holds a comma")
+
+
 def load_ground_truth(
     path: str,
     format: str,
@@ -388,9 +396,7 @@ def _split_2way(line: bytes) -> list[bytes]:
     check_link_id(parsed.link_id)
     if len(parsed.groups) != 2:
         raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
-    if "," in parsed.link_id:
-        # The output id is `idA,idB`: ids `a,b` + `c` and `a` + `b,c` would share it.
-        raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
+    check_2way_id(parsed.link_id)
     (label_a, slot_a), (label_b, slot_b) = parsed.groups
     return [field.encode("utf-8") for field in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
 

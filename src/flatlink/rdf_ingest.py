@@ -18,13 +18,26 @@ Every line is first tried against one anchored regex for
 with an optional trailing comment, where URIs may hold ``\\u``/``\\U``
 escapes and literals those and the ECHARs (``\\t``, ``\\"``, ...); a datatype
 IRI or language tag holds no escape.  A matched line without a backslash
-yields its groups as they are; one with escapes is decoded with ``re.sub``.
-If decoding shows the line is bad (a surrogate or out-of-range code point, or
+yields its groups as they are.  An escaped body is decoded by one codec
+call, ``unicode_escape`` after ``backslashreplace``, which is sound because
+the regex has proved that every backslash starts a well-formed escape.  If
+decoding shows the line is bad (a surrogate or out-of-range code point, or
 a URI that decodes to a control or space character), the line falls back.
 Lines the regex does not match (blanks, comments, escapes in a datatype or
 label, and anything malformed) and the lines that fall back go to the
 character parser, which alone decides error reasons.  A line parsed on the
 fast path yields the triple the character parser would.
+
+``iter_triples`` reads text: it serves ground truth and is the oracle of
+compile's path, ``iter_triple_bytes``, which yields each triple as the
+UTF-8 bytes of its subject, predicate and kind byte plus lexical form, for
+compile to build its engine item from.  It reads the file as bytes, splits
+lines where text mode does (LF, CR LF and a lone CR), checks a non-ASCII
+line as UTF-8 once, and matches a bytes twin of the regex built from the
+same pieces.  That twin keeps bytes >= 0x80 out of blank node labels and
+language tags, since in a bytes pattern ``\\s`` knows only ASCII whitespace.
+A line it misses, or one that falls back, is decoded and handed to
+``parse_ntriples_line``.
 
 ``Triple`` and ``ObjectValue`` are named tuples, so each compares equal to
 the plain tuple of its fields.
@@ -37,7 +50,7 @@ import io
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import NTriplesParseError
 
@@ -75,20 +88,36 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # unrolled loop, normal* (special normal*)*, so a failing line cannot
 # backtrack beyond linear time.  A language tag stops where the character
 # parser's does, at whitespace or '.'; a datatype IRI holds no escape.
+#
+# The bytes twin is built from the same pieces.  In a bytes pattern \s and \S
+# know only ASCII whitespace, so there blank node labels and language tags
+# also leave out every byte >= 0x80: a line with a non-ASCII label or tag,
+# which might end at Unicode whitespace, misses and falls back.
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _URI_CHARS = r"[^\x00-\x20>\\]"
 _URI = rf"<(?=[^>])({_URI_CHARS}*(?:{_UCHAR}{_URI_CHARS}*)*)>"
-_BNODE = r"(_:[^\s\x00-\x20\\]+)(?!\S)"
 _LIT_CHARS = r'[^"\\\t]'
 _LITERAL = rf'"({_LIT_CHARS}*(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_LIT_CHARS}*)*)"'
-_FAST_LINE = re.compile(
-    rf"[ \t]*(?:{_URI}|{_BNODE})[ \t]*{_URI}[ \t]*"
-    rf"(?:{_URI}|{_BNODE}|{_LITERAL}(?:@[^\s.\\]+|\^\^<{_URI_CHARS}+>)?)"
-    r"[ \t]*\.[ \t]*(?:#.*)?",
-    re.DOTALL,
-)
-_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
-_CONTROL_OR_SPACE = re.compile(r"[\x00-\x20]")
+
+
+def _line_pattern(non_ascii: str) -> str:
+    bnode = rf"(_:[^\s\x00-\x20\\{non_ascii}]+)(?!\S)"
+    return (
+        rf"[ \t]*(?:{_URI}|{bnode})[ \t]*{_URI}[ \t]*"
+        rf"(?:{_URI}|{bnode}|{_LITERAL}(?:@[^\s.\\{non_ascii}]+|\^\^<{_URI_CHARS}+>)?)"
+        r"[ \t]*\.[ \t]*(?:#.*)?"
+    )
+
+
+_FAST_LINE = re.compile(_line_pattern(""), re.DOTALL)
+_FAST_LINE_BYTES = re.compile(_line_pattern(r"\x80-\xff").encode("ascii"), re.DOTALL)
+_CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
+
+# Byte values for `in` tests on bytes: `int in bytes` is one memchr, while
+# `bytes in bytes` first tries its operand as an integer and pays for the
+# TypeError, several times slower per line.
+_CR = ord("\r")
+_BACKSLASH = ord("\\")
 
 
 class ObjectValue(NamedTuple):
@@ -214,24 +243,35 @@ def _skip_ws(line: str, i: int) -> int:
 
 
 # Decoding a fast-path match raises ValueError where the character parser
-# would reject the line; parse_ntriples_line then hands the line to it.
-def _unescape(m: re.Match) -> str:
-    hexpart = m[1] or m[2]
-    if hexpart is None:
-        return _ECHAR[m[3]]
-    cp = int(hexpart, 16)
-    if 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF:
-        raise ValueError("surrogate or out of range")
-    return chr(cp)
+# would reject the line; the caller then hands the line to it.
+def _decode_escapes(body: bytes) -> bytes:
+    """Decode the UCHARs and ECHARs of a UTF-8 body the line regex matched.
+
+    One codec call: unicode_escape reads the body's escapes, each of which
+    means to Python what it means to N-Triples, after backslashreplace has
+    written each non-ASCII character as a Python escape for it to read back.
+    Sound only because the regex has proved that every backslash of the body
+    starts a well-formed ECHAR or UCHAR.  A code point above U+10FFFF raises
+    UnicodeDecodeError, and a surrogate fails the strict UTF-8 encoding.
+    """
+    if not body.isascii():
+        body = body.decode("utf-8").encode("ascii", "backslashreplace")
+    return body.decode("unicode_escape").encode("utf-8")
 
 
-def _unescape_uri(body: str | None) -> str | None:
-    if body is None or "\\" not in body:
+def _decode_uri(body: bytes | None) -> bytes | None:
+    if body is None or _BACKSLASH not in body:
         return body
-    uri = _ESCAPE.sub(_unescape, body)
+    uri = _decode_escapes(body)
     if _CONTROL_OR_SPACE.search(uri):
         raise ValueError("control or space character")
     return uri
+
+
+def _decode_text(decode, body: str | None) -> str | None:
+    if body is None or "\\" not in body:
+        return body
+    return decode(body.encode("utf-8")).decode("utf-8")
 
 
 def parse_ntriples_line(line: str) -> Triple | None:
@@ -246,11 +286,10 @@ def parse_ntriples_line(line: str) -> Triple | None:
     subject, s_bnode, predicate, uri, o_bnode, lexical = m.groups()
     if "\\" in line:
         try:
-            subject = _unescape_uri(subject)
-            predicate = _unescape_uri(predicate)
-            uri = _unescape_uri(uri)
-            if lexical is not None and "\\" in lexical:
-                lexical = _ESCAPE.sub(_unescape, lexical)
+            subject = _decode_text(_decode_uri, subject)
+            predicate = _decode_text(_decode_uri, predicate)
+            uri = _decode_text(_decode_uri, uri)
+            lexical = _decode_text(_decode_escapes, lexical)
         except ValueError:
             return _parse_line_slow(line)
     if lexical is None:
@@ -336,17 +375,19 @@ def render_triple(triple: Triple) -> str:
     return f"{term(triple.subject)} {term(triple.predicate)} {obj} ."
 
 
+def _open_bytes(path: str | os.PathLike) -> BinaryIO:
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rb")
+    return open(path, "rb")
+
+
 def open_text(path: str | os.PathLike) -> io.TextIOBase:
     """Open a plain or gzip-compressed text file for reading.
 
     Bytes that are not valid UTF-8 decode to lone surrogates instead of
     raising, so one bad line cannot abort the rest of the file.
     """
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(
-            gzip.open(path, "rb"), encoding="utf-8", errors="surrogateescape"
-        )
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    return io.TextIOWrapper(_open_bytes(path), encoding="utf-8", errors="surrogateescape")
 
 
 def not_utf8(line: str) -> bool:
@@ -385,3 +426,74 @@ def iter_triples(
         report.triples_ok += 1
         yield triple
 
+
+def _lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The lines of a binary file, without terminators, split where text
+    mode's universal newlines split them: at LF, CR LF and a lone CR."""
+    for raw in fh:
+        if _CR in raw:
+            yield from raw.splitlines()  # bytes split at exactly these three
+        else:
+            yield raw.rstrip(b"\n")
+
+
+def _fast_triple_bytes(line: bytes) -> tuple[bytes, bytes, bytes] | None:
+    """The triple of a UTF-8 line in the fast path's shape, or None when the
+    line must go to parse_ntriples_line: it misses the regex, or decoding its
+    escapes finds what the character parser rejects."""
+    m = _FAST_LINE_BYTES.fullmatch(line)
+    if m is None:
+        return None
+    subject, s_bnode, predicate, uri, o_bnode, lexical = m.groups()
+    if _BACKSLASH in line:
+        try:
+            subject = _decode_uri(subject)
+            predicate = _decode_uri(predicate)
+            uri = _decode_uri(uri)
+            if lexical is not None and _BACKSLASH in lexical:
+                lexical = _decode_escapes(lexical)
+        except ValueError:
+            return None
+    if lexical is None:
+        return subject or s_bnode, predicate, b"U" + (uri or o_bnode)
+    return subject or s_bnode, predicate, b"L" + lexical
+
+
+def iter_triple_bytes(
+    path: str | os.PathLike, report: ParseReport
+) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """Yield (subject, predicate, kind + lexical) as UTF-8 bytes, the kind
+    byte b"U" or b"L", for the triples iter_triples(path) yields, in order,
+    filling `report` as it does.
+
+    The file is read as bytes; a non-ASCII line is checked as UTF-8 once,
+    and a line in the fast path's shape is cut from its match.  Every other
+    line is decoded and parsed by parse_ntriples_line.
+    """
+    with _open_bytes(path) as fh:
+        for line_no, line in enumerate(_lines(fh), 1):
+            report.lines_total += 1
+            if not line.isascii():
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    report.record_error(line_no, "not UTF-8")
+                    continue
+            triple = _fast_triple_bytes(line)
+            if triple is None:
+                try:
+                    parsed = parse_ntriples_line(line.decode("utf-8"))
+                except NTriplesParseError as exc:
+                    report.record_error(line_no, str(exc))
+                    continue
+                if parsed is None:
+                    report.lines_blank += 1
+                    continue
+                subject, predicate, (kind, lexical) = parsed
+                triple = (
+                    subject.encode("utf-8"),
+                    predicate.encode("utf-8"),
+                    (b"L" if kind == LITERAL else b"U") + lexical.encode("utf-8"),
+                )
+            report.triples_ok += 1
+            yield triple

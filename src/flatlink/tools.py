@@ -17,7 +17,7 @@ from typing import Iterator
 from .engine import atomic_output
 from .errors import FlatlinkError
 from .flat_record import parse_record, record_tokens, unescape_token
-from .link_join import check_link_id, parse_link_line
+from .link_join import check_2way_id, check_link_id, parse_link_line
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -121,6 +121,8 @@ def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[list[str]]]:
         raise FlatlinkError(
             f"expected {_ARITY[mode]} record groups, found {len(parsed.groups)}"
         )
+    if mode == "link2":
+        check_2way_id(parsed.link_id)  # a link3 id is `idA,idB`
     return parsed.link_id, [_checked_tokens(slot) for _, slot in parsed.groups]
 
 

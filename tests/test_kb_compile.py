@@ -1,4 +1,5 @@
 import collections
+import gzip
 import os
 import tempfile
 
@@ -10,7 +11,7 @@ from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import FlatlinkError
 from flatlink.flat_record import parse_record
 from flatlink.kb_compile import KbSpec, compile_kb, reference_lines
-from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, Triple
+from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, ParseReport, Triple
 
 from conftest import synth_triples, write_nt
 
@@ -253,6 +254,89 @@ def test_compile_lines_equal_the_record_oracle(triples, files):
         cfg = ExecConfig(memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
         report = compile_kb(KbSpec("kb", paths, out), cfg)
         assert report.skipped_lines == 0
-        in_order = [t for i in range(files) for t in triples[i::files]]
         with open(out, "rb") as fh:
-            assert fh.read() == b"".join(line + b"\n" for line in reference_lines(in_order))
+            assert fh.read() == b"".join(line + b"\n" for line in reference_lines(paths))
+
+
+# Raw N-Triples terms for the bytes path: UTF-8 text, UCHAR and ECHAR
+# escapes (the surrogate, out-of-range and control ones fall back), an
+# escaped backslash beside non-ASCII text, and U+00A0, U+0085 and U+2028,
+# which str patterns count as whitespace and bytes patterns do not, inside
+# blank node labels and language tags.
+def _u(cp: int) -> bytes:
+    return b"\\u%04X" % cp
+
+
+def _U(cp: int) -> bytes:
+    return b"\\U%08X" % cp
+
+
+_E_ACUTE = chr(0xE9).encode()
+_NBSP = chr(0xA0).encode()
+_NEL = chr(0x85).encode()
+_LSEP = chr(0x2028).encode()
+_RAW_URIS = [b"<http://x/a>", b"<http://x/b>", b"<http://x/" + _E_ACUTE + b">",
+             b"<http://x/" + _u(0xE9) + b">", b"<http://x/" + _U(0x1F600) + b">",
+             b"<http://x/" + _U(0x10FFFF) + b">", b"<http://x/a" + _u(0x20) + b"b>",
+             b"<http://x/" + _u(0x0A) + b">", b"<http://x/" + _u(0xD800) + b">",
+             b"<http://x/" + _U(0x110000) + b">", b"<http://x/" + _U(0x80000000) + b">",
+             b"_:b1", b"_:b" + _NBSP + b"x", b"_:b" + _NEL, b"_:" + _LSEP + b"y"]
+_RAW_LITERALS = [b'"v"', b'""', b'"a\\\\xe9"', b'"' + _E_ACUTE + b'\\\\"',
+                 b'"\\\\' + _E_ACUTE + b'"', b'"\\t\\"\\n\\r\\b\\f\\\'"',
+                 b'"caf' + _u(0xE9) + b'"', b'"' + _u(0xDFFF) + b'"',
+                 b'"' + _U(0x110000) + b'"', b'"' + _U(0x80000000) + b'"',
+                 b'"' + chr(0x4E2D).encode() + b' x"',
+                 b'"tab\there"', b'"bad \\q"']
+_RAW_SUFFIXES = [b"", b"@en", b"@e" + _NBSP + b"n", b"@en" + _LSEP, b"@" + _NEL,
+                 b"^^<http://x/dt>", b"^^<>"]
+_RAW_TAILS = [b" .", b".", b"\t. # note", b" . \\ x", b" . junk", b" .\x0b", b" ." + _NBSP]
+_RAW_WHOLE = [b"", b"   ", b"# comment", b"garbage", b"<http://x/a> <http://x/p>",
+              b"\xff\xfe not UTF-8", b'<http://x/a> <http://x/p> "\xc3" .',
+              b"\xef\xbb\xbf<http://x/a> <http://x/p> <http://x/b> ."]
+_ENDINGS = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def _raw_line(draw) -> bytes:
+    if draw(st.integers(0, 5)) == 0:
+        line = draw(st.sampled_from(_RAW_WHOLE))
+    else:
+        obj = draw(st.one_of(
+            st.sampled_from(_RAW_URIS),
+            st.tuples(st.sampled_from(_RAW_LITERALS), st.sampled_from(_RAW_SUFFIXES)).map(b"".join),
+        ))
+        sep = draw(st.sampled_from([b" ", b"\t", b""]))
+        line = sep.join([
+            draw(st.sampled_from(_RAW_URIS)),
+            draw(st.sampled_from(_RAW_URIS[:7])),
+            obj,
+        ]) + draw(st.sampled_from(_RAW_TAILS))
+    if draw(st.booleans()) and line:
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from([b"\\", b'"', b">", b" ", b"\xa0", b"\r"])) + line[i:]
+    return line + draw(st.sampled_from(_ENDINGS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_raw_line(), min_size=1, max_size=24), st.data())
+def test_compile_from_bytes_matches_the_text_oracle(lines, data):
+    # compile reads raw bytes, plain and .gz; reference_lines reads the same
+    # files in text mode through iter_triples, whose line splitting, UTF-8
+    # check, parse and report compile must reproduce exactly.
+    split = data.draw(st.integers(0, len(lines)))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "a.nt"), os.path.join(tmp, "b.nt.gz")]
+        with open(paths[0], "wb") as fh:
+            fh.write(b"".join(lines[:split]))
+        with gzip.open(paths[1], "wb") as fh:
+            # One good line, with no line end, so the KB is never empty.
+            fh.write(b"".join(lines[split:]) + b"<http://x/z> <http://x/p> <http://x/o> .")
+        out = os.path.join(tmp, "kb.ents")
+        cfg = ExecConfig(memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
+        report = compile_kb(KbSpec("kb", paths, out), cfg)
+        expected = ParseReport()
+        lines_expected = reference_lines(paths, expected)
+        with open(out, "rb") as fh:
+            assert fh.read() == b"".join(line + b"\n" for line in lines_expected)
+    fields = ("lines_total", "triples_ok", "lines_skipped", "lines_blank", "first_errors")
+    assert [getattr(report.parse, f) for f in fields] == [getattr(expected, f) for f in fields]

@@ -15,6 +15,8 @@ from flatlink.rdf_ingest import (
     ObjectValue,
     ParseReport,
     Triple,
+    _decode_escapes,
+    _decode_uri,
     _parse_line_slow,
     iter_triples,
     parse_ntriples_line,
@@ -294,6 +296,48 @@ def test_out_of_range_escapes_are_malformed(escape):
 def test_escapes_next_to_surrogates_still_decode():
     t = parse_ntriples_line('<http://x/a> <http://x/p> "\\uD7FF\\uE000\\U0001F600" .')
     assert t.object.lexical == "\ud7ff\ue000\U0001f600"
+
+
+# --- codec unescape ----------------------------------------------------------
+# One codec call decodes a matched body.  It must refuse what the character
+# parser refuses, and backslashreplace must not let a Python-only escape
+# such as \xNN, or a non-ASCII character after an escaped backslash, read
+# differently from N-Triples.
+
+
+@pytest.mark.parametrize("escape", ["\\uD800", "\\uDFFF", "\\U00110000", "\\U80000000"])
+def test_codec_unescape_rejects_surrogates_and_out_of_range(escape):
+    with pytest.raises(ValueError):
+        _decode_escapes(f"x{escape}y".encode())
+    with pytest.raises(ValueError):
+        _decode_uri(f"http://x/{escape}".encode())
+
+
+@pytest.mark.parametrize("escape", ["\\u0020", "\\u000A", "\\u0000", "\\U0000001F"])
+def test_codec_unescape_rejects_control_or_space_in_uri(escape):
+    assert _decode_escapes(escape.encode()) == chr(int(escape[2:], 16)).encode()
+    with pytest.raises(ValueError):
+        _decode_uri(f"http://x/a{escape}b".encode())
+
+
+@pytest.mark.parametrize(
+    "body, decoded",
+    [
+        ("\\U0010FFFF", "\U0010ffff"),
+        ("a\\\\xe9", "a\\xe9"),  # an escaped backslash, then x, e, 9: not U+00E9
+        ("\\\\é", "\\é"),
+        ("é\\\\", "é\\"),
+        ("é\\\\中\\\\u0041", "é\\中\\u0041"),
+        ("\\t\\b\\n\\r\\f\\\"\\'\\\\", "\t\b\n\r\f\"'\\"),
+        ("caf\\u00E9 \\U0001F600 é", "café \U0001f600 é"),
+    ],
+)
+def test_codec_unescape_decodes_like_the_character_parser(body, decoded):
+    assert _decode_escapes(body.encode()) == decoded.encode()
+    line = f'<http://x/a> <http://x/p> "{body}" .'
+    assert _parse_line_slow(line).object.lexical == decoded
+    assert parse_ntriples_line(line).object.lexical == decoded
+    assert rdf_ingest._fast_triple_bytes(line.encode())[2] == b"L" + decoded.encode()
 
 
 # --- fast path vs character parser -----------------------------------------

@@ -391,6 +391,7 @@ def test_filter_and_stats_skip_what_validate_flags(tmp_path, case):
     ("link2", "fd 1", "bad link id: 'fd 1' holds a control or space character"),
     ("link3", "fd-1,yd\x011", "bad link id: 'fd-1,yd\\x011' holds a control or space character"),
     ("link2", '""fd-1', "unbalanced literal quotes in token '\"\"fd-1'"),
+    ("link2", "fd,1", "bad link id: 'fd,1' holds a comma"),
 ])
 def test_validate_applies_join3_link_id_rule(tmp_path, mode, link_id, reason):
     rec = entity_line("http://f/1", FOOT)
@@ -439,7 +440,7 @@ _RECORDS = st.builds(
 )
 _MUTATIONS = (
     None, "cr", "utf8", "quote-uri", "quote-key", "quote-value", "quote-id",
-    "backslash", "drop-tab", "space-id",
+    "backslash", "drop-tab", "space-id", "comma-id",
 )
 _ROWS = st.lists(
     st.tuples(
@@ -471,8 +472,8 @@ def _mutated_line(mode, link_id, records, mutation, at):
         if spots:
             i = spots[at % len(spots)]
             tokens[i] = '""' + tokens[i]
-    elif mutation == "space-id" and groups:
-        tokens[0] = tokens[0].replace("-", " ", 1)
+    elif mutation in ("space-id", "comma-id") and groups:
+        tokens[0] = tokens[0].replace("-", " " if mutation == "space-id" else ",", 1)
     text = "\t".join(tokens)
     if mutation == "drop-tab":
         tabs = [i for i, c in enumerate(text) if c == "\t"]
