@@ -34,8 +34,9 @@ UTF-8 bytes of its subject, predicate and kind byte plus lexical form, for
 compile to build its engine item from.  It reads the file as bytes, splits
 lines where text mode does (LF, CR LF and a lone CR), checks a non-ASCII
 line as UTF-8 once, and matches a bytes twin of the regex built from the
-same pieces.  That twin keeps bytes >= 0x80 out of blank node labels and
-language tags, since in a bytes pattern ``\\s`` knows only ASCII whitespace.
+same pieces.  That twin keeps the bytes 0x1C-0x1F and 0x80-0xFF out of
+blank node labels and language tags: ``str.isspace()`` holds for some of
+them, while in a bytes pattern ``\\s`` knows only `` \\t\\n\\r\\f\\v``.
 A line it misses, or one that falls back, is decoded and handed to
 ``parse_ntriples_line``.
 
@@ -89,10 +90,12 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # backtrack beyond linear time.  A language tag stops where the character
 # parser's does, at whitespace or '.'; a datatype IRI holds no escape.
 #
-# The bytes twin is built from the same pieces.  In a bytes pattern \s and \S
-# know only ASCII whitespace, so there blank node labels and language tags
-# also leave out every byte >= 0x80: a line with a non-ASCII label or tag,
-# which might end at Unicode whitespace, misses and falls back.
+# The bytes twin is built from the same pieces.  In a str pattern \s is
+# str.isspace(), which also holds for the ASCII separators 0x1C-0x1F and for
+# non-ASCII whitespace; in a bytes pattern \s and \S know only
+# " \t\n\r\f\v".  So there blank node labels and language tags also leave
+# out 0x1C-0x1F and every byte >= 0x80: a line with such a byte in a label or
+# tag, where the character parser might end the term, misses and falls back.
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _URI_CHARS = r"[^\x00-\x20>\\]"
 _URI = rf"<(?=[^>])({_URI_CHARS}*(?:{_UCHAR}{_URI_CHARS}*)*)>"
@@ -110,7 +113,7 @@ def _line_pattern(non_ascii: str) -> str:
 
 
 _FAST_LINE = re.compile(_line_pattern(""), re.DOTALL)
-_FAST_LINE_BYTES = re.compile(_line_pattern(r"\x80-\xff").encode("ascii"), re.DOTALL)
+_FAST_LINE_BYTES = re.compile(_line_pattern(r"\x1c-\x1f\x80-\xff").encode("ascii"), re.DOTALL)
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 
 # Byte values for `in` tests on bytes: `int in bytes` is one memchr, while

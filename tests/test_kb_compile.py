@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import FlatlinkError
-from flatlink.flat_record import parse_record
+from flatlink.flat_record import parse_record, record_from_triples, serialize_record
 from flatlink.kb_compile import KbSpec, compile_kb, reference_lines
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, ParseReport, Triple
 
@@ -220,11 +220,12 @@ def test_invalid_utf8_line_is_skipped(tmp_path):
 
 # Lexical forms that hit every branch of the token codec: the literal
 # wrapper look-alike, sentinel shapes, backslashes, TAB/LF/CR, raw \b and
-# \f (left unescaped by serialize_record), non-ASCII text.
+# \f (left unescaped by serialize_record), non-ASCII text, and non-ASCII
+# text beside escapes, which the codec must read back as N-Triples does.
 _NASTY = ['""', '""x', 'x""', "dbpedia-instance", "my-kb.2-instance", "\\", "\\s",
-          "a\tb", "a\nb\rc", "\b\f", "", "é中", "http://x/o"]
+          "a\tb", "a\nb\rc", "\b\f", "", "é中", "http://x/o", "é\\xe9\t中"]
 _URIS = ["http://x/a", "dbpedia-instance", '""s', "http://x/\\b", "http://x/é",
-         "http://x/中", "kb-instance", "http://x/o"]
+         "http://x/中", "kb-instance", "http://x/o", "http://x/é\\中"]
 _compile_triples = st.lists(
     st.builds(
         Triple,
@@ -254,8 +255,20 @@ def test_compile_lines_equal_the_record_oracle(triples, files):
         cfg = ExecConfig(memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
         report = compile_kb(KbSpec("kb", paths, out), cfg)
         assert report.skipped_lines == 0
+        # The records built from the drawn triples themselves, in file order,
+        # check compile's unescaping against data no parser produced.
+        by_subject = {}
+        for i in range(files):
+            for t in triples[i::files]:
+                by_subject.setdefault(t.subject, []).append(t)
+        from_triples = [
+            serialize_record(record_from_triples(s, by_subject[s])).encode("utf-8")
+            for s in sorted(by_subject)
+        ]
         with open(out, "rb") as fh:
-            assert fh.read() == b"".join(line + b"\n" for line in reference_lines(paths))
+            written = fh.read()
+        assert written == b"".join(line + b"\n" for line in from_triples)
+        assert written == b"".join(line + b"\n" for line in reference_lines(paths))
 
 
 # Raw N-Triples terms for the bytes path: UTF-8 text, UCHAR and ECHAR
@@ -288,7 +301,7 @@ _RAW_LITERALS = [b'"v"', b'""', b'"a\\\\xe9"', b'"' + _E_ACUTE + b'\\\\"',
                  b'"' + chr(0x4E2D).encode() + b' x"',
                  b'"tab\there"', b'"bad \\q"']
 _RAW_SUFFIXES = [b"", b"@en", b"@e" + _NBSP + b"n", b"@en" + _LSEP, b"@" + _NEL,
-                 b"^^<http://x/dt>", b"^^<>"]
+                 b"@en\x1c", b"@e\x1fn", b"^^<http://x/dt>", b"^^<>"]
 _RAW_TAILS = [b" .", b".", b"\t. # note", b" . \\ x", b" . junk", b" .\x0b", b" ." + _NBSP]
 _RAW_WHOLE = [b"", b"   ", b"# comment", b"garbage", b"<http://x/a> <http://x/p>",
               b"\xff\xfe not UTF-8", b'<http://x/a> <http://x/p> "\xc3" .',
@@ -313,7 +326,7 @@ def _raw_line(draw) -> bytes:
         ]) + draw(st.sampled_from(_RAW_TAILS))
     if draw(st.booleans()) and line:
         i = draw(st.integers(0, len(line)))
-        line = line[:i] + draw(st.sampled_from([b"\\", b'"', b">", b" ", b"\xa0", b"\r"])) + line[i:]
+        line = line[:i] + draw(st.sampled_from([b"\\", b'"', b">", b" ", b"\xa0", b"\x1c", b"\r"])) + line[i:]
     return line + draw(st.sampled_from(_ENDINGS))
 
 

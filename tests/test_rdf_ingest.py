@@ -354,8 +354,23 @@ def _takes_fast_path(line: str) -> bool:
     return _FAST_LINE.fullmatch(line) is not None
 
 
+def _bytes_outcome(line: str):
+    """What compile's bytes fast path makes of `line`: None when it leaves
+    the line to parse_ntriples_line, else the triple it yields."""
+    triple = rdf_ingest._fast_triple_bytes(line.encode())
+    if triple is None:
+        return None
+    subject, predicate, obj = (part.decode() for part in triple)
+    return ("ok", Triple(subject, predicate, ObjectValue(LITERAL if obj[0] == "L" else URI, obj[1:])))
+
+
 def _check_routing(line: str, fast: bool) -> None:
     expected = _outcome(_parse_line_slow, line)
+    # The bytes twin takes no line the str regex leaves, and yields only
+    # what the character parser does.
+    assert _bytes_outcome(line) in (None, expected)
+    if not fast:
+        assert _bytes_outcome(line) is None
     with mock.patch.object(rdf_ingest, "_parse_line_slow", wraps=_parse_line_slow) as slow:
         assert _outcome(parse_ntriples_line, line) == expected
     # A line the regex matches is parsed there, unless decoding shows that it
@@ -419,6 +434,25 @@ def test_fast_path_takes_exactly_its_shape(line, fast):
     _check_routing(line, fast)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '<a> <p> "v"@en\x1c .',
+        '<a> <p> "v"@e\x1fn .',
+        '<a> <p> "v"@e\xa0n .',
+        '<a> <p> "v"@en\u2028 .',
+        "_:b\x1c <p> <c> .",
+        "<a> <p> _:b\x1d .",
+        "_:b\x85 <p> <c> .",
+    ],
+)
+def test_bytes_fast_path_leaves_str_whitespace_to_the_character_parser(line):
+    # str.isspace() holds for 0x1C-0x1F, U+0085, U+00A0 and U+2028, where the
+    # character parser ends a language tag or label; a bytes \s does not.
+    assert rdf_ingest._fast_triple_bytes(line.encode()) is None
+    assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
+
+
 _LONG_FAILING_LINES = {
     "unclosed-echar-literal": '<a> <p> "' + "\\t" * 100_000,
     "unclosed-literal": '<a> <p> "' + "a" * 100_000,
@@ -468,7 +502,7 @@ _CLEAN_TRIPLES = _triples(_RAW + '<>"\\', _RAW + ' <>"\\\t\n\r\b\x0b\x1c')
 _ANY_TRIPLES = _triples(_ANY, _ANY)
 _UCHARS = ["\\u{:04X}", "\\u{:04x}", "\\U{:08X}"]
 _SUFFIXES = ["", "@en", "@en-GB", "^^<http://x/dt>"]
-_BAD_SUFFIXES = ["@", "@e\x0b", "@e.", "^^<>", "^^dt", "^^<a b>"]
+_BAD_SUFFIXES = ["@", "@e\x0b", "@en\x1c", "@e\x1fn", "@e.", "^^<>", "^^dt", "^^<a b>"]
 _TAILS = ["", " ", "\t", " # note", "#", " # a \\ b"]
 _BAD_TAILS = [" garbage", ".", " . .", "\x0b"]
 _INSERTS = list("\t\x0b\x85\xa0\x1c\x7fé\\\"<>#. @^")
