@@ -5,12 +5,13 @@ triple; subjects spread over multiple input files merge into a single
 record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
-Items are built straight from the bytes of each matched input line
-(``iter_triple_bytes``), and each line is written straight from the
-subject's sorted item bytes.  It is byte-equal to
-``serialize_record(record_from_triples(...))`` of the triples
-``iter_triples`` reads from the same files, which ``reference_lines``
-computes in memory.
+Items are built straight from the bytes of each input line that
+``iter_triple_bytes`` matches with its line regex, and each line is written
+straight from the subject's sorted item bytes.  It is byte-equal to
+``serialize_record(record_from_triples(...))`` of the triples that the
+reference reader ``iter_triples`` (text mode and the character parser, no
+line regex) reads from the same files, which ``reference_lines`` computes in
+memory.
 """
 
 from __future__ import annotations
@@ -93,10 +94,10 @@ def _reduce_entity(key: bytes, items: Iterator[bytes]):
 def reference_lines(
     paths: Iterable[str], report: ParseReport | None = None
 ) -> list[bytes]:
-    """compile_kb's output lines for the files `paths`, read through
-    iter_triples and built in memory through record_from_triples and
-    serialize_record: the oracle its items and reduce must match byte for
-    byte."""
+    """compile_kb's output lines for the files `paths`, read through the
+    reference reader iter_triples and built in memory through
+    record_from_triples and serialize_record: the oracle its items and
+    reduce must match byte for byte."""
     by_subject: dict[str, list[Triple]] = {}
     for path in paths:
         for triple in iter_triples(path, report):

@@ -32,10 +32,17 @@ from typing import Iterator
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
 from .flat_record import LABEL_RE, SENTINEL_SUFFIX, literal_body, unescape_token
-from .rdf_ingest import URI, ParseReport, iter_triples, not_utf8
+from .rdf_ingest import ParseReport, iter_triple_bytes, not_utf8
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
+
+# Byte values for `in` tests on bytes: `int in bytes` is one memchr, while
+# `bytes in bytes` first tries its operand as an integer and pays for the
+# TypeError, several times slower per line.
+_CR = ord("\r")
+_COMMA = ord(",")
+_BACKSLASH = ord("\\")
 
 
 def sentinel_for(label: str) -> str:
@@ -163,19 +170,23 @@ def load_ground_truth(
                 report.pairs_ok += 1
                 yield left, right
     else:
-        # In a report that starts at zero, as join2's does, lines_total is
-        # the number of the line that produced the triple.  The parser's URIs
-        # and blank-node labels are non-empty and hold no character at or
-        # below U+0020, so its pairs keep the tsv-pairs URI rule unchecked.
-        for triple in iter_triples(path, report):
-            if triple.predicate != sameas_uri:
+        # Read through compile's bytes path, which yields what iter_triples
+        # would, as UTF-8 bytes.  In a report that starts at zero, as join2's
+        # does, lines_total is the number of the line that produced the
+        # triple.  URIs and blank-node labels are non-empty and hold no byte
+        # at or below 0x20, so the pairs keep the tsv-pairs URI rule
+        # unchecked.  A sameas_uri with a lone surrogate (a command-line
+        # argument that is not UTF-8) encodes to bytes no checked line holds.
+        sameas = sameas_uri.encode("utf-8", "surrogatepass")
+        for subject, predicate, obj in iter_triple_bytes(path, report):
+            if predicate != sameas:
                 report.record_error(report.lines_total, f"predicate is not {sameas_uri}")
                 continue
-            if triple.object.kind != URI:
+            if obj[:1] != b"U":  # the kind byte
                 report.record_error(report.lines_total, "sameAs object is a literal")
                 continue
             report.pairs_ok += 1
-            yield triple.subject, triple.object.lexical
+            yield subject.decode("utf-8"), obj[1:].decode("utf-8")
 
 
 @dataclass
@@ -207,7 +218,7 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
             if not line:
                 raise LinkJoinError(f"{path}:{line_no}: blank line in entity file")
             # The line goes into the output verbatim, and validate flags a raw CR.
-            if b"\r" in line:
+            if _CR in line:
                 raise LinkJoinError(f"{path}:{line_no}: bad entity line: raw control byte 0x0d")
             try:
                 text = line.decode("utf-8")
@@ -372,7 +383,7 @@ def _split_2way(line: bytes) -> list[bytes]:
     a clean id and two non-empty slots goes to parse_link_line, which names
     its fault, or accepts it after all."""
     # Text mode would read a CR as a line end; validate flags it.
-    if b"\r" in line:
+    if _CR in line:
         raise LinkJoinError("raw control byte 0x0d")
     if not line.isascii():
         try:
@@ -388,7 +399,7 @@ def _split_2way(line: bytes) -> list[bytes]:
         and link_id
         and not link_id.startswith(b'""')
         and not _UNSAFE_URI_BYTE.search(link_id)
-        and b"," not in link_id
+        and _COMMA not in link_id
     ):
         # Each slot holds the tab after its sentinel, then the record.
         return [link_id, parts[1], parts[2][1:], parts[3], parts[4][1:]]
@@ -426,7 +437,7 @@ def _iter_2way(
                     f"{path}:{line_no}: KB {other_label!r} is not in the output order"
                 )
             uri = shared_slot.split(b"\t", 1)[0]
-            if b"\\" in uri:
+            if _BACKSLASH in uri:
                 try:
                     uri = unescape_token(uri.decode("utf-8")).encode("utf-8")
                 except FlatRecordError as exc:

@@ -13,32 +13,26 @@ Files are decoded as UTF-8 line by line, so a line that is not valid UTF-8
 is malformed too.  Malformed lines never abort a stream: they are counted,
 sampled into the report, and skipped.
 
-Every line is first tried against one anchored regex for
-``(<uri> | _:label) <uri> (<uri> | _:label | "literal"(@lang | ^^<dtype>)?) .``
-with an optional trailing comment, where URIs may hold ``\\u``/``\\U``
-escapes and literals those and the ECHARs (``\\t``, ``\\"``, ...); a datatype
-IRI or language tag holds no escape.  A matched line without a backslash
-yields its groups as they are.  An escaped body is decoded by one codec
-call, ``unicode_escape`` after ``backslashreplace``, which is sound because
-the regex has proved that every backslash starts a well-formed escape.  If
-decoding shows the line is bad (a surrogate or out-of-range code point, or
-a URI that decodes to a control or space character), the line falls back.
-Lines the regex does not match (blanks, comments, escapes in a datatype or
-label, and anything malformed) and the lines that fall back go to the
-character parser, which alone decides error reasons.  A line parsed on the
-fast path yields the triple the character parser would.
-
-``iter_triples`` reads text: it serves ground truth and is the oracle of
-compile's path, ``iter_triple_bytes``, which yields each triple as the
-UTF-8 bytes of its subject, predicate and kind byte plus lexical form, for
-compile to build its engine item from.  It reads the file as bytes, splits
-lines where text mode does (LF, CR LF and a lone CR), checks a non-ASCII
-line as UTF-8 once, and matches a bytes twin of the regex built from the
-same pieces.  That twin keeps the bytes 0x1C-0x1F and 0x80-0xFF out of
-blank node labels and language tags: ``str.isspace()`` holds for some of
-them, while in a bytes pattern ``\\s`` knows only `` \\t\\n\\r\\f\\v``.
-A line it misses, or one that falls back, is decoded and handed to
-``parse_ntriples_line``.
+``parse_ntriples_line`` is the character parser: it reads every line, alone
+names error reasons, and is the reference.  ``iter_triples`` reads a file as
+text through it.  Compile and ground truth read through
+``iter_triple_bytes`` instead, which yields each triple as the UTF-8 bytes of
+its subject, predicate and kind byte plus lexical form.  It reads the file
+as bytes, splits lines where text mode does (LF, CR LF and a lone CR), checks
+a non-ASCII line as UTF-8 once, and fullmatches each line against one bytes
+regex for ``(<uri> | _:label) <uri> (<uri> | _:label | "literal"(@lang |
+^^<dtype>)?) .`` with an optional trailing comment.  URIs may hold
+``\\u``/``\\U`` escapes and literals those and the ECHARs (``\\t``,
+``\\"``, ...); a datatype IRI or language tag holds no escape.  A matched
+body with a backslash is decoded by one codec call, ``unicode_escape`` after
+``backslashreplace``, which is sound because the regex has proved that every
+backslash starts a well-formed escape.  A line the regex misses (blanks,
+comments, escapes in a datatype or label, a byte in a label or tag where the
+character parser might end it, and anything malformed), or whose decoding
+finds what the character parser rejects (a surrogate or out-of-range code
+point, or a URI that decodes to a control or space character), is decoded
+and handed to the character parser.  A line taken from the regex yields the
+triple the character parser would.
 
 ``Triple`` and ``ObjectValue`` are named tuples, so each compares equal to
 the plain tuple of its fields.
@@ -81,39 +75,34 @@ _HEX = re.compile(r"[0-9A-Fa-f]*")
 # is not valid UTF-8 into a lone surrogate; strict UTF-8 never decodes to one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
-# The fast path's line shape, after the W3C N-Triples grammar (UCHAR, ECHAR).
-# URI bodies hold no character <= U+0020, no '>' and no backslash outside a
+# The bytes regex's line shape, after the W3C N-Triples grammar (UCHAR,
+# ECHAR).  URI bodies hold no byte <= 0x20, no '>' and no backslash outside a
 # well-formed UCHAR; literal bodies no quote, raw tab or backslash outside a
-# UCHAR or ECHAR; a blank node label no whitespace, control or backslash, and
-# it ends where the character parser's does, at whitespace.  Each body is an
-# unrolled loop, normal* (special normal*)*, so a failing line cannot
-# backtrack beyond linear time.  A language tag stops where the character
-# parser's does, at whitespace or '.'; a datatype IRI holds no escape.
+# UCHAR or ECHAR; a blank node label no whitespace, control or backslash.
+# Each body is an unrolled loop, normal* (special normal*)*, so a failing
+# line cannot backtrack beyond linear time.  A datatype IRI holds no escape.
 #
-# The bytes twin is built from the same pieces.  In a str pattern \s is
-# str.isspace(), which also holds for the ASCII separators 0x1C-0x1F and for
-# non-ASCII whitespace; in a bytes pattern \s and \S know only
-# " \t\n\r\f\v".  So there blank node labels and language tags also leave
-# out 0x1C-0x1F and every byte >= 0x80: a line with such a byte in a label or
-# tag, where the character parser might end the term, misses and falls back.
+# The character parser ends a blank node label at whitespace, and a language
+# tag at whitespace or '.', by str.isspace(), which also holds for the ASCII
+# separators 0x1C-0x1F and for non-ASCII whitespace; a bytes \s knows only
+# " \t\n\r\f\v".  So labels and tags here also leave out 0x1C-0x1F and
+# every byte >= 0x80: a line with such a byte in a label or tag misses and
+# goes to the character parser.
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _URI_CHARS = r"[^\x00-\x20>\\]"
 _URI = rf"<(?=[^>])({_URI_CHARS}*(?:{_UCHAR}{_URI_CHARS}*)*)>"
 _LIT_CHARS = r'[^"\\\t]'
 _LITERAL = rf'"({_LIT_CHARS}*(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_LIT_CHARS}*)*)"'
-
-
-def _line_pattern(non_ascii: str) -> str:
-    bnode = rf"(_:[^\s\x00-\x20\\{non_ascii}]+)(?!\S)"
-    return (
-        rf"[ \t]*(?:{_URI}|{bnode})[ \t]*{_URI}[ \t]*"
-        rf"(?:{_URI}|{bnode}|{_LITERAL}(?:@[^\s.\\{non_ascii}]+|\^\^<{_URI_CHARS}+>)?)"
+_BNODE = r"(_:[^\s\x00-\x20\\\x80-\xff]+)(?!\S)"
+_LANG = r"@[^\s.\\\x1c-\x1f\x80-\xff]+"
+_FAST_LINE_BYTES = re.compile(
+    (
+        rf"[ \t]*(?:{_URI}|{_BNODE})[ \t]*{_URI}[ \t]*"
+        rf"(?:{_URI}|{_BNODE}|{_LITERAL}(?:{_LANG}|\^\^<{_URI_CHARS}+>)?)"
         r"[ \t]*\.[ \t]*(?:#.*)?"
-    )
-
-
-_FAST_LINE = re.compile(_line_pattern(""), re.DOTALL)
-_FAST_LINE_BYTES = re.compile(_line_pattern(r"\x1c-\x1f\x80-\xff").encode("ascii"), re.DOTALL)
+    ).encode("ascii"),
+    re.DOTALL,
+)
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 
 # Byte values for `in` tests on bytes: `int in bytes` is one memchr, while
@@ -245,7 +234,7 @@ def _skip_ws(line: str, i: int) -> int:
     return i
 
 
-# Decoding a fast-path match raises ValueError where the character parser
+# Decoding a bytes regex match raises ValueError where the character parser
 # would reject the line; the caller then hands the line to it.
 def _decode_escapes(body: bytes) -> bytes:
     """Decode the UCHARs and ECHARs of a UTF-8 body the line regex matched.
@@ -271,37 +260,12 @@ def _decode_uri(body: bytes | None) -> bytes | None:
     return uri
 
 
-def _decode_text(decode, body: str | None) -> str | None:
-    if body is None or "\\" not in body:
-        return body
-    return decode(body.encode("utf-8")).decode("utf-8")
-
-
 def parse_ntriples_line(line: str) -> Triple | None:
-    """Parse one physical line (no terminator).
+    """Parse one physical line (no terminator) with the character parser.
 
     Returns None for blank lines and comment lines; raises
     NTriplesParseError for anything else that is not a well-formed triple.
     """
-    m = _FAST_LINE.fullmatch(line)
-    if m is None:
-        return _parse_line_slow(line)
-    subject, s_bnode, predicate, uri, o_bnode, lexical = m.groups()
-    if "\\" in line:
-        try:
-            subject = _decode_text(_decode_uri, subject)
-            predicate = _decode_text(_decode_uri, predicate)
-            uri = _decode_text(_decode_uri, uri)
-            lexical = _decode_text(_decode_escapes, lexical)
-        except ValueError:
-            return _parse_line_slow(line)
-    if lexical is None:
-        return Triple(subject or s_bnode, predicate, ObjectValue(URI, uri or o_bnode))
-    return Triple(subject or s_bnode, predicate, ObjectValue(LITERAL, lexical))
-
-
-def _parse_line_slow(line: str) -> Triple | None:
-    """The character parser: handles every line, escapes included."""
     i = _skip_ws(line, 0)
     if i == len(line) or line[i] == "#":
         return None
@@ -405,7 +369,8 @@ def iter_triples(
 ) -> Iterator[Triple]:
     """Yield triples from a path or an iterable of lines, filling `report`.
 
-    Never materializes the input; malformed lines are skipped and counted.
+    The reference reader: text mode and the character parser.  Never
+    materializes the input; malformed lines are skipped and counted.
     """
     if report is None:
         report = ParseReport()
@@ -471,7 +436,7 @@ def iter_triple_bytes(
 
     The file is read as bytes; a non-ASCII line is checked as UTF-8 once,
     and a line in the fast path's shape is cut from its match.  Every other
-    line is decoded and parsed by parse_ntriples_line.
+    line is decoded and parsed by the character parser.
     """
     with _open_bytes(path) as fh:
         for line_no, line in enumerate(_lines(fh), 1):

@@ -330,20 +330,17 @@ def _raw_line(draw) -> bytes:
     return line + draw(st.sampled_from(_ENDINGS))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_raw_line(), min_size=1, max_size=24), st.data())
-def test_compile_from_bytes_matches_the_text_oracle(lines, data):
+def _check_compile_against_the_text_oracle(plain: bytes, zipped: bytes) -> None:
     # compile reads raw bytes, plain and .gz; reference_lines reads the same
     # files in text mode through iter_triples, whose line splitting, UTF-8
     # check, parse and report compile must reproduce exactly.
-    split = data.draw(st.integers(0, len(lines)))
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, "a.nt"), os.path.join(tmp, "b.nt.gz")]
         with open(paths[0], "wb") as fh:
-            fh.write(b"".join(lines[:split]))
+            fh.write(plain)
         with gzip.open(paths[1], "wb") as fh:
             # One good line, with no line end, so the KB is never empty.
-            fh.write(b"".join(lines[split:]) + b"<http://x/z> <http://x/p> <http://x/o> .")
+            fh.write(zipped + b"<http://x/z> <http://x/p> <http://x/o> .")
         out = os.path.join(tmp, "kb.ents")
         cfg = ExecConfig(memory_budget_bytes=256, spill_dir=os.path.join(tmp, "spill"))
         report = compile_kb(KbSpec("kb", paths, out), cfg)
@@ -353,3 +350,26 @@ def test_compile_from_bytes_matches_the_text_oracle(lines, data):
             assert fh.read() == b"".join(line + b"\n" for line in lines_expected)
     fields = ("lines_total", "triples_ok", "lines_skipped", "lines_blank", "first_errors")
     assert [getattr(report.parse, f) for f in fields] == [getattr(expected, f) for f in fields]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_raw_line(), min_size=1, max_size=24), st.data())
+def test_compile_from_bytes_matches_the_text_oracle(lines, data):
+    split = data.draw(st.integers(0, len(lines)))
+    _check_compile_against_the_text_oracle(b"".join(lines[:split]), b"".join(lines[split:]))
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_compile_rows_match_the_text_oracle(ending):
+    # Every raw term once in each position, so each one reaches the bytes
+    # regex and its decoding beside terms the regex takes.
+    objects = _RAW_URIS + [lit + suffix for lit in _RAW_LITERALS for suffix in _RAW_SUFFIXES]
+    lines = [b" ".join([s, b"<http://x/p>", o]) + b" ." for s in _RAW_URIS for o in objects]
+    lines += [b" ".join([b"<http://x/a>", p, b'"v"']) + tail
+              for p in _RAW_URIS for tail in _RAW_TAILS]
+    lines += _RAW_WHOLE
+    half = len(lines) // 2
+    _check_compile_against_the_text_oracle(
+        b"".join(line + ending for line in lines[:half]),
+        b"".join(line + ending for line in lines[half:]),
+    )

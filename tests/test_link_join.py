@@ -1,4 +1,7 @@
+import gzip
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from flatlink.errors import FlatRecordError, LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
 from flatlink.link_join import (
     GtReport,
+    OWL_SAMEAS,
     LinkLine,
     _split_2way,
     check_link_id,
@@ -20,7 +24,7 @@ from flatlink.link_join import (
     parse_link_line,
     sentinel_for,
 )
-from flatlink.rdf_ingest import LITERAL, URI, ObjectValue
+from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, iter_triples
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
@@ -147,6 +151,82 @@ def test_gt_line_counts_add_up(tmp_path, fmt):
     assert report.lines_blank == 2
     assert report.lines_skipped == (3 if fmt == "ntriples-sameas" else 2)
     assert report.lines_total == report.pairs_ok + report.lines_skipped + report.lines_blank
+
+
+# Raw ntriples-sameas lines: escaped and non-ASCII URIs, a predicate that
+# is sameAs only once its \u escape is decoded, blank nodes, literal objects,
+# other predicates, lines the bytes regex leaves to the character parser,
+# and lines that are not UTF-8, blank or comments.
+_SAMEAS = b"<http://www.w3.org/2002/07/owl#sameAs>"
+_GT_SUBJECTS = [b"<http://f/1>", b"<http://f/caf\\u00E9>", b"<http://f/" + "é中".encode() + b">",
+                b"<http://f/\\U0001F600>", b"_:b1", b"<http://f/\\uD800>", b"<http://f/a\\u0020b>",
+                b"_:b" + chr(0x85).encode(), b"<http://f/\xff>"]
+_GT_PREDICATES = [_SAMEAS, _SAMEAS, b"<http://www.w3.org/2002/07/owl\\u0023sameAs>",
+                  b"<http://other/p>", b"<http://f/s" + "â".encode() + b"me>"]
+_GT_OBJECTS = [b"<http://d/1>", b"<http://d/" + "ü".encode() + b">", b"<http://d/\\u00FC>",
+               b"_:b2", b'"literal"', b'"lit"@en', b'"\\u00E9"^^<http://x/dt>',
+               b"<http://d/\\U00110000>"]
+_GT_WHOLE = [b"", b"  ", b"# comment", b"not a triple", b"<http://f/1> " + _SAMEAS,
+             b"\xef\xbb\xbf<http://f/1> " + _SAMEAS + b" <http://d/1> ."]
+
+
+@st.composite
+def _gt_raw_line(draw) -> bytes:
+    if draw(st.integers(0, 4)) == 0:
+        line = draw(st.sampled_from(_GT_WHOLE))
+    else:
+        line = b" ".join([
+            draw(st.sampled_from(_GT_SUBJECTS)),
+            draw(st.sampled_from(_GT_PREDICATES)),
+            draw(st.sampled_from(_GT_OBJECTS)),
+        ]) + draw(st.sampled_from([b" .", b".", b" . # note", b" . junk"]))
+    return line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+
+
+def _check_gt_against_the_text_reader(data: bytes, suffix: str, sameas_uri: str, cap: int) -> None:
+    # load_ground_truth reads raw bytes; the reference is the text reader
+    # iter_triples with the loader's two rules applied to each triple.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gt" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(gzip.compress(data) if suffix.endswith(".gz") else data)
+        report = GtReport(error_cap=cap)
+        pairs = list(load_ground_truth(path, "ntriples-sameas", sameas_uri, report))
+        expected, expected_pairs = GtReport(error_cap=cap), []
+        for triple in iter_triples(path, expected):
+            if triple.predicate != sameas_uri:
+                expected.record_error(expected.lines_total, f"predicate is not {sameas_uri}")
+            elif triple.object.kind != URI:
+                expected.record_error(expected.lines_total, "sameAs object is a literal")
+            else:
+                expected.pairs_ok += 1
+                expected_pairs.append((triple.subject, triple.object.lexical))
+    assert pairs == expected_pairs
+    assert all(type(uri) is str for pair in pairs for uri in pair)
+    fields = ("lines_total", "pairs_ok", "triples_ok", "lines_skipped", "lines_blank",
+              "first_errors")
+    assert [getattr(report, f) for f in fields] == [getattr(expected, f) for f in fields]
+    assert report.lines_total == report.pairs_ok + report.lines_skipped + report.lines_blank
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("suffix", [".nt", ".nt.gz"])
+def test_gt_ntriples_sameas_rows_match_the_text_reader(suffix, ending):
+    lines = [b" ".join([s, p, o]) + b" ." for s in _GT_SUBJECTS for p in _GT_PREDICATES[1:]
+             for o in _GT_OBJECTS] + _GT_WHOLE
+    _check_gt_against_the_text_reader(ending.join(lines), suffix, OWL_SAMEAS, cap=1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_gt_raw_line(), max_size=16),
+    st.sampled_from([".nt", ".nt.gz"]),
+    # A lone surrogate, as argv decodes a --sameas-uri that is not UTF-8.
+    st.sampled_from([OWL_SAMEAS, "http://f/sâme", "http://f/s\udcffme"]),
+    st.sampled_from([1, 3, 20]),
+)
+def test_gt_ntriples_sameas_matches_the_text_reader(lines, suffix, sameas_uri, cap):
+    _check_gt_against_the_text_reader(b"".join(lines), suffix, sameas_uri, cap)
 
 
 def test_gt_unknown_format(tmp_path):

@@ -1,15 +1,13 @@
 import re
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink import rdf_ingest
 from flatlink.errors import NTriplesParseError
 from flatlink.rdf_ingest import (
-    _FAST_LINE,
+    _FAST_LINE_BYTES,
     LITERAL,
     URI,
     ObjectValue,
@@ -17,7 +15,7 @@ from flatlink.rdf_ingest import (
     Triple,
     _decode_escapes,
     _decode_uri,
-    _parse_line_slow,
+    _fast_triple_bytes,
     iter_triples,
     parse_ntriples_line,
     render_triple,
@@ -335,12 +333,11 @@ def test_codec_unescape_rejects_control_or_space_in_uri(escape):
 def test_codec_unescape_decodes_like_the_character_parser(body, decoded):
     assert _decode_escapes(body.encode()) == decoded.encode()
     line = f'<http://x/a> <http://x/p> "{body}" .'
-    assert _parse_line_slow(line).object.lexical == decoded
     assert parse_ntriples_line(line).object.lexical == decoded
-    assert rdf_ingest._fast_triple_bytes(line.encode())[2] == b"L" + decoded.encode()
+    assert _fast_triple_bytes(line.encode())[2] == b"L" + decoded.encode()
 
 
-# --- fast path vs character parser -----------------------------------------
+# --- bytes fast path vs character parser -----------------------------------
 
 
 def _outcome(parse, line: str):
@@ -351,13 +348,13 @@ def _outcome(parse, line: str):
 
 
 def _takes_fast_path(line: str) -> bool:
-    return _FAST_LINE.fullmatch(line) is not None
+    return _FAST_LINE_BYTES.fullmatch(line.encode()) is not None
 
 
 def _bytes_outcome(line: str):
-    """What compile's bytes fast path makes of `line`: None when it leaves
-    the line to parse_ntriples_line, else the triple it yields."""
-    triple = rdf_ingest._fast_triple_bytes(line.encode())
+    """What the bytes fast path makes of `line`: None when it leaves the
+    line to the character parser, else the triple it yields."""
+    triple = _fast_triple_bytes(line.encode())
     if triple is None:
         return None
     subject, predicate, obj = (part.decode() for part in triple)
@@ -365,19 +362,15 @@ def _bytes_outcome(line: str):
 
 
 def _check_routing(line: str, fast: bool) -> None:
-    expected = _outcome(_parse_line_slow, line)
-    # The bytes twin takes no line the str regex leaves, and yields only
-    # what the character parser does.
-    assert _bytes_outcome(line) in (None, expected)
-    if not fast:
-        assert _bytes_outcome(line) is None
-    with mock.patch.object(rdf_ingest, "_parse_line_slow", wraps=_parse_line_slow) as slow:
-        assert _outcome(parse_ntriples_line, line) == expected
+    expected = _outcome(parse_ntriples_line, line)
     # A line the regex matches is parsed there, unless decoding shows that it
-    # is bad; then the character parser decides the error reason.
-    assert slow.called == (not fast or expected[0] == "error")
-    if fast and not slow.called:
+    # is bad; then the character parser decides the error reason.  A line
+    # the regex misses always goes to the character parser.
+    if fast and expected[0] == "ok":
         assert isinstance(expected[1], Triple)
+        assert _bytes_outcome(line) == expected
+    else:
+        assert _bytes_outcome(line) is None
 
 
 @pytest.mark.parametrize(
@@ -430,7 +423,6 @@ def _check_routing(line: str, fast: bool) -> None:
 )
 def test_fast_path_takes_exactly_its_shape(line, fast):
     assert _takes_fast_path(line) == fast
-    assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
     _check_routing(line, fast)
 
 
@@ -449,8 +441,8 @@ def test_fast_path_takes_exactly_its_shape(line, fast):
 def test_bytes_fast_path_leaves_str_whitespace_to_the_character_parser(line):
     # str.isspace() holds for 0x1C-0x1F, U+0085, U+00A0 and U+2028, where the
     # character parser ends a language tag or label; a bytes \s does not.
-    assert rdf_ingest._fast_triple_bytes(line.encode()) is None
-    assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
+    assert not _takes_fast_path(line)
+    _check_routing(line, False)
 
 
 _LONG_FAILING_LINES = {
@@ -467,9 +459,11 @@ _LONG_FAILING_LINES = {
 def test_long_failing_line_parses_in_linear_time(case):
     # Nested quantifiers that can split a body two ways backtrack
     # exponentially on a failing line; the unrolled loops do not.
+    line = _LONG_FAILING_LINES[case]
     start = time.perf_counter()
+    assert _fast_triple_bytes(line.encode()) is None
     with pytest.raises(NTriplesParseError):
-        parse_ntriples_line(_LONG_FAILING_LINES[case])
+        parse_ntriples_line(line)
     assert time.perf_counter() - start < 5.0
 
 
@@ -541,5 +535,4 @@ def _adversarial_lines(draw) -> str:
 @settings(max_examples=600, deadline=None)
 @given(_adversarial_lines())
 def test_fast_path_matches_character_parser(line):
-    assert _outcome(parse_ntriples_line, line) == _outcome(_parse_line_slow, line)
     _check_routing(line, _takes_fast_path(line))
