@@ -59,7 +59,7 @@ def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
                 getattr(args, "memory_budget", None),
                 None,
                 "memory_budget_bytes",
-                256 * 1024 * 1024,
+                ExecConfig.memory_budget_bytes,
                 int,
             ),
             spill_dir=pick(
@@ -75,7 +75,8 @@ def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
 def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--memory-budget", type=int, dest="memory_budget",
-        help="memory budget in bytes of each sort, spilling past it (default 256 MiB)",
+        help="memory budget in bytes of each sort, spilling past it"
+        f" (default {ExecConfig.memory_budget_bytes >> 20} MiB)",
     )
     sub.add_argument(
         "--spill-dir", dest="spill_dir",

@@ -83,11 +83,11 @@ class _Spill:
         self._fh = os.fdopen(fd, "wb", buffering=1 << 16)
 
     def write_items(self, items: Iterable[bytes]) -> None:
-        write = self._fh.write
-        for item in items:
-            write(len(item).to_bytes(4, "little"))
-            write(item)
-        self._fh.close()
+        with self._fh as fh:
+            write = fh.write
+            for item in items:
+                write(len(item).to_bytes(4, "little"))
+                write(item)
 
     def read_items(self) -> Iterator[bytes]:
         try:

@@ -9,9 +9,12 @@ A 3-way line carries ``<idA>,<idB>`` in its first slot followed by three
 (sentinel, record) groups.  Sentinels never occur inside record tokens (the
 token escape layer guards them), so every line parses on its own with one
 ``re.split`` on ``TAB (<label>)-instance``, followed by a TAB or the end of
-the line.  join3 runs that split on the bytes of each line, and hands only
-a line it does not cut cleanly into an id and two records to
-``parse_link_line``, which names the fault.
+the line.  The rules of a flat line live here, for join2's entity lines,
+join3's 2-way lines and every line of validate, filter-type and stats:
+``line_text`` refuses a raw CR and bytes that are not UTF-8, and
+``split_link_line`` runs the split on the bytes of a linkage line, handing
+only a line it does not cut cleanly to ``parse_link_line`` and the link-id
+rules, which name the fault.
 
 join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
 left URI the second shuffle's values arrive sorted by right URI, so its
@@ -124,12 +127,59 @@ def check_link_id(link_id: str) -> None:
         literal_body(link_id)
 
 
-def check_2way_id(link_id: str) -> None:
-    """The rule join3 and validate add for a 2-way link id: no comma.
-    join3's output id is `idA,idB`, so ids `a,b` + `c` and `a` + `b,c`
-    would share it."""
-    if "," in link_id:
-        raise LinkJoinError(f"bad link id: {link_id!r} holds a comma")
+def line_text(line: bytes) -> str:
+    """A flat line without its newline as text, or why it is none: a raw CR
+    (the codec escapes CR, so one comes from elsewhere, a CRLF ending, say),
+    or bytes that are not UTF-8.  The first check of every flat line."""
+    if _CR in line:
+        raise LinkJoinError("raw control byte 0x0d")
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LinkJoinError(f"not UTF-8: {exc.reason}") from None
+
+
+def split_link_line(line: bytes, arity: int) -> list[bytes]:
+    """[link id, label, record, label, record, ...] of a linkage line with
+    `arity` record groups, or the reason it is not one.  A line that the
+    bytes split does not cut into a clean id and `arity` non-empty slots goes
+    to the text checks, which name its fault, or accept it after all."""
+    text = line_text(line)
+    parts = _SENTINEL_SPLIT_BYTES.split(line)
+    link_id = parts[0]
+    slots = parts[2::2]
+    if (
+        len(parts) == 2 * arity + 1
+        and all(slots)
+        and link_id
+        and not link_id.startswith(b'""')
+        and not _UNSAFE_URI_BYTE.search(link_id)
+        and (arity != 2 or _COMMA not in link_id)
+    ):
+        # Each slot holds the tab after its sentinel, then the record.
+        parts[2::2] = [slot[1:] for slot in slots]
+        return parts
+    parsed = parse_link_line(text)
+    check_link_id(parsed.link_id)
+    if len(parsed.groups) != arity:
+        raise LinkJoinError(f"expected {arity} record groups, found {len(parsed.groups)}")
+    if arity == 2 and "," in parsed.link_id:
+        # join3 writes `idA,idB`, so ids `a,b` + `c` and `a` + `b,c` would share it.
+        raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
+    fields = [parsed.link_id] + [field for group in parsed.groups for field in group]
+    return [field.encode("utf-8") for field in fields]
+
+
+def _record_uri(record: bytes) -> bytes:
+    """The raw URI of a record: its first token, unescaped when it holds a
+    backslash.  It is a join key, cut off at the item's first tab, so it must
+    be non-empty and hold no byte at or below 0x20."""
+    uri = record.split(b"\t", 1)[0]
+    if _BACKSLASH in uri:
+        uri = unescape_token(uri.decode("utf-8")).encode("utf-8")
+    if not uri or _UNSAFE_URI_BYTE.search(uri):
+        raise LinkJoinError("empty URI or control or space character in URI")
+    return uri
 
 
 def load_ground_truth(
@@ -217,29 +267,13 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
             line = raw.rstrip(b"\n")
             if not line:
                 raise LinkJoinError(f"{path}:{line_no}: blank line in entity file")
-            # The line goes into the output verbatim, and validate flags a raw CR.
-            if _CR in line:
-                raise LinkJoinError(f"{path}:{line_no}: bad entity line: raw control byte 0x0d")
+            # The line goes into the output verbatim, where validate judges it.
             try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise LinkJoinError(f"{path}:{line_no}: bad entity line: not UTF-8") from exc
-            try:
-                uri = unescape_token(text.split("\t", 1)[0])
-            except FlatRecordError as exc:
+                line_text(line)
+                uri = _record_uri(line)
+            except (LinkJoinError, FlatRecordError) as exc:
                 raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
-            key = uri.encode("utf-8")
-            _check_uri(key, path, line_no)
-            yield key + b"\t" + line
-
-
-def _check_uri(uri: bytes, path: str, line_no: int) -> None:
-    # The URI is the join key, cut off at the item's first tab.
-    if not uri or _UNSAFE_URI_BYTE.search(uri):
-        raise LinkJoinError(
-            f"{path}:{line_no}: bad entity line: "
-            "empty URI or control or space character in URI"
-        )
+            yield uri + b"\t" + line
 
 
 def _entity_line(key: bytes, seen: bytes | None, item: bytes, side: str) -> bytes:
@@ -377,41 +411,6 @@ class Join3Report:
         )
 
 
-def _split_2way(line: bytes) -> list[bytes]:
-    """[link id, label, record, label, record] of a 2-way linkage line, or
-    the reason it is not one.  A line that the bytes split does not give as
-    a clean id and two non-empty slots goes to parse_link_line, which names
-    its fault, or accepts it after all."""
-    # Text mode would read a CR as a line end; validate flags it.
-    if _CR in line:
-        raise LinkJoinError("raw control byte 0x0d")
-    if not line.isascii():
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise LinkJoinError("not UTF-8") from None
-    parts = _SENTINEL_SPLIT_BYTES.split(line)
-    link_id = parts[0]
-    if (
-        len(parts) == 5
-        and parts[2]
-        and parts[4]
-        and link_id
-        and not link_id.startswith(b'""')
-        and not _UNSAFE_URI_BYTE.search(link_id)
-        and _COMMA not in link_id
-    ):
-        # Each slot holds the tab after its sentinel, then the record.
-        return [link_id, parts[1], parts[2][1:], parts[3], parts[4][1:]]
-    parsed = parse_link_line(line.decode("utf-8"))
-    check_link_id(parsed.link_id)
-    if len(parsed.groups) != 2:
-        raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
-    check_2way_id(parsed.link_id)
-    (label_a, slot_a), (label_b, slot_b) = parsed.groups
-    return [field.encode("utf-8") for field in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
-
-
 def _iter_2way(
     path: str, shared_label: str, allowed: set[str]
 ) -> Iterator[tuple[bytes, bytes, str, dict[str, bytes]]]:
@@ -420,7 +419,9 @@ def _iter_2way(
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
-                link_id, label_a, slot_a, label_b, slot_b = _split_2way(raw.rstrip(b"\n"))
+                link_id, label_a, slot_a, label_b, slot_b = split_link_line(
+                    raw.rstrip(b"\n"), 2
+                )
             except (LinkJoinError, FlatRecordError) as exc:
                 raise LinkJoinError(f"{path}:{line_no}: {exc}") from exc
             if label_a == shared:
@@ -436,13 +437,10 @@ def _iter_2way(
                 raise LinkJoinError(
                     f"{path}:{line_no}: KB {other_label!r} is not in the output order"
                 )
-            uri = shared_slot.split(b"\t", 1)[0]
-            if _BACKSLASH in uri:
-                try:
-                    uri = unescape_token(uri.decode("utf-8")).encode("utf-8")
-                except FlatRecordError as exc:
-                    raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
-            _check_uri(uri, path, line_no)
+            try:
+                uri = _record_uri(shared_slot)
+            except (LinkJoinError, FlatRecordError) as exc:
+                raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
             yield uri, link_id, other_label, {shared_label: shared_slot, other_label: other_slot}
 
 

@@ -2,9 +2,11 @@
 
 All tools are single-pass and streaming; sampled or filtered lines are
 copied byte-identically, so link ids and provenance survive.  validate,
-filter-type and stats judge a record by its escaped tokens
-(``record_tokens``) and build no ``EntityRecord``; ``parse_record`` runs
-only on a record the quick test cannot clear, to name its fault.
+filter-type and stats judge a line by one function, ``_line_records``: the
+head check and the linkage-line split it takes from ``link_join``, the
+ones join2 and join3 use, then a check of each record by its escaped
+tokens (``record_tokens``), with no ``EntityRecord`` built; ``parse_record``
+runs only on a record the quick test cannot clear, to name its fault.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Iterator
 from .engine import atomic_output
 from .errors import FlatlinkError
 from .flat_record import parse_record, record_tokens, unescape_token
-from .link_join import check_2way_id, check_link_id, parse_link_line
+# parse_link_line is not called here; it stays for the benchmark's trace hook.
+from .link_join import line_text, parse_link_line, split_link_line  # noqa: F401
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -25,7 +28,6 @@ MODES = ("entity", "link2", "link3")
 SIDES = ("first", "second", "third", "any", "all")
 
 _ARITY = {"entity": 1, "link2": 2, "link3": 3}
-_CR = ord("\r")  # `int in bytes` is one memchr; `bytes in bytes` is slower
 
 
 @dataclass
@@ -103,28 +105,15 @@ def _checked_tokens(slot: str) -> list[str]:
 def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[list[str]]]:
     """The one judge of a line for validate, filter-type and stats: its link
     id (None in entity mode) and the escaped tokens of its records, or a
-    FlatlinkError giving the reason.  The codec escapes CR, so a raw CR comes
-    from elsewhere (a CRLF ending, say); the other checks run in line order.
-    record_tokens clears a record without building it; parse_record names
-    the reason of a record it cannot clear."""
+    FlatlinkError giving the reason.  The head check and the linkage split
+    are join2's and join3's own; record_tokens clears a record without
+    building it, and parse_record names the reason of one it cannot clear."""
     line = raw.rstrip(b"\n")
-    if _CR in line:
-        raise FlatlinkError("raw control byte 0x0d")
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FlatlinkError(f"not UTF-8: {exc.reason}") from None
     if mode == "entity":
-        return None, [_checked_tokens(text)]
-    parsed = parse_link_line(text)
-    check_link_id(parsed.link_id)
-    if len(parsed.groups) != _ARITY[mode]:
-        raise FlatlinkError(
-            f"expected {_ARITY[mode]} record groups, found {len(parsed.groups)}"
-        )
-    if mode == "link2":
-        check_2way_id(parsed.link_id)  # a link3 id is `idA,idB`
-    return parsed.link_id, [_checked_tokens(slot) for _, slot in parsed.groups]
+        return None, [_checked_tokens(line_text(line))]
+    fields = split_link_line(line, _ARITY[mode])
+    records = [_checked_tokens(slot.decode("utf-8")) for slot in fields[2::2]]
+    return fields[0].decode("utf-8"), records
 
 
 def _type_values(tokens: list[str], type_predicate: str) -> Iterator[str]:

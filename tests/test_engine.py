@@ -1,8 +1,12 @@
 import collections
+import errno
+import gc
+import io
 import itertools
 import os
 import random
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +59,35 @@ def test_sort_cleans_spill_files(tmp_path):
     cfg = cfg_for(tmp_path, memory_budget_bytes=1024)
     items = [f"{i:05}\t".encode() + b"x" * 50 for i in range(2000)]
     list(external_sort(iter(items), cfg))
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
+class _FullDisk(io.BufferedWriter):
+    """A spill file on a disk that fills after 300 bytes."""
+
+    def write(self, data):
+        if self.tell() + len(data) > 300:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+def test_failed_spill_write_closes_its_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        engine.os, "fdopen", lambda fd, mode, buffering: _FullDisk(io.FileIO(fd, "wb"), buffering)
+    )
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    items = [f"{i:05}\t".encode() + b"x" * 50 for i in range(2000)]
+    with warnings.catch_warnings():
+        # As under CI's -W error::ResourceWarning: a file left open would
+        # raise in its finalizer, which reports to sys.unraisablehook.
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(OSError) as excinfo:
+            list(external_sort(iter(items), cfg_for(tmp_path, memory_budget_bytes=4096)))
+        assert excinfo.value.errno == errno.ENOSPC
+        del excinfo  # its traceback holds the spill run
+        gc.collect()
+    assert unraisable == []
     assert list((tmp_path / "spill").iterdir()) == []
 
 

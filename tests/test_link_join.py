@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from flatlink import engine
 from flatlink.engine import ExecConfig, JobStats
-from flatlink.errors import FlatRecordError, LinkJoinError
+from flatlink.errors import FlatlinkError, FlatRecordError, LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
 from flatlink.link_join import (
     GtReport,
     OWL_SAMEAS,
     LinkLine,
-    _split_2way,
     check_link_id,
     gen_link_id,
     join2,
@@ -23,8 +22,10 @@ from flatlink.link_join import (
     load_ground_truth,
     parse_link_line,
     sentinel_for,
+    split_link_line,
 )
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, iter_triples
+from flatlink.tools import validate
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
@@ -368,25 +369,28 @@ def test_parse_link_line_rows(line, expected):
 
 
 
-def reference_split_2way(line: bytes) -> list[bytes]:
-    """join3's line checks as they ran on decoded text, before its reader
-    split bytes: raw CR (which text mode read as a line end), UTF-8, the
-    line split, the link-id rule, the group count and join3's own rule
-    that a 2-way id holds no comma."""
+def reference_split_2way(line: bytes, arity: int) -> list[bytes]:
+    """The line checks of join3, validate, filter-type and stats as they ran
+    on decoded text, before one bytes split served them all: raw CR (which
+    text mode read as a line end), UTF-8, the line split, the link-id rule,
+    the group count and, at arity 2, the rule that a 2-way id holds no
+    comma (join3 writes `idA,idB`)."""
     if b"\r" in line:
         raise LinkJoinError("raw control byte 0x0d")
     try:
         text = line.decode("utf-8")
-    except UnicodeDecodeError:
-        raise LinkJoinError("not UTF-8") from None
+    except UnicodeDecodeError as exc:
+        raise LinkJoinError(f"not UTF-8: {exc.reason}") from None
     parsed = parse_link_line(text)
     check_link_id(parsed.link_id)
-    if len(parsed.groups) != 2:
-        raise LinkJoinError(f"expected a 2-way line, got {len(parsed.groups)} record groups")
-    if "," in parsed.link_id:
+    if len(parsed.groups) != arity:
+        raise LinkJoinError(f"expected {arity} record groups, found {len(parsed.groups)}")
+    if arity == 2 and "," in parsed.link_id:
         raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
-    (label_a, slot_a), (label_b, slot_b) = parsed.groups
-    return [f.encode("utf-8") for f in (parsed.link_id, label_a, slot_a, label_b, slot_b)]
+    fields = [parsed.link_id]
+    for label, slot in parsed.groups:
+        fields += [label, slot]
+    return [f.encode("utf-8") for f in fields]
 
 
 # Whole 2-way lines whose id and records draw on the characters that make
@@ -404,54 +408,100 @@ two_way_lines = st.builds(
     st.sampled_from(["dbpedia", "yago"]),
     _SLOT_TEXT,
 )
-
-
-def outcome_bytes(fn, line: str):
-    return outcome(fn, line.encode("utf-8"))
+# 3-way lines as bytes: link3 ids, wrappers, sentinel-shaped text inside the
+# slots, CR, and bytes that are not UTF-8 (a stray continuation byte, a cut
+# sequence, an encoded surrogate, 0xFF).
+_SLOT_BYTES = st.lists(
+    st.sampled_from([b"x", b"\t", b"\\s", b'""', b" ", b"\x01", "é".encode(), b"\r",
+                     b"\tyago-instance", b"yago-instance", b"\tdbpedia-instance\t",
+                     b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"]),
+    max_size=6,
+).map(b"".join)
+three_way_lines = st.builds(
+    lambda id_, a, left, b, mid, c, right: b"\t".join(
+        (id_, a + b"-instance", left, b + b"-instance", mid, c + b"-instance", right)
+    ),
+    st.one_of(
+        st.sampled_from([b"fd-1,yd-2", b"fd-1", b"", b'""fd-1,yd-2""', b'""fd-1,yd-2',
+                         b",", b"fd-1,,yd-2", b"fd 1,yd-2", b"fd-1,yd-\xff"]),
+        _SLOT_BYTES,
+    ),
+    st.sampled_from([b"dbpedia", b"freebase"]),
+    _SLOT_BYTES,
+    st.sampled_from([b"freebase", b"yago"]),
+    _SLOT_BYTES,
+    st.sampled_from([b"yago", b"dbpedia"]),
+    _SLOT_BYTES,
+)
 
 
 @settings(max_examples=1500)
-@given(st.one_of(link_lines, two_way_lines))
+@given(st.one_of(link_lines.map(str.encode), two_way_lines.map(str.encode), three_way_lines))
 def test_split_2way_matches_text_checks(line):
-    assert outcome_bytes(_split_2way, line) == outcome_bytes(reference_split_2way, line)
+    # Every line at both arities: join3 and link2 mode split at 2, link3 at 3.
+    for arity in (2, 3):
+        assert outcome(lambda l: split_link_line(l, arity), line) == outcome(
+            lambda l: reference_split_2way(l, arity), line
+        )
+
+
+SPLIT_2WAY_ROWS = [
+    (b"fd-1\tfreebase-instance\tf\tp\tv\tdbpedia-instance\td\tq\tw",
+     [b"fd-1", b"freebase", b"f\tp\tv", b"dbpedia", b"d\tq\tw"]),
+    (b"fd-1\tfreebase-instance\t\tdbpedia-instance\td",
+     [b"fd-1", b"freebase", b"", b"dbpedia", b"d"]),
+    (b'""fd-1""\tfreebase-instance\tf\tdbpedia-instance\td',
+     [b'""fd-1""', b"freebase", b"f", b"dbpedia", b"d"]),
+    (b'""fd-1\tfreebase-instance\tf\tdbpedia-instance\td',
+     (FlatRecordError, "unbalanced literal quotes in token '\"\"fd-1'")),
+    (b"fd 1\tfreebase-instance\tf\tdbpedia-instance\td",
+     (LinkJoinError, "bad link id: 'fd 1' holds a control or space character")),
+    (b"fd-1\tfreebase-instance\tf\tdbpedia-instance\td\r",
+     (LinkJoinError, "raw control byte 0x0d")),
+    (b"fd-1\tfreebase-instance\t\xff\tdbpedia-instance\td",
+     (LinkJoinError, "not UTF-8: invalid start byte")),
+    (b"fd-1\tfreebase-instance\tf",
+     (LinkJoinError, "expected 2 record groups, found 1")),
+    (b"fd-1\tfreebase-instance\tf\tdbpedia-instance",
+     (LinkJoinError, "empty record slot under 'dbpedia'")),
+    (b"fd-1\tfreebase-instance\tdbpedia-instance\td",
+     (LinkJoinError, "empty record slot under 'freebase'")),
+    (b"\tfreebase-instance\tf\tdbpedia-instance\td",
+     (LinkJoinError, "empty link id slot")),
+    (b"fd,1\tfreebase-instance\tf\tdbpedia-instance\td",
+     (LinkJoinError, "bad link id: 'fd,1' holds a comma")),
+    (b'""fd,1""\tfreebase-instance\tf\tdbpedia-instance\td',
+     (LinkJoinError, "bad link id: '\"\"fd,1\"\"' holds a comma")),
+]
+
+
+@pytest.mark.parametrize("line, expected", SPLIT_2WAY_ROWS)
+def test_split_2way_rows(line, expected):
+    # expected: the fields, or the type and message of the error
+    got = outcome(lambda l: split_link_line(l, 2), line)
+    assert got == outcome(lambda l: reference_split_2way(l, 2), line)
+    assert got == expected
 
 
 @pytest.mark.parametrize(
-    "line, expected",
-    [
-        (b"fd-1\tfreebase-instance\tf\tp\tv\tdbpedia-instance\td\tq\tw",
-         [b"fd-1", b"freebase", b"f\tp\tv", b"dbpedia", b"d\tq\tw"]),
-        (b"fd-1\tfreebase-instance\t\tdbpedia-instance\td",
-         [b"fd-1", b"freebase", b"", b"dbpedia", b"d"]),
-        (b'""fd-1""\tfreebase-instance\tf\tdbpedia-instance\td',
-         [b'""fd-1""', b"freebase", b"f", b"dbpedia", b"d"]),
-        (b'""fd-1\tfreebase-instance\tf\tdbpedia-instance\td',
-         (FlatRecordError, "unbalanced literal quotes in token '\"\"fd-1'")),
-        (b"fd 1\tfreebase-instance\tf\tdbpedia-instance\td",
-         (LinkJoinError, "bad link id: 'fd 1' holds a control or space character")),
-        (b"fd-1\tfreebase-instance\tf\tdbpedia-instance\td\r",
-         (LinkJoinError, "raw control byte 0x0d")),
-        (b"fd-1\tfreebase-instance\t\xff\tdbpedia-instance\td",
-         (LinkJoinError, "not UTF-8")),
-        (b"fd-1\tfreebase-instance\tf",
-         (LinkJoinError, "expected a 2-way line, got 1 record groups")),
-        (b"fd-1\tfreebase-instance\tf\tdbpedia-instance",
-         (LinkJoinError, "empty record slot under 'dbpedia'")),
-        (b"fd-1\tfreebase-instance\tdbpedia-instance\td",
-         (LinkJoinError, "empty record slot under 'freebase'")),
-        (b"\tfreebase-instance\tf\tdbpedia-instance\td",
-         (LinkJoinError, "empty link id slot")),
-        (b"fd,1\tfreebase-instance\tf\tdbpedia-instance\td",
-         (LinkJoinError, "bad link id: 'fd,1' holds a comma")),
-        (b'""fd,1""\tfreebase-instance\tf\tdbpedia-instance\td',
-         (LinkJoinError, "bad link id: '\"\"fd,1\"\"' holds a comma")),
-    ],
+    "line, reason", [(line, exp[1]) for line, exp in SPLIT_2WAY_ROWS if isinstance(exp, tuple)]
 )
-def test_split_2way_rows(line, expected):
-    # expected: the fields, or the type and message of the error
-    got = outcome(_split_2way, line)
-    assert got == outcome(reference_split_2way, line)
-    assert got == expected
+def test_join3_and_validate_give_one_reason_per_fault(tmp_path, line, reason):
+    # The bad line is line 2 of the left file; join3 reads that file first.
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    _, y1 = entity("http://y/1", label=["y"])
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1", d1)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("http://y/1", y1, "http://d/1", d1)])
+    with open(fd, "ab") as fh:
+        fh.write(line + b"\n")
+    with pytest.raises(FlatlinkError) as excinfo:
+        join3(fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+              str(tmp_path / "out"), cfg_for(tmp_path))
+    assert str(excinfo.value) == f"{fd}:2: {reason}"
+    assert validate(fd, "link2").violations == [(2, reason)]
 
 
 # --- join2 ------------------------------------------------------------------
@@ -579,7 +629,9 @@ def test_join2_entity_line_not_utf8_is_error(tmp_path, side):
             str(paths["left"]), str(paths["right"]), str(gt), "tsv-pairs",
             ("freebase", "dbpedia"), str(tmp_path / "out"), cfg_for(tmp_path),
         )
-    assert str(excinfo.value) == f"{paths[side]}:1: bad entity line: not UTF-8"
+    assert str(excinfo.value) == (
+        f"{paths[side]}:1: bad entity line: not UTF-8: invalid start byte"
+    )
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -896,7 +948,7 @@ def test_join3_invalid_utf8_linkage_line_names_file_and_line(tmp_path, side):
             fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
             str(tmp_path / "out"), cfg_for(tmp_path),
         )
-    assert str(excinfo.value) == f"{path}:2: not UTF-8"
+    assert str(excinfo.value) == f"{path}:2: not UTF-8: invalid start byte"
 
 
 
@@ -932,9 +984,9 @@ def test_join3_raw_cr_in_linkage_line_names_file_and_line(tmp_path, edit):
 # right file carry freebase + dbpedia like the left one.
 JOIN3_INPUT_ERRORS = {
     "three-way": ("left", lambda l: l + "\tyago-instance\thttp://y/x\tp\tv",
-                  "expected a 2-way line"),
+                  "expected 2 record groups, found 3"),
     "three-way-right": ("right", lambda l: l + "\tfreebase-instance\thttp://f/x\tp\tv",
-                        "expected a 2-way line"),
+                        "expected 2 record groups, found 3"),
     "foreign-kb": ("left", lambda l: l.replace("freebase-instance", "wikidata-instance"),
                    "not in the output order"),
     "foreign-kb-right": ("right", lambda l: l.replace("yago-instance", "wikidata-instance"),
