@@ -408,10 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FlatlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FlatlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -242,9 +242,8 @@ def run_group_by(
     """
     if stats is None:
         stats = JobStats()
-    # closing() removes the spill dir as soon as a reduce raises, even while
-    # the raised exception's traceback keeps this frame alive.
-    with contextlib.closing(_sorted(_tag_items(inputs, stats), cfg, stats)) as items:
+    items = _sorted(_tag_items(inputs, stats), cfg, stats)
+    try:
         for key, group in itertools.groupby(items, key=key_fn):
             stats.keys_reduced += 1
             try:
@@ -253,3 +252,9 @@ def run_group_by(
                 raise  # domain errors already name their context
             except Exception as exc:
                 raise EngineError(f"reduce_fn failed for key {key!r}: {exc}") from exc
+    finally:
+        # The sort and each input that closes, an upstream job such as join2's
+        # first shuffle, drop their spill dirs now, not when a traceback goes.
+        for stream in [items, *(stream for _, stream in inputs)]:
+            if hasattr(stream, "close"):
+                stream.close()

@@ -14,7 +14,8 @@ join3's 2-way lines and every line of validate, filter-type and stats:
 ``line_text`` refuses a raw CR and bytes that are not UTF-8, and
 ``split_link_line`` runs the split on the bytes of a linkage line, handing
 only a line it does not cut cleanly to ``parse_link_line`` and the link-id
-rules, which name the fault.
+rules, which name the fault.  Ground truth in either format is read through
+``rdf_ingest.read_lines``, and its pairs stay UTF-8 bytes into join2's items.
 
 join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
 left URI the second shuffle's values arrive sorted by right URI, so its
@@ -35,7 +36,7 @@ from typing import Iterator
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
 from .flat_record import LABEL_RE, SENTINEL_SUFFIX, literal_body, unescape_token
-from .rdf_ingest import ParseReport, iter_triple_bytes, not_utf8
+from .rdf_ingest import _BACKSLASH, _CONTROL_OR_SPACE, ParseReport, iter_triple_bytes, read_lines
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
@@ -45,7 +46,6 @@ GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
 # TypeError, several times slower per line.
 _CR = ord("\r")
 _COMMA = ord(",")
-_BACKSLASH = ord("\\")
 
 
 def sentinel_for(label: str) -> str:
@@ -110,11 +110,6 @@ class GtReport(ParseReport):
 
 
 _UNSAFE_URI_CHAR = re.compile(r"[\x00-\x20]")
-_UNSAFE_URI_BYTE = re.compile(_UNSAFE_URI_CHAR.pattern.encode("ascii"))
-
-
-def _safe_uri(uri: str) -> bool:
-    return bool(uri) and _UNSAFE_URI_CHAR.search(uri) is None
 
 
 def check_link_id(link_id: str) -> None:
@@ -153,7 +148,7 @@ def split_link_line(line: bytes, arity: int) -> list[bytes]:
         and all(slots)
         and link_id
         and not link_id.startswith(b'""')
-        and not _UNSAFE_URI_BYTE.search(link_id)
+        and not _CONTROL_OR_SPACE.search(link_id)
         and (arity != 2 or _COMMA not in link_id)
     ):
         # Each slot holds the tab after its sentinel, then the record.
@@ -177,7 +172,7 @@ def _record_uri(record: bytes) -> bytes:
     uri = record.split(b"\t", 1)[0]
     if _BACKSLASH in uri:
         uri = unescape_token(uri.decode("utf-8")).encode("utf-8")
-    if not uri or _UNSAFE_URI_BYTE.search(uri):
+    if not uri or _CONTROL_OR_SPACE.search(uri):
         raise LinkJoinError("empty URI or control or space character in URI")
     return uri
 
@@ -187,8 +182,9 @@ def load_ground_truth(
     format: str,
     sameas_uri: str = OWL_SAMEAS,
     report: GtReport | None = None,
-) -> Iterator[tuple[str, str]]:
-    """Stream (left, right) URI pairs from a ground-truth file.
+) -> Iterator[tuple[bytes, bytes]]:
+    """Stream (left, right) URI pairs as UTF-8 bytes from a ground-truth
+    file, read through read_lines: plain or .gz, any line ending.
 
     Pairs keep file orientation, and duplicates stream through: join2
     collapses them inside its shuffle, so no pair is held in memory here.
@@ -199,34 +195,27 @@ def load_ground_truth(
         report = GtReport()
 
     if format == "tsv-pairs":
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for line_no, raw in enumerate(fh, 1):
-                report.lines_total += 1
-                line = raw.rstrip("\r\n")
-                if not line:
-                    report.lines_blank += 1
-                    continue
-                if not_utf8(line):
-                    report.record_error(line_no, "not UTF-8")
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    report.record_error(line_no, f"expected 2 fields, got {len(fields)}")
-                    continue
-                left, right = fields
-                if not (_safe_uri(left) and _safe_uri(right)):
-                    report.record_error(line_no, "empty URI or control/space character")
-                    continue
-                report.pairs_ok += 1
-                yield left, right
+        unsafe = _CONTROL_OR_SPACE.search
+        for line_no, line in read_lines(path, report):
+            if not line:
+                report.lines_blank += 1
+                continue
+            fields = line.split(b"\t")
+            if len(fields) != 2:
+                report.record_error(line_no, f"expected 2 fields, got {len(fields)}")
+                continue
+            left, right = fields
+            if not (left and right) or unsafe(left) or unsafe(right):
+                report.record_error(line_no, "empty URI or control/space character")
+                continue
+            report.pairs_ok += 1
+            yield left, right
     else:
-        # Read through compile's bytes path, which yields what iter_triples
-        # would, as UTF-8 bytes.  In a report that starts at zero, as join2's
-        # does, lines_total is the number of the line that produced the
-        # triple.  URIs and blank-node labels are non-empty and hold no byte
-        # at or below 0x20, so the pairs keep the tsv-pairs URI rule
-        # unchecked.  A sameas_uri with a lone surrogate (a command-line
-        # argument that is not UTF-8) encodes to bytes no checked line holds.
+        # Compile's bytes path yields what iter_triples would, and its URIs
+        # and blank-node labels keep the tsv-pairs URI rule.  From a report at
+        # zero, as join2's, lines_total is the triple's line number.  A
+        # sameas_uri that is not UTF-8 (a lone surrogate from argv) matches
+        # no line.
         sameas = sameas_uri.encode("utf-8", "surrogatepass")
         for subject, predicate, obj in iter_triple_bytes(path, report):
             if predicate != sameas:
@@ -236,7 +225,7 @@ def load_ground_truth(
                 report.record_error(report.lines_total, "sameAs object is a literal")
                 continue
             report.pairs_ok += 1
-            yield subject.decode("utf-8"), obj[1:].decode("utf-8")
+            yield subject, obj[1:]
 
 
 @dataclass
@@ -356,7 +345,7 @@ def join2(
 
     def gt_items() -> Iterator[bytes]:
         for left, right in load_ground_truth(gt_path, gt_format, sameas_uri, gt_report):
-            yield right.encode("utf-8") + b"\t" + left.encode("utf-8")
+            yield right + b"\t" + left
 
     by_right = engine.run_group_by(
         [(0, _iter_entity_items(right_path)), (1, gt_items())],

@@ -13,13 +13,15 @@ Files are decoded as UTF-8 line by line, so a line that is not valid UTF-8
 is malformed too.  Malformed lines never abort a stream: they are counted,
 sampled into the report, and skipped.
 
-``parse_ntriples_line`` is the character parser: it reads every line, alone
-names error reasons, and is the reference.  ``iter_triples`` reads a file as
-text through it.  Compile and ground truth read through
-``iter_triple_bytes`` instead, which yields each triple as the UTF-8 bytes of
-its subject, predicate and kind byte plus lexical form.  It reads the file
-as bytes, splits lines where text mode does (LF, CR LF and a lone CR), checks
-a non-ASCII line as UTF-8 once, and fullmatches each line against one bytes
+``read_lines`` reads every raw input, KB files and both ground-truth
+formats: a plain or ``.gz`` file as bytes, split where text mode splits (LF,
+CR LF, lone CR), each line counted and one that is not UTF-8 skipped; a
+damaged ``.gz`` is one ``FlatlinkError``.  ``parse_ntriples_line`` is the
+character parser and the reference, and alone names error reasons;
+``iter_triples`` reads a file as text through it.  Compile and
+ntriples-sameas ground truth read ``iter_triple_bytes``, which yields each
+triple as the UTF-8 bytes of its subject, predicate and kind byte plus
+lexical form.  It fullmatches each line of ``read_lines`` against one bytes
 regex for ``(<uri> | _:label) <uri> (<uri> | _:label | "literal"(@lang |
 ^^<dtype>)?) .`` with an optional trailing comment.  URIs may hold
 ``\\u``/``\\U`` escapes and literals those and the ECHARs (``\\t``,
@@ -44,10 +46,11 @@ import gzip
 import io
 import os
 import re
+import zlib
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .errors import NTriplesParseError
+from .errors import FlatlinkError, NTriplesParseError
 
 URI = "uri"
 LITERAL = "literal"
@@ -105,10 +108,9 @@ _FAST_LINE_BYTES = re.compile(
 )
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 
-# Byte values for `in` tests on bytes: `int in bytes` is one memchr, while
+# A byte value for `in` tests on bytes: `int in bytes` is one memchr, while
 # `bytes in bytes` first tries its operand as an integer and pays for the
 # TypeError, several times slower per line.
-_CR = ord("\r")
 _BACKSLASH = ord("\\")
 
 
@@ -395,14 +397,29 @@ def iter_triples(
         yield triple
 
 
-def _lines(fh: BinaryIO) -> Iterator[bytes]:
-    """The lines of a binary file, without terminators, split where text
-    mode's universal newlines split them: at LF, CR LF and a lone CR."""
-    for raw in fh:
-        if _CR in raw:
-            yield from raw.splitlines()  # bytes split at exactly these three
-        else:
-            yield raw.rstrip(b"\n")
+def read_lines(path: str | os.PathLike, report: ParseReport) -> Iterator[tuple[int, bytes]]:
+    """(line number, line) of each UTF-8 line of a plain or .gz file, split at
+    LF, CR LF and a lone CR as text mode splits.  Each line counts into
+    report.lines_total, and one that is not UTF-8 is skipped as "not UTF-8".
+    A damaged .gz raises FlatlinkError naming the path."""
+    line_no = 0
+    try:
+        with _open_bytes(path) as fh:
+            # Blocks of whole lines, each ending at an LF, so no CR LF spans
+            # two; bytes.splitlines() splits at LF, CR LF and a lone CR.
+            while block := fh.readlines(1 << 13):
+                for line in b"".join(block).splitlines():
+                    line_no += 1
+                    report.lines_total += 1
+                    if not line.isascii():
+                        try:
+                            line.decode("utf-8")
+                        except UnicodeDecodeError:
+                            report.record_error(line_no, "not UTF-8")
+                            continue
+                    yield line_no, line
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise FlatlinkError(f"{path}: damaged gzip data: {exc}") from exc
 
 
 def _fast_triple_bytes(line: bytes) -> tuple[bytes, bytes, bytes] | None:
@@ -434,34 +451,25 @@ def iter_triple_bytes(
     byte b"U" or b"L", for the triples iter_triples(path) yields, in order,
     filling `report` as it does.
 
-    The file is read as bytes; a non-ASCII line is checked as UTF-8 once,
-    and a line in the fast path's shape is cut from its match.  Every other
-    line is decoded and parsed by the character parser.
+    A line of read_lines in the fast path's shape is cut from its match;
+    every other line is decoded and parsed by the character parser.
     """
-    with _open_bytes(path) as fh:
-        for line_no, line in enumerate(_lines(fh), 1):
-            report.lines_total += 1
-            if not line.isascii():
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    report.record_error(line_no, "not UTF-8")
-                    continue
-            triple = _fast_triple_bytes(line)
-            if triple is None:
-                try:
-                    parsed = parse_ntriples_line(line.decode("utf-8"))
-                except NTriplesParseError as exc:
-                    report.record_error(line_no, str(exc))
-                    continue
-                if parsed is None:
-                    report.lines_blank += 1
-                    continue
-                subject, predicate, (kind, lexical) = parsed
-                triple = (
-                    subject.encode("utf-8"),
-                    predicate.encode("utf-8"),
-                    (b"L" if kind == LITERAL else b"U") + lexical.encode("utf-8"),
-                )
-            report.triples_ok += 1
-            yield triple
+    for line_no, line in read_lines(path, report):
+        triple = _fast_triple_bytes(line)
+        if triple is None:
+            try:
+                parsed = parse_ntriples_line(line.decode("utf-8"))
+            except NTriplesParseError as exc:
+                report.record_error(line_no, str(exc))
+                continue
+            if parsed is None:
+                report.lines_blank += 1
+                continue
+            subject, predicate, (kind, lexical) = parsed
+            triple = (
+                subject.encode("utf-8"),
+                predicate.encode("utf-8"),
+                (b"L" if kind == LITERAL else b"U") + lexical.encode("utf-8"),
+            )
+        report.triples_ok += 1
+        yield triple

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import random
 
 import pytest
@@ -58,6 +59,18 @@ def synth_triples(
         triples.append(Triple(subject, rng.choice(PREDICATES), random_object(rng)))
     rng.shuffle(triples)
     return triples
+
+
+def damage_gz(data: bytes, damage: str) -> bytes:
+    """`data` as a damaged .gz file: "truncated" cuts it at 200 bytes (gzip
+    raises EOFError), "corrupt" flips 8 bytes mid-stream (zlib.error), and
+    "header" leaves it uncompressed (BadGzipFile)."""
+    packed = gzip.compress(data, mtime=0)
+    if damage == "truncated":
+        return packed[:200]
+    if damage == "corrupt":
+        return packed[:100] + bytes(b ^ 0xFF for b in packed[100:108]) + packed[108:]
+    return data
 
 
 def render_nt_lines(triples: list[Triple]) -> list[str]:

@@ -7,6 +7,8 @@ import pytest
 from flatlink.cli import main, parse_pipeline_config
 from flatlink.errors import ConfigError
 
+from conftest import damage_gz
+
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 
 
@@ -168,6 +170,50 @@ def test_error_is_single_line(capsys, tmp_path):
     assert code == 2
     err_lines = [l for l in stderr.splitlines() if l.startswith("error: ")]
     assert len(err_lines) == 1
+
+
+_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
+DAMAGED_GZ_INPUTS = {
+    "compile": lambda i: f'<http://f/{i}> <http://x/p> "v {i * 7919 % 1000}" .\n',
+    "join2-tsv-pairs": lambda i: f"http://f/{i * 7919 % 1000}\thttp://d/{i}\n",
+    "join2-ntriples-sameas":
+        lambda i: f"<http://f/{i * 7919 % 1000}> <{_SAMEAS}> <http://d/{i}> .\n",
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "header"])
+@pytest.mark.parametrize("stage", sorted(DAMAGED_GZ_INPUTS))
+def test_damaged_gz_input_is_one_error_line(capsys, tmp_path, stage, damage):
+    # A damaged .gz KB or ground-truth file ends the stage with one error
+    # line naming the file and exit 2, and leaves no output, temp file or
+    # spill run behind, though the stage may have spilled before it.
+    data = "".join(DAMAGED_GZ_INPUTS[stage](i) for i in range(400)).encode()
+    bad = tmp_path / ("gt.tsv.gz" if stage == "join2-tsv-pairs" else "in.nt.gz")
+    bad.write_bytes(damage_gz(data, damage))
+    outdir, spill = tmp_path / "out", tmp_path / "spill"
+    outdir.mkdir()
+    out = outdir / "result"
+    engine_flags = ["--memory-budget", "512", "--spill-dir", str(spill)]
+    if stage == "compile":
+        argv = ["compile", "--label", "kb", "--in", str(bad)]
+    else:
+        ents = {}
+        for side, host in (("left", "f"), ("right", "d")):
+            ents[side] = tmp_path / f"{side}.ents"
+            ents[side].write_text(
+                "".join(f'http://{host}/{i}\thttp://x/p\t""v""\n' for i in range(1000)),
+                encoding="utf-8",
+            )
+        argv = ["join2", "--left", str(ents["left"]), "--right", str(ents["right"]),
+                "--gt", str(bad), "--gt-format", stage[len("join2-"):], "--labels", "f,d"]
+    code, _, stderr = run(capsys, *argv, "--out", str(out), *engine_flags)
+    assert code == 2
+    errors = [line for line in stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {bad}: damaged gzip data: ")
+    assert "Traceback" not in stderr
+    assert list(outdir.iterdir()) == []
+    assert list(spill.iterdir()) == []
 
 
 def test_missing_input_reports_error(capsys, tmp_path):

@@ -60,7 +60,7 @@ def test_gt_tsv_pairs(tmp_path):
     path = tmp_path / "gt.tsv"
     path.write_text("http://f/1\thttp://d/1\nhttp://f/2\thttp://d/2\n", encoding="utf-8")
     pairs = list(load_ground_truth(str(path), "tsv-pairs"))
-    assert pairs == [("http://f/1", "http://d/1"), ("http://f/2", "http://d/2")]
+    assert pairs == [(b"http://f/1", b"http://d/1"), (b"http://f/2", b"http://d/2")]
 
 
 def test_gt_ntriples_sameas(tmp_path):
@@ -72,7 +72,7 @@ def test_gt_ntriples_sameas(tmp_path):
     )
     report = GtReport()
     pairs = list(load_ground_truth(str(path), "ntriples-sameas", report=report))
-    assert pairs == [("http://f/1", "http://d/1")]
+    assert pairs == [(b"http://f/1", b"http://d/1")]
     assert report.pairs_ok == 1
     assert report.lines_skipped == 1  # the non-sameAs triple
 
@@ -84,7 +84,7 @@ def test_gt_duplicates_collapse(tmp_path):
     path.write_text("a\tb\na\tb\nc\td\n", encoding="utf-8")
     report = GtReport()
     pairs = list(load_ground_truth(str(path), "tsv-pairs", report=report))
-    assert pairs == [("a", "b"), ("a", "b"), ("c", "d")]
+    assert pairs == [(b"a", b"b"), (b"a", b"b"), (b"c", b"d")]
     assert report.pairs_ok == 3
 
 
@@ -93,7 +93,7 @@ def test_gt_malformed_lines_skipped(tmp_path):
     path.write_text("a\tb\tc\nonly-one-field\nok\tpair\nbad uri\tx\n", encoding="utf-8")
     report = GtReport()
     pairs = list(load_ground_truth(str(path), "tsv-pairs", report=report))
-    assert pairs == [("ok", "pair")]
+    assert pairs == [(b"ok", b"pair")]
     assert report.lines_skipped == 3
     assert report.pairs_ok == 1
 
@@ -103,7 +103,7 @@ def test_gt_invalid_utf8_line_is_skipped(tmp_path):
     path.write_bytes(b"a\tb\nc\xff\td\ne\tf\n")
     report = GtReport()
     pairs = list(load_ground_truth(str(path), "tsv-pairs", report=report))
-    assert pairs == [("a", "b"), ("e", "f")]
+    assert pairs == [(b"a", b"b"), (b"e", b"f")]
     assert report.lines_skipped == 1
     assert report.first_errors == [(2, "not UTF-8")]
 
@@ -119,7 +119,7 @@ def test_gt_ntriples_sameas_errors_in_line_order(tmp_path, cap):
     )
     report = GtReport(error_cap=cap)
     pairs = list(load_ground_truth(str(path), "ntriples-sameas", report=report))
-    assert pairs == [("http://f/3", "http://d/3")]
+    assert pairs == [(b"http://f/3", b"http://d/3")]
     expected = [
         (1, "missing object term"),
         (2, "predicate is not http://www.w3.org/2002/07/owl#sameAs"),
@@ -201,9 +201,11 @@ def _check_gt_against_the_text_reader(data: bytes, suffix: str, sameas_uri: str,
                 expected.record_error(expected.lines_total, "sameAs object is a literal")
             else:
                 expected.pairs_ok += 1
-                expected_pairs.append((triple.subject, triple.object.lexical))
+                expected_pairs.append(
+                    (triple.subject.encode("utf-8"), triple.object.lexical.encode("utf-8"))
+                )
     assert pairs == expected_pairs
-    assert all(type(uri) is str for pair in pairs for uri in pair)
+    assert all(type(uri) is bytes for pair in pairs for uri in pair)
     fields = ("lines_total", "pairs_ok", "triples_ok", "lines_skipped", "lines_blank",
               "first_errors")
     assert [getattr(report, f) for f in fields] == [getattr(expected, f) for f in fields]
@@ -228,6 +230,64 @@ def test_gt_ntriples_sameas_rows_match_the_text_reader(suffix, ending):
 )
 def test_gt_ntriples_sameas_matches_the_text_reader(lines, suffix, sameas_uri, cap):
     _check_gt_against_the_text_reader(b"".join(lines), suffix, sameas_uri, cap)
+
+
+# Raw tsv-pairs rows: valid pairs, non-ASCII URIs, a BOM, blank lines, the
+# wrong field count, an empty URI, a space or control byte in a URI, and
+# bytes that are not UTF-8 (a lone continuation byte, a truncated sequence,
+# an encoded surrogate, a byte UTF-8 never uses).
+_TSV_ROWS = [
+    b"\xef\xbb\xbfhttp://f/bom\thttp://d/bom", b"http://f/1\thttp://d/1", b"",
+    b"http://f/" + "é中".encode() + b"\thttp://d/" + "ü".encode(), b"   ", b"only-one-field",
+    b"a\tb\tc", b"\thttp://d/2", b"http://f/3\t", b"http://f/a b\thttp://d/3",
+    b"http://f/4\thttp://d/\x01", b"http://f/5\x0b\thttp://d/5", b"http://f/6\thttp://d/6",
+    b"http://f/\x80\thttp://d/7", b"http://f/8\thttp://d/\xc3", b"\xed\xa0\x80\thttp://d/9",
+    b"http://f/\xff\thttp://d/10", b"\xc3\t", b"", b"http://f/1\thttp://d/1",
+]
+
+
+def _tsv_pairs_text_reader(path: str, cap: int) -> tuple[list[tuple[bytes, bytes]], GtReport]:
+    # The reference: tsv-pairs read in text mode, as it once was, with
+    # universal newlines and each byte that is not UTF-8 as a lone surrogate.
+    report, pairs = GtReport(error_cap=cap), []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            report.lines_total += 1
+            line = raw.rstrip("\r\n")
+            fields = line.split("\t")
+            if not line:
+                report.lines_blank += 1
+            elif re.search("[\ud800-\udfff]", line):
+                report.record_error(line_no, "not UTF-8")
+            elif len(fields) != 2:
+                report.record_error(line_no, f"expected 2 fields, got {len(fields)}")
+            elif not all(uri and not re.search("[\x00-\x20]", uri) for uri in fields):
+                report.record_error(line_no, "empty URI or control/space character")
+            else:
+                report.pairs_ok += 1
+                pairs.append(tuple(uri.encode("utf-8") for uri in fields))
+    return pairs, report
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("suffix", [".tsv", ".tsv.gz"])
+def test_gt_tsv_pairs_rows_match_the_text_reader(tmp_path, suffix, ending):
+    # tsv-pairs reads plain or .gz files with any line ending through the
+    # bytes reader; the reference reads the uncompressed bytes as text.
+    data = ending.join(_TSV_ROWS)
+    plain = tmp_path / "gt.tsv"
+    plain.write_bytes(data)
+    path = tmp_path / ("gt" + suffix)
+    if suffix.endswith(".gz"):
+        path.write_bytes(gzip.compress(data))
+    report = GtReport(error_cap=1000)
+    pairs = list(load_ground_truth(str(path), "tsv-pairs", report=report))
+    expected_pairs, expected = _tsv_pairs_text_reader(str(plain), cap=1000)
+    assert pairs == expected_pairs
+    fields = ("lines_total", "pairs_ok", "triples_ok", "lines_skipped", "lines_blank",
+              "first_errors")
+    assert [getattr(report, f) for f in fields] == [getattr(expected, f) for f in fields]
+    assert (report.lines_total, report.pairs_ok, report.lines_blank) == (len(_TSV_ROWS), 5, 2)
 
 
 def test_gt_unknown_format(tmp_path):

@@ -1,11 +1,13 @@
+import gzip
 import re
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink.errors import NTriplesParseError
+from flatlink.errors import FlatlinkError, NTriplesParseError
 from flatlink.rdf_ingest import (
     _FAST_LINE_BYTES,
     LITERAL,
@@ -18,10 +20,11 @@ from flatlink.rdf_ingest import (
     _fast_triple_bytes,
     iter_triples,
     parse_ntriples_line,
+    read_lines,
     render_triple,
 )
 
-from conftest import synth_triples
+from conftest import damage_gz, synth_triples
 
 
 def test_minimal_uri_triple():
@@ -536,3 +539,20 @@ def _adversarial_lines(draw) -> str:
 @given(_adversarial_lines())
 def test_fast_path_matches_character_parser(line):
     _check_routing(line, _takes_fast_path(line))
+
+
+@pytest.mark.parametrize(
+    "damage, cause",
+    [("truncated", EOFError), ("corrupt", zlib.error), ("header", gzip.BadGzipFile)],
+)
+def test_read_lines_names_a_damaged_gz_file(tmp_path, damage, cause):
+    data = b"".join(b'<http://f/%d> <http://x/p> "v %d" .\n' % (i, i * 7919 % 1000)
+                    for i in range(400))
+    path = tmp_path / "kb.nt.gz"
+    path.write_bytes(damage_gz(data, damage))
+    report = ParseReport()
+    message = f"^{re.escape(str(path))}: damaged gzip data: "
+    with pytest.raises(FlatlinkError, match=message) as info:
+        for _ in read_lines(path, report):
+            pass
+    assert type(info.value.__cause__) is cause
