@@ -60,9 +60,10 @@ class JobStats:
     peak_buffer_bytes is the largest in-memory buffer one sort of the job
     held, as an exact byte count: sys.getsizeof(item) plus an 8-byte list
     slot per item (the list's spare capacity aside).  A sort that spilled
-    holds no buffer while it merges, so sorts chained lazily (as in join2
-    and join3) hold two buffers at once only when the earlier one never
-    spilled; this figure does not add those two up.
+    holds no buffer while it merges, and one that did not lets go of each
+    item as it yields it, so sorts chained lazily (as in join2 and join3)
+    hold about one buffer of items between them; this figure does not add
+    the two buffers up.
     """
 
     items_in: int = 0
@@ -136,15 +137,17 @@ class ExternalSorter:
     def iter_sorted(self) -> Iterator[bytes]:
         """Consume the sorter: yields all items in ascending byte order.
 
-        A sort that never spilled yields from memory.  One that did spills
-        its tail as one more run and merges runs only, so it holds no buffer
-        while a later sort of the same job fills its own.
+        A sort that never spilled yields from memory, popping each item off
+        its buffer, so while a later sort of the same job fills its own it
+        holds only the items not yet yielded.  One that did spills its tail
+        as one more run and merges runs only, so it holds no buffer then.
         """
         if not self._runs:
             self.stats.saw_buffer(self._buffer_bytes)
-            self._buffer.sort()
-            yield from self._buffer
-            self._buffer = []
+            buffer = self._buffer
+            buffer.sort(reverse=True)
+            while buffer:
+                yield buffer.pop()
             return
         self._spill()
         yield from heapq.merge(*[run.read_items() for run in self._runs])

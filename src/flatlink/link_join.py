@@ -12,10 +12,10 @@ token escape layer guards them), so every line parses on its own with one
 the line.  The rules of a flat line live here, for join2's entity lines,
 join3's 2-way lines and every line of validate, filter-type and stats:
 ``line_text`` refuses a raw CR and bytes that are not UTF-8, and
-``split_link_line`` runs the split on the bytes of a linkage line, handing
-only a line it does not cut cleanly to ``parse_link_line`` and the link-id
-rules, which name the fault.  Ground truth in either format is read through
-``rdf_ingest.read_lines``, and its pairs stay UTF-8 bytes into join2's items.
+``split_link_line`` runs the split on the bytes of a linkage line and names
+each fault of its cut, its link id and its group count itself.  Ground truth
+in either format is read through ``rdf_ingest.read_lines``, and its pairs
+stay UTF-8 bytes into join2's items.
 
 join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
 left URI the second shuffle's values arrive sorted by right URI, so its
@@ -35,7 +35,7 @@ from typing import Iterator
 
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
-from .flat_record import LABEL_RE, SENTINEL_SUFFIX, literal_body, unescape_token
+from .flat_record import LABEL_RE, SENTINEL_SUFFIX, unescape_token
 from .rdf_ingest import _BACKSLASH, _CONTROL_OR_SPACE, ParseReport, iter_triple_bytes, read_lines
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -45,6 +45,7 @@ GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
 # `bytes in bytes` first tries its operand as an integer and pays for the
 # TypeError, several times slower per line.
 _CR = ord("\r")
+_TAB = ord("\t")
 _COMMA = ord(",")
 
 
@@ -69,13 +70,30 @@ class LinkLine:
 
 # A sentinel token with its leading tab; \Z, since $ would also match before
 # a trailing newline.  split() puts each label between its neighbouring slots.
-_SENTINEL_SPLIT = re.compile(
-    "\t(" + LABEL_RE.pattern + ")" + re.escape(SENTINEL_SUFFIX) + r"(?=\t|\Z)"
+# It matches ASCII bytes only, and UTF-8 never puts an ASCII byte inside a
+# multi-byte sequence, so it cuts a UTF-8 line where a text split would.
+_SENTINEL_SPLIT_BYTES = re.compile(
+    ("\t(" + LABEL_RE.pattern + ")" + re.escape(SENTINEL_SUFFIX) + r"(?=\t|\Z)").encode("ascii")
 )
-# The same split on bytes.  It matches ASCII bytes only, and UTF-8 never puts
-# an ASCII byte inside a multi-byte sequence, so on a UTF-8 line both splits
-# cut at the same places.
-_SENTINEL_SPLIT_BYTES = re.compile(_SENTINEL_SPLIT.pattern.encode("ascii"))
+
+
+def _cut(line: bytes) -> list[bytes]:
+    """[link id, label, record, label, record, ...] of a linkage line, or
+    the fault of its cut: an empty id, no sentinel after it, or an empty
+    record slot."""
+    parts = _SENTINEL_SPLIT_BYTES.split(line)
+    link_id = parts[0]
+    if not link_id or link_id[0] == _TAB:
+        raise LinkJoinError("empty link id slot")
+    if len(parts) == 1 or _TAB in link_id:
+        raise LinkJoinError("expected a sentinel label after the link id")
+    slots = parts[2::2]
+    if not all(slots):
+        label = parts[2 * slots.index(b"") + 1].decode("ascii")
+        raise LinkJoinError(f"empty record slot under {label!r}")
+    # Each slot holds the tab after its sentinel, then the record.
+    parts[2::2] = [slot[1:] for slot in slots]
+    return parts
 
 
 def parse_link_line(line: str) -> LinkLine:
@@ -84,17 +102,11 @@ def parse_link_line(line: str) -> LinkLine:
     Any sentinel-shaped token opens a group; valid record tokens can never
     be sentinel-shaped, so no label registry is required.
     """
-    link_id, *parts = _SENTINEL_SPLIT.split(line)
-    if not link_id or link_id[0] == "\t":
-        raise LinkJoinError("empty link id slot")
-    if not parts or "\t" in link_id:
-        raise LinkJoinError("expected a sentinel label after the link id")
-    groups: list[tuple[str, str]] = []
-    for label, slot in zip(parts[::2], parts[1::2]):
-        if not slot:
-            raise LinkJoinError(f"empty record slot under {label!r}")
-        groups.append((label, slot[1:]))
-    return LinkLine(link_id, groups)
+    link_id, *parts = [
+        part.decode("utf-8", "surrogatepass")
+        for part in _cut(line.encode("utf-8", "surrogatepass"))
+    ]
+    return LinkLine(link_id, list(zip(parts[::2], parts[1::2])))
 
 
 @dataclass
@@ -107,19 +119,6 @@ class GtReport(ParseReport):
     """
 
     pairs_ok: int = 0
-
-
-_UNSAFE_URI_CHAR = re.compile(r"[\x00-\x20]")
-
-
-def check_link_id(link_id: str) -> None:
-    """The link-id rule of join3 and validate.  No character at or below
-    U+0020, since a byte below TAB would sort join3's second shuffle out of
-    idB order, and, as for every token, no unclosed literal wrapper."""
-    if _UNSAFE_URI_CHAR.search(link_id):
-        raise LinkJoinError(f"bad link id: {link_id!r} holds a control or space character")
-    if link_id.startswith('""'):
-        literal_body(link_id)
 
 
 def line_text(line: bytes) -> str:
@@ -136,33 +135,25 @@ def line_text(line: bytes) -> str:
 
 def split_link_line(line: bytes, arity: int) -> list[bytes]:
     """[link id, label, record, label, record, ...] of a linkage line with
-    `arity` record groups, or the reason it is not one.  A line that the
-    bytes split does not cut into a clean id and `arity` non-empty slots goes
-    to the text checks, which name its fault, or accept it after all."""
-    text = line_text(line)
-    parts = _SENTINEL_SPLIT_BYTES.split(line)
-    link_id = parts[0]
-    slots = parts[2::2]
-    if (
-        len(parts) == 2 * arity + 1
-        and all(slots)
-        and link_id
-        and not link_id.startswith(b'""')
-        and not _CONTROL_OR_SPACE.search(link_id)
-        and (arity != 2 or _COMMA not in link_id)
-    ):
-        # Each slot holds the tab after its sentinel, then the record.
-        parts[2::2] = [slot[1:] for slot in slots]
-        return parts
-    parsed = parse_link_line(text)
-    check_link_id(parsed.link_id)
-    if len(parsed.groups) != arity:
-        raise LinkJoinError(f"expected {arity} record groups, found {len(parsed.groups)}")
-    if arity == 2 and "," in parsed.link_id:
+    `arity` record groups, or its first fault: the line checks, the cut, the
+    link-id rule of join3 and validate (no byte at or below 0x20, which would
+    sort join3's second shuffle out of idB order, and no opening literal
+    wrapper, which join3 would copy into `idA,idB`), the group count."""
+    line_text(line)
+    fields = _cut(line)
+    link_id = fields[0]
+    if _CONTROL_OR_SPACE.search(link_id):
+        raise LinkJoinError(
+            f"bad link id: {link_id.decode('utf-8')!r} holds a control or space character"
+        )
+    if link_id.startswith(b'""'):
+        raise LinkJoinError(f"bad link id: {link_id.decode('utf-8')!r} opens a literal wrapper")
+    if len(fields) != 2 * arity + 1:
+        raise LinkJoinError(f"expected {arity} record groups, found {len(fields) // 2}")
+    if arity == 2 and _COMMA in link_id:
         # join3 writes `idA,idB`, so ids `a,b` + `c` and `a` + `b,c` would share it.
-        raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
-    fields = [parsed.link_id] + [field for group in parsed.groups for field in group]
-    return [field.encode("utf-8") for field in fields]
+        raise LinkJoinError(f"bad link id: {link_id.decode('utf-8')!r} holds a comma")
+    return fields
 
 
 def _record_uri(record: bytes) -> bytes:
@@ -411,7 +402,7 @@ def _iter_2way(
                 link_id, label_a, slot_a, label_b, slot_b = split_link_line(
                     raw.rstrip(b"\n"), 2
                 )
-            except (LinkJoinError, FlatRecordError) as exc:
+            except LinkJoinError as exc:
                 raise LinkJoinError(f"{path}:{line_no}: {exc}") from exc
             if label_a == shared:
                 other, shared_slot, other_slot = label_b, slot_a, slot_b
@@ -451,11 +442,13 @@ def _reduce_by_uri(key: bytes, items: Iterator[bytes]):
                 yield id_a + b"\t" + rest
 
 
-def _reduce_by_left_id(left_path: str, key: bytes, items: Iterator[bytes]):
+def _reduce_by_left_id(left_path: str, right_path: str, key: bytes, items: Iterator[bytes]):
     # The left line comes first and its matches follow sorted by idB, so the
-    # output lines leave in (idA, idB) order.  C's record goes where the left
+    # output lines leave in (idA, idB) order, and a right id listed twice on
+    # the shared URI comes twice in a row.  C's record goes where the left
     # record holds a newline.
     head = None
+    prev_b = None
     id_a = key.decode("utf-8", "replace")
     start = len(key) + 2  # every item has tag 0
     for item in items:
@@ -467,12 +460,16 @@ def _reduce_by_left_id(left_path: str, key: bytes, items: Iterator[bytes]):
                 )
             missing = label
             head, tail = value.split(b"\n")
+        elif id_b == prev_b:
+            id_b = id_b.decode("utf-8", "replace")
+            raise LinkJoinError(f"{right_path}: duplicate link id {id_b!r} in right linkage file")
         elif label != missing:
             raise LinkJoinError(
                 f"{id_a},{id_b.decode('utf-8', 'replace')}: line labels do not cover the output"
                 f" order: the right line's KB {label.decode()!r} is not {missing.decode()!r}"
             )
         else:
+            prev_b = id_b
             yield key + b"," + id_b + b"\t" + head + value + tail + b"\n"
 
 
@@ -490,8 +487,9 @@ def join3(
     Every AB line pairs with every CB line holding the same shared-KB URI;
     the shared record is taken from the AB side.  Output is sorted by idA,
     then idB, and each first slot reads ``idA,idB``.  AB link ids must be
-    unique; ids in both files must hold no control or space character and,
-    so that no two pairs share an output id, no comma.
+    unique, and a CB link id must not repeat on one shared URI; ids in both
+    files must hold no control or space character, must not open a literal
+    wrapper and, so that no two pairs share an output id, hold no comma.
     """
     if len(order) != 3 or len(set(order)) != 3:
         raise LinkJoinError("order must list 3 distinct KB labels")
@@ -529,7 +527,7 @@ def join3(
     by_left_id = engine.run_group_by(
         [(0, by_uri)],
         engine.first_field,
-        functools.partial(_reduce_by_left_id, ab_path),
+        functools.partial(_reduce_by_left_id, ab_path, cb_path),
         cfg,
         stats=stats,
     )

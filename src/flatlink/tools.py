@@ -3,10 +3,11 @@
 All tools are single-pass and streaming; sampled or filtered lines are
 copied byte-identically, so link ids and provenance survive.  validate,
 filter-type and stats judge a line by one function, ``_line_records``: the
-head check and the linkage-line split it takes from ``link_join``, the
-ones join2 and join3 use, then a check of each record by its escaped
-tokens (``record_tokens``), with no ``EntityRecord`` built; ``parse_record``
-runs only on a record the quick test cannot clear, to name its fault.
+head check (``line_text``) and the linkage-line split (``split_link_line``,
+which names each fault of a line's cut, link id and group count) that
+join2 and join3 use, then a check of each record by its escaped tokens
+(``record_tokens``), with no ``EntityRecord`` built; ``parse_record`` runs
+only on a record the quick test cannot clear, to name its fault.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -275,6 +276,31 @@ def test_skewed_key_streams_through_reducer(tmp_path):
     assert (b"hot:%d" % (n // 2)) in out
     assert stats.spill_runs > 0
     assert stats.peak_buffer_bytes < 16 * 1024 + 200
+
+
+def test_chained_in_memory_sorts_hold_about_one_buffer(tmp_path):
+    # The first job's reduce yields new bytes, which the second job buffers
+    # while the first job's sort, which never spilled, drains into it.  Each
+    # item the first sort has yielded must be free by then.
+    n = 20_000
+    cfg = cfg_for(tmp_path, memory_budget_bytes=1 << 30)
+    stats = JobStats()
+    items = (b"k%06d\t" % (i * 7919 % n) + b"v" * 100 for i in range(n))
+
+    def copy(key, group):
+        for item in group:
+            yield key + b"\t" + item[len(key) + 2 :]
+
+    tracemalloc.start()
+    try:
+        first = run_group_by([(0, items)], first_field, copy, cfg, stats)
+        for _ in run_group_by([(0, first)], first_field, lambda key, group: (), cfg, stats):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.spill_runs == 0 and stats.keys_reduced == 2 * n
+    assert peak <= 1.5 * stats.peak_buffer_bytes
 
 
 @pytest.mark.slow

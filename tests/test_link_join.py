@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from flatlink import engine
 from flatlink.engine import ExecConfig, JobStats
-from flatlink.errors import FlatlinkError, FlatRecordError, LinkJoinError
+from flatlink.errors import FlatlinkError, LinkJoinError
 from flatlink.flat_record import EntityRecord, serialize_record
 from flatlink.link_join import (
     GtReport,
     OWL_SAMEAS,
     LinkLine,
-    check_link_id,
     gen_link_id,
     join2,
     join3,
@@ -430,24 +429,29 @@ def test_parse_link_line_rows(line, expected):
 
 
 def reference_split_2way(line: bytes, arity: int) -> list[bytes]:
-    """The line checks of join3, validate, filter-type and stats as they ran
-    on decoded text, before one bytes split served them all: raw CR (which
-    text mode read as a line end), UTF-8, the line split, the link-id rule,
-    the group count and, at arity 2, the rule that a 2-way id holds no
-    comma (join3 writes `idA,idB`)."""
+    """The line checks of join3, validate, filter-type and stats on decoded
+    text, through the token loop above: raw CR (which text mode read as a
+    line end), UTF-8, the line split, the link-id rule (no character at or
+    below U+0020, and no opening literal wrapper, which join3 would copy
+    into `idA,idB`), the group count and, at arity 2, the rule that a 2-way
+    id holds no comma (join3 writes `idA,idB`)."""
     if b"\r" in line:
         raise LinkJoinError("raw control byte 0x0d")
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LinkJoinError(f"not UTF-8: {exc.reason}") from None
-    parsed = parse_link_line(text)
-    check_link_id(parsed.link_id)
+    parsed = reference_parse_link_line(text)
+    link_id = parsed.link_id
+    if re.search("[\x00-\x20]", link_id):
+        raise LinkJoinError(f"bad link id: {link_id!r} holds a control or space character")
+    if link_id.startswith('""'):
+        raise LinkJoinError(f"bad link id: {link_id!r} opens a literal wrapper")
     if len(parsed.groups) != arity:
         raise LinkJoinError(f"expected {arity} record groups, found {len(parsed.groups)}")
-    if arity == 2 and "," in parsed.link_id:
-        raise LinkJoinError(f"bad link id: {parsed.link_id!r} holds a comma")
-    fields = [parsed.link_id]
+    if arity == 2 and "," in link_id:
+        raise LinkJoinError(f"bad link id: {link_id!r} holds a comma")
+    fields = [link_id]
     for label, slot in parsed.groups:
         fields += [label, slot]
     return [f.encode("utf-8") for f in fields]
@@ -511,9 +515,9 @@ SPLIT_2WAY_ROWS = [
     (b"fd-1\tfreebase-instance\t\tdbpedia-instance\td",
      [b"fd-1", b"freebase", b"", b"dbpedia", b"d"]),
     (b'""fd-1""\tfreebase-instance\tf\tdbpedia-instance\td',
-     [b'""fd-1""', b"freebase", b"f", b"dbpedia", b"d"]),
+     (LinkJoinError, "bad link id: '\"\"fd-1\"\"' opens a literal wrapper")),
     (b'""fd-1\tfreebase-instance\tf\tdbpedia-instance\td',
-     (FlatRecordError, "unbalanced literal quotes in token '\"\"fd-1'")),
+     (LinkJoinError, "bad link id: '\"\"fd-1' opens a literal wrapper")),
     (b"fd 1\tfreebase-instance\tf\tdbpedia-instance\td",
      (LinkJoinError, "bad link id: 'fd 1' holds a control or space character")),
     (b"fd-1\tfreebase-instance\tf\tdbpedia-instance\td\r",
@@ -531,7 +535,7 @@ SPLIT_2WAY_ROWS = [
     (b"fd,1\tfreebase-instance\tf\tdbpedia-instance\td",
      (LinkJoinError, "bad link id: 'fd,1' holds a comma")),
     (b'""fd,1""\tfreebase-instance\tf\tdbpedia-instance\td',
-     (LinkJoinError, "bad link id: '\"\"fd,1\"\"' holds a comma")),
+     (LinkJoinError, "bad link id: '\"\"fd,1\"\"' opens a literal wrapper")),
 ]
 
 
@@ -541,6 +545,36 @@ def test_split_2way_rows(line, expected):
     got = outcome(lambda l: split_link_line(l, 2), line)
     assert got == outcome(lambda l: reference_split_2way(l, 2), line)
     assert got == expected
+
+
+# A 3-way id holds one comma; the split accepts an empty record, which the
+# record check refuses.
+SPLIT_3WAY_ROWS = [
+    (b"fd-1,yd-2\tdbpedia-instance\td\tp\tv\tfreebase-instance\tf\tp\tv\tyago-instance\ty\tp\tv",
+     [b"fd-1,yd-2", b"dbpedia", b"d\tp\tv", b"freebase", b"f\tp\tv", b"yago", b"y\tp\tv"]),
+    (b"fd-1,yd-2\tdbpedia-instance\td\tp\tv\tfreebase-instance\t\tyago-instance\ty\tp\tv",
+     [b"fd-1,yd-2", b"dbpedia", b"d\tp\tv", b"freebase", b"", b"yago", b"y\tp\tv"]),
+    (b"fd-1\tfreebase-instance\tf\tdbpedia-instance\td",
+     (LinkJoinError, "expected 3 record groups, found 2")),
+    (b'""fd-1,yd-2""\tdbpedia-instance\td\tfreebase-instance\tf\tyago-instance\ty',
+     (LinkJoinError, "bad link id: '\"\"fd-1,yd-2\"\"' opens a literal wrapper")),
+]
+
+
+@pytest.mark.parametrize("line, expected", SPLIT_3WAY_ROWS)
+def test_split_3way_rows(tmp_path, line, expected):
+    got = outcome(lambda l: split_link_line(l, 3), line)
+    assert got == outcome(lambda l: reference_split_2way(l, 3), line)
+    assert got == expected
+    path = tmp_path / "dfy.links"
+    path.write_bytes(line + b"\n")
+    flags = validate(str(path), "link3").violations
+    if isinstance(expected, tuple):
+        assert flags == [(1, expected[1])]
+    elif b"" in expected:
+        assert flags == [(1, "record has no properties")]
+    else:
+        assert flags == []
 
 
 @pytest.mark.parametrize(
@@ -955,8 +989,9 @@ def test_join3_sum_of_products_oracle(tmp_path, rng):
     yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia", yd_rows)
     ids_a = [f"fd-{k}" for k in range(1, len(fd_rows) + 1)]
     ids_b = [f"yd-{k}" for k in range(1, len(yd_rows) + 1)]
-    # two hub lines on the right share one id
-    ids_b[-1] = ids_b[-2]
+    # two right lines on different shared URIs share one id
+    assert yd_rows[0][2] != yd_rows[-1][2]
+    ids_b[-1] = ids_b[0]
     lines = read_lines(yd)
     lines[-1] = _replace_id(lines[-1], ids_b[-1])
     (tmp_path / "yd.links").write_text("".join(l + "\n" for l in lines), encoding="utf-8")
@@ -1058,7 +1093,7 @@ JOIN3_INPUT_ERRORS = {
     "comma-in-id": ("left", lambda l: _replace_id(l, "fd,60"), "holds a comma"),
     "comma-in-id-right": ("right", lambda l: _replace_id(l, "yd,60"), "holds a comma"),
     "unclosed-wrapper-id": ("right", lambda l: _replace_id(l, '""yd-60'),
-                            "unbalanced literal quotes"),
+                            "opens a literal wrapper"),
     "one-kb-twice": ("right", lambda l: l.replace("yago-instance", "dbpedia-instance"),
                      "one KB holds both records"),
 }
@@ -1172,6 +1207,52 @@ def test_join3_rejects_a_comma_in_a_link_id(tmp_path, side):
         )
     assert str(excinfo.value) == f"{bad}:{line_no}: bad link id: {bad_id!r} holds a comma"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("link_id", ["fd-1", 'fd-1""', '""fd-1""', '""fd-1'])
+def test_join3_output_validates_or_join3_gives_validates_reason(tmp_path, link_id):
+    # join3 copies a left id into `idA,idB`, so it must refuse, for validate's
+    # reason, an id whose 3-way line validate --mode link3 would flag.
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    _, y1 = entity("http://y/1", label=["y"])
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1", d1)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("http://y/1", y1, "http://d/1", d1)])
+    (tmp_path / "fd.links").write_text(_replace_id(read_lines(fd)[0], link_id) + "\n",
+                                       encoding="utf-8")
+    flags = validate(fd, "link2").violations
+    out = tmp_path / "dfy.links"
+    try:
+        join3(fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"], str(out), cfg_for(tmp_path))
+    except LinkJoinError as exc:
+        assert flags == [(1, str(exc).removeprefix(f"{fd}:1: "))]
+        assert not out.exists()
+    else:
+        assert flags == []
+        assert read_lines(out)[0].startswith(f"{link_id},yd-1\t")
+        assert validate(str(out), "link3").violations == []
+
+
+@pytest.mark.parametrize("copy", ["same-line", "other-line"])
+def test_join3_refuses_a_right_id_repeated_on_one_shared_uri(tmp_path, copy):
+    _, f1 = entity("http://f/1", name=["f"])
+    _, d1 = entity("http://d/1", age=["1"])
+    y_lines = [entity(f"http://y/{i}", label=["y"])[1] for i in range(2)]
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia",
+                   [("http://f/1", f1, "http://d/1", d1)])
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia",
+                   [("", y, "", d1) for y in y_lines])
+    first, second = read_lines(yd)
+    second = first if copy == "same-line" else _replace_id(second, "yd-1")
+    (tmp_path / "yd.links").write_text(f"{first}\n{second}\n", encoding="utf-8")
+    assert validate(yd, "link2").violations == [(2, "duplicate link id 'yd-1'")]
+    out = tmp_path / "dfy.links"
+    with pytest.raises(LinkJoinError) as excinfo:
+        join3(fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"], str(out), cfg_for(tmp_path))
+    assert str(excinfo.value) == f"{yd}: duplicate link id 'yd-1' in right linkage file"
+    assert not out.exists()
 
 
 def test_join3_shared_label_absent_from_line(tmp_path):

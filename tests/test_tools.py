@@ -390,7 +390,7 @@ def test_filter_and_stats_skip_what_validate_flags(tmp_path, case):
 @pytest.mark.parametrize("mode,link_id,reason", [
     ("link2", "fd 1", "bad link id: 'fd 1' holds a control or space character"),
     ("link3", "fd-1,yd\x011", "bad link id: 'fd-1,yd\\x011' holds a control or space character"),
-    ("link2", '""fd-1', "unbalanced literal quotes in token '\"\"fd-1'"),
+    ("link2", '""fd-1', "bad link id: '\"\"fd-1' opens a literal wrapper"),
     ("link2", "fd,1", "bad link id: 'fd,1' holds a comma"),
 ])
 def test_validate_applies_join3_link_id_rule(tmp_path, mode, link_id, reason):
@@ -552,13 +552,17 @@ def test_tools_agree_on_every_line(tmp_path, mode, rows):
     assert stats(str(src), mode).unparseable == filtered.lines_skipped == len(bad)
 
     # The old validate's flags are a subset, with the same reason on lines
-    # whose one defect is a raw CR, a bad byte or an unclosed wrapper; a line
-    # it accepted is flagged now only for its link id.
+    # whose one defect is a raw CR, a bad byte or an unclosed wrapper in a
+    # record; a line it accepted is flagged now only for its link id, and a
+    # link id that opens a wrapper breaks the link-id rule.
     parent = _parent_validate(str(src), mode)
     assert set(parent) <= set(flagged)
     for line_no, (_, _, mutation, _) in enumerate(rows, 1):
         if line_no not in parent:
             assert line_no not in flagged or flagged[line_no].startswith("bad link id: ")
+        elif mutation == "quote-id":
+            reason = flagged[line_no]
+            assert reason.startswith("bad link id: ") and reason.endswith(" opens a literal wrapper")
         elif mutation in ("cr", "utf8") or (mutation or "").startswith("quote-"):
             assert flagged[line_no] == parent[line_no]
 
