@@ -7,7 +7,12 @@ is byte-deterministic for fixed inputs and config.
 
 Items are built straight from the bytes of each input line that
 ``iter_triple_bytes`` matches with its line regex, and each line is written
-straight from the subject's sorted item bytes.  It is byte-equal to
+straight from the subject's sorted item bytes.  The reduce joins a record's
+raw tokens once and checks that line: a record with no backslash, TAB, LF,
+CR, ``""`` or ``-instance`` in any token skips per-token escaping, since
+``escape_token_bytes`` would change none of them.  Any other record escapes
+only its tokens that hold a backslash, TAB, LF or CR, start with ``""`` or
+end in ``-instance``; the rest pass through raw.  Each line is byte-equal to
 ``serialize_record(record_from_triples(...))`` of the triples that the
 reference reader ``iter_triples`` (text mode and the character parser, no
 line regex) reads from the same files, which ``reference_lines`` computes in
@@ -32,6 +37,9 @@ from .flat_record import (
 from .rdf_ingest import ParseReport, Triple, iter_triple_bytes, iter_triples
 
 _SEQ = struct.Struct(">Q")
+# The bytes escape_token_bytes rewrites, as ints: `int in bytes` is one
+# memchr, while a bytes needle is first tried as an int, which raises.
+_BACKSLASH, _TAB, _LF, _CR = b"\\\t\n\r"
 
 
 @dataclass
@@ -65,6 +73,21 @@ class CompileReport:
         )
 
 
+def _escapes_nothing(line: bytes) -> bool:
+    """True when escape_token_bytes leaves every token of `line`, a record's
+    raw tokens joined by spaces, as it is.  No pattern here holds a space, so
+    the line holds one only where a token does; a token that holds none of
+    them has no byte to escape and needs no guard."""
+    return not (
+        _BACKSLASH in line
+        or _TAB in line
+        or _LF in line
+        or _CR in line
+        or line.find(b'""') >= 0
+        or line.find(b"-instance") >= 0
+    )
+
+
 def _reduce_entity(key: bytes, items: Iterator[bytes]):
     # Engine items `subject TAB tag predicate TAB seq8 kind lexical` arrive
     # sorted by (predicate, seq), and UTF-8 byte order is code point order,
@@ -72,22 +95,38 @@ def _reduce_entity(key: bytes, items: Iterator[bytes]):
     # in input order.  Exact duplicate (kind, lexical) values of one
     # predicate keep their first occurrence.
     start = len(key) + 2
-    tokens = [escape_token_bytes(key)]
+    tokens = [key]
+    literals = []  # indices of the literal values, still unwrapped
     predicate = None
     for item in items:
         tab = item.index(b"\t", start)
         if item[start:tab] != predicate:
-            predicate = item[start:tab]
-            key_token, seen = escape_token_bytes(predicate), set()
+            predicate, seen = item[start:tab], set()
         value = item[tab + 1 + _SEQ.size :]  # kind byte, then lexical
         if value in seen:
             continue
         seen.add(value)
-        tokens.append(key_token)
         if value[:1] == b"L":
-            tokens.append(b'""' + escape_token_bytes(value[1:]) + b'""')
-        else:
-            tokens.append(escape_token_bytes(value[1:]))
+            literals.append(len(tokens) + 1)
+        tokens.append(predicate)
+        tokens.append(value[1:])
+    # One check on the whole record; the joined line is dropped at once.  A
+    # record that fails it escapes only the tokens that hold a byte that
+    # escape_token_bytes rewrites, start with "" or end like a sentinel.
+    if not _escapes_nothing(b" ".join(tokens)):
+        tokens = [
+            escape_token_bytes(token)
+            if _BACKSLASH in token
+            or _TAB in token
+            or _LF in token
+            or _CR in token
+            or token.startswith(b'""')
+            or token.endswith(b"-instance")
+            else token
+            for token in tokens
+        ]
+    for i in literals:
+        tokens[i] = b'""' + tokens[i] + b'""'
     yield b"\t".join(tokens)
 
 

@@ -465,8 +465,9 @@ def _reduce_by_left_id(left_path: str, right_path: str, key: bytes, items: Itera
             raise LinkJoinError(f"{right_path}: duplicate link id {id_b!r} in right linkage file")
         elif label != missing:
             raise LinkJoinError(
-                f"{id_a},{id_b.decode('utf-8', 'replace')}: line labels do not cover the output"
-                f" order: the right line's KB {label.decode()!r} is not {missing.decode()!r}"
+                f"{left_path} and {right_path}: {id_a},{id_b.decode('utf-8', 'replace')}: line"
+                f" labels do not cover the output order: the right line's KB"
+                f" {label.decode()!r} is not {missing.decode()!r}"
             )
         else:
             prev_b = id_b

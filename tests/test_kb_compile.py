@@ -4,12 +4,13 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import FlatlinkError
 from flatlink.flat_record import parse_record, record_from_triples, serialize_record
+from flatlink import kb_compile
 from flatlink.kb_compile import KbSpec, compile_kb, reference_lines
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, ParseReport, Triple
 
@@ -222,8 +223,11 @@ def test_invalid_utf8_line_is_skipped(tmp_path):
 # wrapper look-alike, sentinel shapes, backslashes, TAB/LF/CR, raw \b and
 # \f (left unescaped by serialize_record), non-ASCII text, and non-ASCII
 # text beside escapes, which the codec must read back as N-Triples does.
+# The last five hold a quote or -instance where no guard is due, which a
+# check that counts quotes or looks for substrings could misjudge.
 _NASTY = ['""', '""x', 'x""', "dbpedia-instance", "my-kb.2-instance", "\\", "\\s",
-          "a\tb", "a\nb\rc", "\b\f", "", "é中", "http://x/o", "é\\xe9\t中"]
+          "a\tb", "a\nb\rc", "\b\f", "", "é中", "http://x/o", "é\\xe9\t中",
+          '"', 'a"', 'x""y', "x-instancey", "-instance"]
 _URIS = ["http://x/a", "dbpedia-instance", '""s', "http://x/\\b", "http://x/é",
          "http://x/中", "kb-instance", "http://x/o", "http://x/é\\中"]
 _compile_triples = st.lists(
@@ -269,6 +273,98 @@ def test_compile_lines_equal_the_record_oracle(triples, files):
             written = fh.read()
         assert written == b"".join(line + b"\n" for line in from_triples)
         assert written == b"".join(line + b"\n" for line in reference_lines(paths))
+
+
+# The nasty forms that N-Triples can carry in a URI: no control or space
+# character, and not empty.
+_NASTY_URIS = [t for t in _NASTY if t and min(map(ord, t)) > 0x20]
+
+
+@st.composite
+def _one_nasty_token(draw) -> list[Triple]:
+    """Many clean triples per subject, with exactly one nasty token: a
+    subject, a predicate, a URI value or a literal body."""
+    clean_object = st.one_of(
+        st.builds(ObjectValue, st.just(URI), st.sampled_from(["http://x/o", "http://x/é"])),
+        st.builds(ObjectValue, st.just(LITERAL), st.text("ab é中-.'", max_size=6)),
+    )
+    subjects = [f"http://x/s{i}" for i in range(draw(st.integers(1, 3)))]
+    triples = [
+        Triple(subject, draw(st.sampled_from(["http://x/p", "http://x/q"])), draw(clean_object))
+        for subject in subjects
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    i = draw(st.integers(0, len(triples) - 1))
+    where = draw(st.sampled_from(["subject", "predicate", "uri", "literal"]))
+    if where == "subject":
+        # Every triple of one subject moves to the nasty URI, so its line
+        # holds that token once, beside clean ones.
+        nasty, old = draw(st.sampled_from(_NASTY_URIS)), triples[i].subject
+        return [t._replace(subject=nasty) if t.subject == old else t for t in triples]
+    if where == "predicate":
+        triples[i] = triples[i]._replace(predicate=draw(st.sampled_from(_NASTY_URIS)))
+    elif where == "uri":
+        triples[i] = triples[i]._replace(object=ObjectValue(URI, draw(st.sampled_from(_NASTY_URIS))))
+    else:
+        triples[i] = triples[i]._replace(object=ObjectValue(LITERAL, draw(st.sampled_from(_NASTY))))
+    return triples
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_nasty_token())
+# The first line's only nasty byte is a TAB; the second's only nasty token
+# is its subject, which opens with "".
+@example([Triple("http://x/s", "http://x/p", ObjectValue(LITERAL, "a\tb")),
+          Triple("http://x/s", "http://x/p", ObjectValue(URI, "http://x/o"))])
+@example([Triple('""x', "http://x/p", ObjectValue(LITERAL, "ab"))])
+def test_one_nasty_token_among_clean_ones_matches_both_oracles(triples):
+    # The reduce checks each record's joined line once; one token that needs
+    # escaping, or only looks as if it might, must come out as the codec
+    # writes it, with its clean neighbours written raw.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kb.nt")
+        write_nt(path, triples)
+        out = os.path.join(tmp, "kb.ents")
+        cfg = ExecConfig(memory_budget_bytes=1 << 20, spill_dir=os.path.join(tmp, "spill"))
+        report = compile_kb(KbSpec("kb", [path], out), cfg)
+        assert report.skipped_lines == 0
+        with open(out, "rb") as fh:
+            written = fh.read()
+        assert written == b"".join(line + b"\n" for line in reference_lines([path]))
+    by_subject = {}
+    for t in triples:
+        by_subject.setdefault(t.subject, []).append(t)
+    assert written == b"".join(
+        serialize_record(record_from_triples(s, by_subject[s])).encode("utf-8") + b"\n"
+        for s in sorted(by_subject)
+    )
+
+
+def test_clean_records_are_written_without_token_escaping(tmp_path, monkeypatch):
+    # No token of a clean file needs escaping, so compile must write it
+    # without one call to escape_token_bytes.
+    def refuse(raw: bytes) -> bytes:
+        raise AssertionError(f"escape_token_bytes called on {raw!r}")
+
+    monkeypatch.setattr(kb_compile, "escape_token_bytes", refuse)
+    src = tmp_path / "kb.nt"
+    src.write_text(
+        '<http://x/b> <http://x/name> "Bee" .\n'
+        '<http://x/a> <http://x/name> "Ay \\"one\\" é" .\n'
+        "<http://x/a> <http://x/knows> <http://x/b> .\n"
+        '<http://x/a> <http://x/name> "Ay \\"one\\" é" .\n'
+        "<http://x/a> <http://x/knows> <http://x/c> .\n"
+        '<http://x/a> <http://x/age> "" .\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "kb.ents"
+    report = compile_kb(KbSpec("kb", [str(src)], str(out)), cfg_for(tmp_path))
+    assert report.entities == 2
+    assert out.read_bytes() == (
+        b'http://x/a\thttp://x/age\t""""\thttp://x/knows\thttp://x/b'
+        b'\thttp://x/knows\thttp://x/c\thttp://x/name\t""Ay "one" \xc3\xa9""\n'
+        b'http://x/b\thttp://x/name\t""Bee""\n'
+    )
 
 
 # Raw N-Triples terms for the bytes path: UTF-8 text, UCHAR and ECHAR

@@ -1124,6 +1124,9 @@ def test_join3_input_errors_at_a_spilling_budget(tmp_path, case):
         )
     if case == "duplicate-left-id":
         assert fd in str(excinfo.value)  # the id belongs to two lines
+    elif case == "uncovered":
+        # The pair's labels clash only across the two files, so both are named.
+        assert str(excinfo.value).startswith(f"{fd} and {yd}: ")
     elif edit is not None:
         assert f"{path}:60: " in str(excinfo.value)
     assert stats.spill_runs > 0
