@@ -43,31 +43,16 @@ def _echo_config(name: str, pairs: dict) -> None:
 
 def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
     file_values = file_values or {}
-
-    def pick(flag, env_name, file_key, default, cast):
-        if flag is not None:
-            return flag
-        if env_name and os.environ.get(env_name):
-            return cast(os.environ[env_name])
-        if file_key in file_values:
-            return cast(file_values[file_key])
-        return default
-
-    try:
-        cfg = ExecConfig(
-            memory_budget_bytes=pick(
-                getattr(args, "memory_budget", None),
-                None,
-                "memory_budget_bytes",
-                ExecConfig.memory_budget_bytes,
-                int,
-            ),
-            spill_dir=pick(
-                getattr(args, "spill_dir", None), ENV_SPILL_DIR, "spill_dir", None, str
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad engine setting: {exc}") from exc
+    spill_dir = args.spill_dir
+    if spill_dir is None:
+        spill_dir = os.environ.get(ENV_SPILL_DIR) or file_values.get("spill_dir")
+    budget = args.memory_budget
+    if budget is None:
+        try:
+            budget = int(file_values.get("memory_budget_bytes", ExecConfig.memory_budget_bytes))
+        except ValueError as exc:
+            raise ConfigError(f"bad engine setting: {exc}") from exc
+    cfg = ExecConfig(memory_budget_bytes=budget, spill_dir=spill_dir)
     cfg.validate()
     return cfg
 
@@ -191,7 +176,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     Keys: ``kb<i>.label / kb<i>.inputs / kb<i>.out`` for two or three KBs;
     ``link1.*`` joins kb1 x kb2 and ``link2.*`` joins kb3 x kb2 (keys gt,
     gt_format, out, optional sameas_uri); optional ``join3.out`` /
-    ``join3.order``; plus the engine keys memory_budget_bytes and spill_dir.
+    ``join3.order``, the three KB labels once each (default kb2,kb1,kb3);
+    plus the engine keys memory_budget_bytes and spill_dir.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -278,6 +264,15 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         raise ConfigError("two KBs take exactly link1")
     if cfg.join3 and len(cfg.kbs) != 3:
         raise ConfigError("join3 needs three KBs")
+    if cfg.join3:
+        labels = [kb.label for kb in cfg.kbs]
+        order = cfg.join3["order"]
+        cfg.join3["order"] = order.split(",") if order else [labels[1], labels[0], labels[2]]
+        if sorted(cfg.join3["order"]) != sorted(labels):
+            raise ConfigError(
+                f"join3.order must list the KB labels {','.join(labels)} once each,"
+                f" not {order!r}"
+            )
 
     outputs = [kb.output_path for kb in cfg.kbs] + [j["out"] for j in cfg.links]
     if cfg.join3:
@@ -315,16 +310,10 @@ def _cmd_pipeline(args) -> int:
         print(report.as_kv())
 
     if pipe.join3:
-        shared = pipe.kbs[1].label
-        order = (
-            pipe.join3["order"].split(",")
-            if pipe.join3["order"]
-            else [shared, pipe.kbs[0].label, pipe.kbs[2].label]
-        )
         os.makedirs(os.path.dirname(pipe.join3["out"]) or ".", exist_ok=True)
         report = join3(
-            pipe.links[0]["out"], pipe.links[1]["out"], shared, order,
-            pipe.join3["out"], cfg,
+            pipe.links[0]["out"], pipe.links[1]["out"], pipe.kbs[1].label,
+            pipe.join3["order"], pipe.join3["out"], cfg,
         )
         print(report.as_kv())
     return 0

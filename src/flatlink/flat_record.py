@@ -22,6 +22,12 @@ backslash and the character after it become one mapped code, left to right,
 so the first bad escape names the error.
 ``unescape_token(escape_token(x)) == x`` for every string x.
 
+``escape_token_bytes`` applies the rule to UTF-8 bytes, and
+``record_line_bytes`` writes ``serialize_record``'s line from a record's raw
+UTF-8 tokens, so no other module restates the rule.  A record with no
+backslash, TAB, LF, CR, ``""`` or ``-instance`` in any token is written
+without per-token escaping, since no token would change.
+
 ``parse_record`` builds a record and names the first fault of a bad line.
 ``record_tokens`` is its quick stand-in for callers that only judge a line
 or read a few tokens: whole-line tests clear a well-formed line and return
@@ -43,6 +49,10 @@ LABEL_RE = re.compile(r"[a-z0-9][a-z0-9_.-]*")
 SENTINEL_SUFFIX = "-instance"
 SENTINEL_SHAPE = re.compile(LABEL_RE.pattern + re.escape(SENTINEL_SUFFIX))
 _SENTINEL_SHAPE_BYTES = re.compile(SENTINEL_SHAPE.pattern.encode("ascii"))
+_SENTINEL_SUFFIX_BYTES = SENTINEL_SUFFIX.encode("ascii")
+# The bytes escape_token_bytes rewrites, as ints: `int in bytes` is one
+# memchr, while a bytes needle is first tried as an int, which raises.
+_BACKSLASH, _TAB, _LF, _CR = b"\\\t\n\r"
 
 
 @dataclass
@@ -77,15 +87,51 @@ def escape_token_bytes(raw: bytes) -> bytes:
     Every escaped and guard-relevant character is ASCII, and UTF-8 never
     puts an ASCII byte inside a multi-byte sequence.
     """
-    esc = (
-        raw.replace(b"\\", b"\\\\")
-        .replace(b"\t", b"\\t")
-        .replace(b"\n", b"\\n")
-        .replace(b"\r", b"\\r")
-    )
-    if esc.startswith(b'""') or _SENTINEL_SHAPE_BYTES.fullmatch(esc):
+    esc = raw
+    if _BACKSLASH in esc or _TAB in esc or _LF in esc or _CR in esc:
+        esc = (
+            esc.replace(b"\\", b"\\\\")
+            .replace(b"\t", b"\\t")
+            .replace(b"\n", b"\\n")
+            .replace(b"\r", b"\\r")
+        )
+    if esc.startswith(b'""') or (
+        esc.endswith(_SENTINEL_SUFFIX_BYTES) and _SENTINEL_SHAPE_BYTES.fullmatch(esc)
+    ):
         esc = b"\\s" + esc
     return esc
+
+
+def _escapes_nothing(line: bytes) -> bool:
+    """True when escape_token_bytes leaves every token of `line`, a record's
+    raw tokens joined by spaces, as it is.  No pattern here holds a space, so
+    the line holds one only where a token does; a token that holds none of
+    them has no byte to escape and needs no guard."""
+    return not (
+        _BACKSLASH in line
+        or _TAB in line
+        or _LF in line
+        or _CR in line
+        or line.find(b'""') >= 0
+        or line.find(_SENTINEL_SUFFIX_BYTES) >= 0
+    )
+
+
+def record_line_bytes(tokens: list[bytes], literals: list[int]) -> bytes:
+    """serialize_record's line, as UTF-8 bytes, from a record's raw UTF-8
+    tokens ``uri, key, value, key, value, ...``; `literals` holds the indices
+    of the literal values.  The caller gives up `tokens`: its literals may be
+    wrapped in place.
+
+    The tokens are checked once, joined by spaces, and escaped only when one
+    of them would change; the joined line is freed before the output line is
+    built, so a hub record holds no third copy.
+    """
+    if not _escapes_nothing(b" ".join(tokens)):
+        tokens = [escape_token_bytes(token) for token in tokens]
+    for i in literals:
+        tokens[i] = b'""' + tokens[i] + b'""'
+    return b"\t".join(tokens)
 
 
 # DOTALL, so that a backslash before a raw newline is an unknown code, not a

@@ -6,17 +6,13 @@ record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
 Items are built straight from the bytes of each input line that
-``iter_triple_bytes`` matches with its line regex, and each line is written
-straight from the subject's sorted item bytes.  The reduce joins a record's
-raw tokens once and checks that line: a record with no backslash, TAB, LF,
-CR, ``""`` or ``-instance`` in any token skips per-token escaping, since
-``escape_token_bytes`` would change none of them.  Any other record escapes
-only its tokens that hold a backslash, TAB, LF or CR, start with ``""`` or
-end in ``-instance``; the rest pass through raw.  Each line is byte-equal to
-``serialize_record(record_from_triples(...))`` of the triples that the
-reference reader ``iter_triples`` (text mode and the character parser, no
-line regex) reads from the same files, which ``reference_lines`` computes in
-memory.
+``iter_triple_bytes`` matches with its line regex.  The reduce only groups
+a subject's sorted items into raw tokens and drops duplicate values;
+``flat_record.record_line_bytes`` escapes and writes the line.  Each line
+is byte-equal to ``serialize_record(record_from_triples(...))`` of the
+triples that the reference reader ``iter_triples`` (text mode and the
+character parser, no line regex) reads from the same files, which
+``reference_lines`` computes in memory.
 """
 
 from __future__ import annotations
@@ -30,16 +26,13 @@ from . import engine
 from .errors import FlatlinkError
 from .flat_record import (
     LABEL_RE,
-    escape_token_bytes,
     record_from_triples,
+    record_line_bytes,
     serialize_record,
 )
 from .rdf_ingest import ParseReport, Triple, iter_triple_bytes, iter_triples
 
 _SEQ = struct.Struct(">Q")
-# The bytes escape_token_bytes rewrites, as ints: `int in bytes` is one
-# memchr, while a bytes needle is first tried as an int, which raises.
-_BACKSLASH, _TAB, _LF, _CR = b"\\\t\n\r"
 
 
 @dataclass
@@ -73,21 +66,6 @@ class CompileReport:
         )
 
 
-def _escapes_nothing(line: bytes) -> bool:
-    """True when escape_token_bytes leaves every token of `line`, a record's
-    raw tokens joined by spaces, as it is.  No pattern here holds a space, so
-    the line holds one only where a token does; a token that holds none of
-    them has no byte to escape and needs no guard."""
-    return not (
-        _BACKSLASH in line
-        or _TAB in line
-        or _LF in line
-        or _CR in line
-        or line.find(b'""') >= 0
-        or line.find(b"-instance") >= 0
-    )
-
-
 def _reduce_entity(key: bytes, items: Iterator[bytes]):
     # Engine items `subject TAB tag predicate TAB seq8 kind lexical` arrive
     # sorted by (predicate, seq), and UTF-8 byte order is code point order,
@@ -110,24 +88,7 @@ def _reduce_entity(key: bytes, items: Iterator[bytes]):
             literals.append(len(tokens) + 1)
         tokens.append(predicate)
         tokens.append(value[1:])
-    # One check on the whole record; the joined line is dropped at once.  A
-    # record that fails it escapes only the tokens that hold a byte that
-    # escape_token_bytes rewrites, start with "" or end like a sentinel.
-    if not _escapes_nothing(b" ".join(tokens)):
-        tokens = [
-            escape_token_bytes(token)
-            if _BACKSLASH in token
-            or _TAB in token
-            or _LF in token
-            or _CR in token
-            or token.startswith(b'""')
-            or token.endswith(b"-instance")
-            else token
-            for token in tokens
-        ]
-    for i in literals:
-        tokens[i] = b'""' + tokens[i] + b'""'
-    yield b"\t".join(tokens)
+    yield record_line_bytes(tokens, literals)
 
 
 def reference_lines(

@@ -253,6 +253,42 @@ def test_flag_beats_env(capsys, demo_dir, tmp_path, monkeypatch):
     assert not (tmp_path / "env-spill").exists()
 
 
+def test_env_beats_config_file_spill_dir(capsys, demo_dir, tmp_path, monkeypatch):
+    env_spill = tmp_path / "env-spill"
+    monkeypatch.setenv("FLATLINK_SPILL_DIR", str(env_spill))
+    cfg = demo_dir / "demo.cfg"
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "spill_dir=cfg-spill\n", encoding="utf-8")
+    code, _, stderr = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 0
+    assert f"spill_dir={env_spill}" in stderr
+    assert env_spill.is_dir()
+    assert not (demo_dir / "cfg-spill").exists()
+
+
+def test_bad_config_file_budget_fails_before_any_stage(capsys, demo_dir):
+    cfg = demo_dir / "demo.cfg"
+    text = cfg.read_text(encoding="utf-8").replace("out/", "run/")
+    cfg.write_text(text.replace("memory_budget_bytes=4194304", "memory_budget_bytes=abc"),
+                   encoding="utf-8")
+    code, _, stderr = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 2
+    assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [
+        "error: bad engine setting: invalid literal for int() with base 10: 'abc'"
+    ]
+    assert not (demo_dir / "run").exists()
+
+
+def test_zero_budget_flag_is_refused(capsys, demo_dir, tmp_path):
+    out = tmp_path / "fb.ents"
+    code, _, stderr = run(
+        capsys, "compile", "--label", "freebase",
+        "--in", str(demo_dir / "freebase.nt"), "--out", str(out), "--memory-budget", "0",
+    )
+    assert code == 2
+    assert "error: memory_budget_bytes must be >= 1" in stderr.splitlines()
+    assert not out.exists()
+
+
 def test_removed_engine_knobs_are_rejected(capsys, demo_dir, tmp_path):
     for flag in ("--partitions", "--parallelism"):
         with pytest.raises(SystemExit) as exc:
@@ -369,6 +405,8 @@ def test_stats_text_output(capsys, demo_dir):
 
 _KB = "kb{i}.label=k{i}\nkb{i}.inputs=x{i}.nt\nkb{i}.out=o{i}.ents\n"
 _LINK = "link{i}.gt=g{i}\nlink{i}.gt_format=tsv-pairs\nlink{i}.out=l{i}.links\n"
+_THREE = (_KB.format(i=1) + _KB.format(i=2) + _KB.format(i=3) + _LINK.format(i=1)
+          + _LINK.format(i=2) + "join3.out=j.links\n")
 CONFIG_ERRORS = {
     "duplicate-key": (_KB.format(i=1) + "kb1.label=again\n", "duplicate key 'kb1.label'"),
     "kb-key-missing": ("kb1.label=a\nkb1.out=o\n", "kb1 needs label, inputs and out"),
@@ -385,6 +423,12 @@ CONFIG_ERRORS = {
                           + _LINK.format(i=2), "two KBs take exactly link1"),
     "join3-two-kbs": (_KB.format(i=1) + _KB.format(i=2) + _LINK.format(i=1)
                       + "join3.out=j.links\n", "join3 needs three KBs"),
+    "join3-order-two-labels": (_THREE + "join3.order=a,b\n",
+        "join3.order must list the KB labels k1,k2,k3 once each, not 'a,b'"),
+    "join3-order-unknown-label": (_THREE + "join3.order=k2,k1,wrong\n",
+        "join3.order must list the KB labels k1,k2,k3 once each, not 'k2,k1,wrong'"),
+    "join3-order-repeated-label": (_THREE + "join3.order=k2,k2,k3\n",
+        "join3.order must list the KB labels k1,k2,k3 once each, not 'k2,k2,k3'"),
 }
 
 
@@ -396,3 +440,9 @@ def test_config_parser_errors(tmp_path, case):
     with pytest.raises(ConfigError) as exc:
         parse_pipeline_config(str(cfg))
     assert message in str(exc.value)
+
+
+def test_join3_order_defaults_to_the_shared_kb_first(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(_THREE, encoding="utf-8")
+    assert parse_pipeline_config(str(cfg)).join3["order"] == ["k2", "k1", "k3"]

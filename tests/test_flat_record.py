@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlink.errors import FlatRecordError
@@ -9,6 +9,7 @@ from flatlink.flat_record import (
     escape_token_bytes,
     parse_record,
     record_from_triples,
+    record_line_bytes,
     record_tokens,
     serialize_record,
     unescape_token,
@@ -154,6 +155,23 @@ def test_escape_round_trip(raw):
 @given(tokens)
 def test_bytes_escape_equals_str_escape(raw):
     assert escape_token_bytes(raw.encode("utf-8")) == escape_token(raw).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "raw, escaped",
+    [
+        ("x-instancey", "x-instancey"),  # ends past the suffix
+        ("x-instance", "\\sx-instance"),  # the sentinel shape
+        ("X-instance", "X-instance"),  # the suffix, but no label
+        ("a\tb-instance", "a\\tb-instance"),  # escaped, so no label
+        ('""x', '\\s""x'),
+        ('x""', 'x""'),
+        ("\u00e9\\\r", "\u00e9\\\\\\r"),
+    ],
+)
+def test_escape_token_bytes_rows(raw, escaped):
+    assert escape_token(raw) == escaped
+    assert escape_token_bytes(raw.encode("utf-8")) == escaped.encode("utf-8")
 
 
 @given(tokens)
@@ -315,7 +333,7 @@ def _dedup(vals: list[ObjectValue]) -> list[ObjectValue]:
 
 records = st.builds(
     EntityRecord,
-    uri=st.text(min_size=1, max_size=20),
+    uri=st.one_of(st.text(min_size=1, max_size=20), nasty_tokens.filter(bool)),
     properties=st.dictionaries(
         keys=st.one_of(st.text(min_size=1, max_size=15), nasty_tokens.filter(bool)),
         values=st.lists(values, min_size=1, max_size=4).map(_dedup),
@@ -323,6 +341,22 @@ records = st.builds(
         max_size=5,
     ),
 )
+
+
+@settings(max_examples=300)
+@given(records)
+# A lone LF or CR is the only byte that makes these records need escaping.
+@example(EntityRecord("u", {"p": [ObjectValue(LITERAL, "a\nb")]}))
+@example(EntityRecord("u", {"p": [ObjectValue(URI, "a\rb")]}))
+def test_record_line_bytes_equals_serialize_record(rec):
+    tokens = [rec.uri.encode("utf-8")]
+    literals = []
+    for key, values in rec.properties.items():
+        for value in values:
+            if value.kind == LITERAL:
+                literals.append(len(tokens) + 1)
+            tokens += [key.encode("utf-8"), value.lexical.encode("utf-8")]
+    assert record_line_bytes(tokens, literals) == serialize_record(rec).encode("utf-8")
 
 
 @settings(max_examples=300)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.errors import FlatlinkError
 from flatlink.flat_record import parse_record, record_from_triples, serialize_record
-from flatlink import kb_compile
+from flatlink import flat_record
 from flatlink.kb_compile import KbSpec, compile_kb, reference_lines
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, ParseReport, Triple
 
@@ -346,7 +346,7 @@ def test_clean_records_are_written_without_token_escaping(tmp_path, monkeypatch)
     def refuse(raw: bytes) -> bytes:
         raise AssertionError(f"escape_token_bytes called on {raw!r}")
 
-    monkeypatch.setattr(kb_compile, "escape_token_bytes", refuse)
+    monkeypatch.setattr(flat_record, "escape_token_bytes", refuse)
     src = tmp_path / "kb.nt"
     src.write_text(
         '<http://x/b> <http://x/name> "Bee" .\n'
