@@ -57,13 +57,17 @@ class ExecConfig:
 class JobStats:
     """Filled in as a job runs; spill_runs is the observable for scale tests.
 
-    peak_buffer_bytes is the largest in-memory buffer one sort of the job
-    held, as an exact byte count: sys.getsizeof(item) plus an 8-byte list
-    slot per item (the list's spare capacity aside).  A sort that spilled
-    holds no buffer while it merges, and one that did not lets go of each
-    item as it yields it, so sorts chained lazily (as in join2 and join3)
-    hold about one buffer of items between them; this figure does not add
-    the two buffers up.
+    items_in counts the items fed to every sort of the job, through
+    external_sort and run_group_by alike; each sorter adds its count when it
+    spills a run or starts to yield from memory, so counting costs nothing
+    per item.  peak_buffer_bytes is the largest in-memory buffer one sort of
+    the job held, as an exact byte count: sys.getsizeof(item) plus an 8-byte
+    list slot per item (the list's spare capacity aside).  A sort that
+    spilled holds no buffer while it merges, and one that did not lets go of
+    each item as it yields it, so when a later sort is fed from an earlier
+    one's output (join2 sorts the outputs of its first merge, join3 those of
+    its first shuffle) the two hold about one buffer of items between them;
+    this figure does not add the two buffers up.
     """
 
     items_in: int = 0
@@ -126,6 +130,7 @@ class ExternalSorter:
         if not self._buffer:
             return
         self.stats.saw_buffer(self._buffer_bytes)
+        self.stats.items_in += len(self._buffer)
         self._buffer.sort()
         run = _Spill(self.spill_dir)
         run.write_items(self._buffer)
@@ -145,6 +150,7 @@ class ExternalSorter:
         if not self._runs:
             self.stats.saw_buffer(self._buffer_bytes)
             buffer = self._buffer
+            self.stats.items_in += len(buffer)
             buffer.sort(reverse=True)
             while buffer:
                 yield buffer.pop()
@@ -164,14 +170,21 @@ def external_sort(
 def _sorted(items: Iterable[bytes], cfg: ExecConfig, stats: JobStats | None) -> Iterator[bytes]:
     # The sort path of external_sort and run_group_by: one sorter with the
     # whole budget in a job-scoped spill dir, made at the first item pulled
-    # and removed when the merge ends or the generator is closed.
-    cfg.validate()
-    with _spill_scope(cfg) as spill_dir:
-        sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
-        add = sorter.add
-        for item in items:
-            add(item)
-        yield from sorter.iter_sorted()
+    # and removed when the merge ends or the generator is closed.  It closes
+    # its input when it ends or fails, so an upstream sort feeding it (as
+    # join2's first sort feeds its second) drops its spill dir now, not when
+    # a traceback goes.
+    try:
+        cfg.validate()
+        with _spill_scope(cfg) as spill_dir:
+            sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
+            add = sorter.add
+            for item in items:
+                add(item)
+            yield from sorter.iter_sorted()
+    finally:
+        if hasattr(items, "close"):
+            items.close()
 
 
 @contextlib.contextmanager
@@ -211,19 +224,16 @@ def _spill_scope(cfg: ExecConfig) -> Iterator[str]:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def _tag_items(inputs: list[tuple[int, Iterable[bytes]]], stats: JobStats) -> Iterator[bytes]:
+def _tag_items(inputs: list[tuple[int, Iterable[bytes]]]) -> Iterator[bytes]:
     # `key TAB rest` becomes `key TAB tag-byte rest`.  The replace adds a
     # byte only where it found a TAB, and a TAB in front is an empty key.
     for tag, stream in inputs:
         tab_tag = b"\t" + bytes((tag,))
-        n = 0
         for item in stream:
             tagged = item.replace(b"\t", tab_tag, 1)
             if len(tagged) == len(item) or item[0] == 9:
                 raise EngineError(f"input item has an empty key or no TAB: {item[:60]!r}")
             yield tagged
-            n += 1
-        stats.items_in += n
 
 
 def run_group_by(
@@ -245,7 +255,7 @@ def run_group_by(
     """
     if stats is None:
         stats = JobStats()
-    items = _sorted(_tag_items(inputs, stats), cfg, stats)
+    items = _sorted(_tag_items(inputs), cfg, stats)
     try:
         for key, group in itertools.groupby(items, key=key_fn):
             stats.keys_reduced += 1
@@ -256,7 +266,7 @@ def run_group_by(
             except Exception as exc:
                 raise EngineError(f"reduce_fn failed for key {key!r}: {exc}") from exc
     finally:
-        # The sort and each input that closes, an upstream job such as join2's
+        # The sort and each input that closes, an upstream job such as join3's
         # first shuffle, drop their spill dirs now, not when a traceback goes.
         for stream in [items, *(stream for _, stream in inputs)]:
             if hasattr(stream, "close"):

@@ -17,18 +17,26 @@ each fault of its cut, its link id and its group count itself.  Ground truth
 in either format is read through ``rdf_ingest.read_lines``, and its pairs
 stay UTF-8 bytes into join2's items.
 
-join2 is two shuffles: keyed by right URI, then by left URI.  Inside one
-left URI the second shuffle's values arrive sorted by right URI, so its
-outputs are already in link-id order and need no third sort.  join3 is two
-shuffles too: keyed by the shared URI, then by left link id.  Inside one
-left id the second shuffle's values arrive sorted by right id, so the lines
-leave in (idA, idB) order with no final sort.  The first shuffle keeps only
-the left link ids of one shared URI in memory.
+join2 is a merge join, because entity files strictly ascend by raw URI, the
+join key: it sorts only the ground-truth items ``right TAB left`` and merges
+them, grouped by right URI, with the right entity file as it reads it; then
+it sorts those outputs ``left TAB right TAB right line`` and merges them,
+grouped by left URI, with the left entity file.  Inside one left URI the
+second sort's items arrive by right URI, so the lines leave in link-id order
+with no third sort.  No entity line goes through a sort, and each merge reads
+its file to the end, so every line is checked.
+
+join3 is two shuffles: keyed by the shared URI, then by left link id.  Inside
+one left id the second shuffle's values arrive sorted by right id, so the
+lines leave in (idA, idB) order with no final sort.  The first shuffle keeps
+only the left link ids of one shared URI in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -178,7 +186,7 @@ def load_ground_truth(
     file, read through read_lines: plain or .gz, any line ending.
 
     Pairs keep file orientation, and duplicates stream through: join2
-    collapses them inside its shuffle, so no pair is held in memory here.
+    collapses them inside its first merge, so no pair is held in memory here.
     """
     if format not in GT_FORMATS:
         raise LinkJoinError(f"unknown ground-truth format {format!r}")
@@ -239,9 +247,11 @@ class Join2Report:
         )
 
 
-def _iter_entity_items(path: str) -> Iterator[bytes]:
-    # item = raw uri \t verbatim line; the uri field is the unescaped first
-    # token, matching the raw URIs carried by ground-truth items.
+def _entity_lines(path: str, side: str) -> Iterator[tuple[bytes, bytes]]:
+    """(raw URI, verbatim line) of each line of an entity file, every line
+    checked; the raw URI is the unescaped first token, which ground-truth
+    items carry.  URIs must strictly ascend, as compile writes them."""
+    prev = b""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip(b"\n")
@@ -253,59 +263,77 @@ def _iter_entity_items(path: str) -> Iterator[bytes]:
                 uri = _record_uri(line)
             except (LinkJoinError, FlatRecordError) as exc:
                 raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
-            yield uri + b"\t" + line
+            if uri <= prev:
+                text = uri.decode("utf-8", "replace")
+                if uri == prev:
+                    raise LinkJoinError(f"duplicate subject {text!r} in {side} entity file")
+                raise LinkJoinError(
+                    f"{path}:{line_no}: entity file not sorted: subject {text!r} sorts"
+                    " below the line before"
+                )
+            prev = uri
+            yield uri, line
 
 
-def _entity_line(key: bytes, seen: bytes | None, item: bytes, side: str) -> bytes:
-    """The entity line of a tag-0 item; one key has at most one."""
-    if seen is not None:
-        raise LinkJoinError(
-            f"duplicate subject {key.decode('utf-8', 'replace')!r} in {side} entity file"
-        )
-    return item[len(key) + 2 :]
+def _merge(
+    items: Iterator[bytes],
+    entities: Iterator[tuple[bytes, bytes]],
+    reduce,
+    stats: engine.JobStats,
+):
+    """Merge sorted items, grouped by first field, with the (URI, line) pairs
+    of an entity file in the same order: yields from reduce(key, line or
+    None, group) per key, and reads the file to its end, so every line is
+    checked.  Closes both streams when it ends or fails."""
+    try:
+        # The file is read only once the first group is in, so a fault of the
+        # right file comes before any of the left's.  uri is None at its end.
+        uri, line = b"", None
+        for key, group in itertools.groupby(items, key=engine.first_field):
+            while uri is not None and uri < key:
+                uri, line = next(entities, (None, None))
+            stats.keys_reduced += 1
+            yield from reduce(key, line if uri == key else None, group)
+        for _ in entities:
+            pass
+    finally:
+        items.close()
+        entities.close()
 
 
-# Each reduce below reads an engine item `key TAB tag-byte rest` in place:
-# the tag at item[len(key) + 1] and the rest from len(key) + 2 on.
-
-
-def _reduce_by_right(key: bytes, items: Iterator[bytes]):
-    # tag 0: the right entity line; tag 1: ground-truth items r \t l, sorted
-    # by l with duplicates adjacent.  Yields l \t r \t right-line once per
-    # unique pair, with an empty right line when r has none.
-    at = len(key) + 1
-    line = None
+def _reduce_by_right(key: bytes, line: bytes | None, items: Iterator[bytes]):
+    # Ground-truth items r \t l of one r, sorted by l with duplicates
+    # adjacent, and r's right entity line.  Yields l \t r \t right-line once
+    # per unique pair, with an empty right line when r has none.
+    tail = b"\t" + key + b"\t" + (line or b"")
+    start = len(key) + 1
     prev = None
     for item in items:
-        if item[at] == 0:
-            line = _entity_line(key, line, item, "right")
-        elif item != prev:
+        if item != prev:
             prev = item
-            yield item[at + 1 :] + b"\t" + key + b"\t" + (line or b"")
+            yield item[start:] + tail
 
 
 _DROPPED_LEFT = b"L"
 _DROPPED_RIGHT = b"R"
 
 
-def _reduce_by_left(sentinels: tuple[bytes, bytes], key: bytes, items: Iterator[bytes]):
-    # tag 0: the left entity line; tag 1: _reduce_by_right's items, sorted by
-    # r, so the matches of one key leave in link-id order.  A match is the
-    # output line after its link id; a drop is one marker byte.
-    s_left, s_right = sentinels
-    at = len(key) + 1
-    line = None
-    for item in items:
-        if item[at] == 0:
-            line = _entity_line(key, line, item, "left")
-        elif line is None:
+def _reduce_by_left(
+    sentinels: tuple[bytes, bytes], key: bytes, line: bytes | None, items: Iterator[bytes]
+):
+    # _reduce_by_right's items of one l, sorted by r, so they leave in link-id
+    # order, and l's left entity line.  A match is the output line after its
+    # link id; a drop is one marker byte.
+    if line is None:
+        for _ in items:
             yield _DROPPED_LEFT
-        else:
-            right = item[item.index(b"\t", at + 1) + 1 :]
-            if right:
-                yield b"\t".join((b"", s_left, line, s_right, right)) + b"\n"
-            else:
-                yield _DROPPED_RIGHT
+        return
+    s_left, s_right = sentinels
+    head = b"\t".join((b"", s_left, line, s_right, b""))
+    at = len(key) + 1
+    for item in items:
+        right = item[item.index(b"\t", at) + 1 :]
+        yield head + right + b"\n" if right else _DROPPED_RIGHT
 
 
 def join2(
@@ -323,7 +351,7 @@ def join2(
 
     One output line per unique ground-truth pair present on both sides;
     link ids count up from 1 in ascending (left uri, right uri) order, which
-    is also the file order.
+    is also the file order.  Each entity file's URIs must strictly ascend.
     """
     sentinel_left = sentinel_for(labels[0])
     sentinel_right = sentinel_for(labels[1])
@@ -338,27 +366,25 @@ def join2(
         for left, right in load_ground_truth(gt_path, gt_format, sameas_uri, gt_report):
             yield right + b"\t" + left
 
-    by_right = engine.run_group_by(
-        [(0, _iter_entity_items(right_path)), (1, gt_items())],
-        engine.first_field,
+    # The reduces are looked up here, at call time, so a patched one runs.
+    by_right = _merge(
+        engine.external_sort(gt_items(), cfg, stats),
+        _entity_lines(right_path, "right"),
         _reduce_by_right,
-        cfg,
-        stats=stats,
+        stats,
     )
-    by_left = engine.run_group_by(
-        # by_right first: the first shuffle drains, and its sorter's buffer
-        # goes, before this one buffers the left file.  Tags set the order.
-        [(1, by_right), (0, _iter_entity_items(left_path))],
-        engine.first_field,
+    by_left = _merge(
+        engine.external_sort(by_right, cfg, stats),
+        _entity_lines(left_path, "left"),
         functools.partial(
             _reduce_by_left, (sentinel_left.encode("utf-8"), sentinel_right.encode("utf-8"))
         ),
-        cfg,
-        stats=stats,
+        stats,
     )
 
     prefix = labels[0][0] + labels[1][0]
-    with engine.atomic_output(out_path) as out:
+    # closing: a failed write drops the sorts' spill dirs at once too.
+    with engine.atomic_output(out_path) as out, contextlib.closing(by_left):
         for tail in by_left:
             if tail == _DROPPED_LEFT:
                 report.pairs_dropped_left += 1

@@ -200,8 +200,9 @@ def test_damaged_gz_input_is_one_error_line(capsys, tmp_path, stage, damage):
         ents = {}
         for side, host in (("left", "f"), ("right", "d")):
             ents[side] = tmp_path / f"{side}.ents"
-            ents[side].write_text(
-                "".join(f'http://{host}/{i}\thttp://x/p\t""v""\n' for i in range(1000)),
+            ents[side].write_text(  # in URI order, which join2 requires
+                "".join(f'http://{host}/{i}\thttp://x/p\t""v""\n'
+                        for i in sorted(range(1000), key=str)),
                 encoding="utf-8",
             )
         argv = ["join2", "--left", str(ents["left"]), "--right", str(ents["right"]),

@@ -92,6 +92,44 @@ def test_failed_spill_write_closes_its_file(tmp_path, monkeypatch):
     assert list((tmp_path / "spill").iterdir()) == []
 
 
+@pytest.mark.parametrize("budget", [1024, 1 << 20])
+def test_items_in_counts_the_items_of_every_sort(tmp_path, budget):
+    # Spilled or held in memory, through external_sort or run_group_by.
+    cfg = cfg_for(tmp_path, memory_budget_bytes=budget)
+    stats = JobStats()
+    items = [f"{i % 97:03}\t{i}".encode() for i in range(500)]
+    assert list(external_sort(iter(items), cfg, stats)) == sorted(items)
+    list(run_group_by([(0, iter(items)), (1, iter(items[:30]))], first_field, count_reduce,
+                      cfg, stats))
+    assert stats.items_in == 500 + 530
+    assert (stats.spill_runs > 0) == (budget == 1024)
+
+
+def test_failed_sort_closes_a_sort_that_feeds_it(tmp_path, monkeypatch):
+    # The second sort fails while it reads the first, spilled one; the first
+    # drops its spill dir at once, while the exception is still held.
+    sorters = []
+
+    class FailingSecond(engine.ExternalSorter):
+        def add(self, item):
+            if self not in sorters:
+                sorters.append(self)
+            if len(sorters) == 2:
+                raise OSError(errno.ENOSPC, "second sort fails")
+            super().add(item)
+
+    monkeypatch.setattr(engine, "ExternalSorter", FailingSecond)
+    first_spill, second_spill = tmp_path / "first", tmp_path / "second"
+    stats = JobStats()
+    items = [f"{i:05}\t".encode() + b"x" * 50 for i in range(200)]
+    first = external_sort(iter(items), ExecConfig(1024, str(first_spill)), stats)
+    with pytest.raises(OSError, match="second sort fails") as excinfo:  # noqa: F841, held
+        list(external_sort(first, ExecConfig(1024, str(second_spill))))
+    assert stats.spill_runs > 0
+    assert list(first_spill.iterdir()) == []
+    assert list(second_spill.iterdir()) == []
+
+
 # --- group by --------------------------------------------------------------
 
 def count_reduce(key, items):

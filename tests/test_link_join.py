@@ -664,7 +664,7 @@ def test_join2_skips_invalid_utf8_ground_truth_line(tmp_path):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_join2_duplicate_subject_is_error(tmp_path, side):
-    # Raised from a reduce after the sort has spilled; no runs stay behind.
+    # Raised from a merge after the sort has spilled; no runs stay behind.
     f_lines = [entity(f"http://f/{i:03}", name=[f"n{i}"])[1] for i in range(100)]
     d_lines = [entity(f"http://d/{i:03}", age=[str(i)])[1] for i in range(100)]
     dup = f_lines if side == "left" else d_lines
@@ -674,7 +674,8 @@ def test_join2_duplicate_subject_is_error(tmp_path, side):
     b = tmp_path / "d.ents"
     b.write_text("".join(line + "\n" for line in d_lines), encoding="utf-8")
     gt = tmp_path / "gt.tsv"
-    gt.write_text("http://f/050\thttp://d/050\n", encoding="utf-8")
+    gt.write_text("".join(f"http://f/{i:03}\thttp://d/{i:03}\n" for i in range(100)),
+                  encoding="utf-8")
     stats = JobStats()
     with pytest.raises(LinkJoinError, match=f"duplicate subject .* in {side} entity file"):
         join2(
@@ -756,7 +757,8 @@ def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
     b = tmp_path / "d.ents"
     write_entity_file(b, dict([entity("http://d/1", age=["1"])]))
     gt = tmp_path / "gt.tsv"
-    gt.write_text("http://f/0001\thttp://d/1\n", encoding="utf-8")
+    gt.write_text("".join(f"http://f/{i:04}\thttp://d/1\n" for i in range(400)),
+                  encoding="utf-8")
     stats = JobStats()
     with pytest.raises(LinkJoinError, match="blank line"):
         join2(
@@ -765,6 +767,42 @@ def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
             stats=stats,
         )
     assert stats.spill_runs >= 1
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_join2_descending_entity_file_is_error(tmp_path, side):
+    # A URI below the one before it names its file and line, after the sorts
+    # have spilled; no output, temp file or spill run stays behind.  The
+    # right file's fault comes first.
+    lines = {
+        "left": [entity(f"http://f/{i:03}", name=[f"n{i}"])[1] for i in range(100)],
+        "right": [entity(f"http://d/{i:03}", age=[str(i)])[1] for i in range(100)],
+    }
+    for s in ("left", "right") if side == "both" else (side,):
+        lines[s].reverse()
+    paths = {"left": tmp_path / "f.ents", "right": tmp_path / "d.ents"}
+    for s, path in paths.items():
+        path.write_text("".join(line + "\n" for line in lines[s]), encoding="utf-8")
+    gt = tmp_path / "gt.tsv"
+    gt.write_text("".join(f"http://f/{i:03}\thttp://d/{i:03}\n" for i in range(100)),
+                  encoding="utf-8")
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    stats = JobStats()
+    with pytest.raises(LinkJoinError) as excinfo:
+        join2(
+            str(paths["left"]), str(paths["right"]), str(gt), "tsv-pairs",
+            ("freebase", "dbpedia"), str(outdir / "fd.links"),
+            cfg_for(tmp_path, memory_budget_bytes=2048), stats=stats,
+        )
+    named, host = ("left", "f") if side == "left" else ("right", "d")
+    assert str(excinfo.value) == (
+        f"{paths[named]}:2: entity file not sorted: subject 'http://{host}/098' sorts"
+        " below the line before"
+    )
+    assert stats.spill_runs >= 1
+    assert list(outdir.iterdir()) == []
     assert list((tmp_path / "spill").iterdir()) == []
 
 
@@ -836,7 +874,7 @@ def test_join2_matches_nested_loop_oracle(tmp_path, rng):
     stats = JobStats()
     report = join2(
         str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"), str(out),
-        cfg_for(tmp_path, memory_budget_bytes=32 * 1024), stats=stats,
+        cfg_for(tmp_path, memory_budget_bytes=8 * 1024), stats=stats,
     )
     assert stats.spill_runs >= 2
     expected_lines, dropped_l, dropped_r = join2_oracle(
