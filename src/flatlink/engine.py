@@ -1,8 +1,10 @@
 """Local, deterministic map-shuffle-reduce with bounded-memory external sort.
 
-An engine item is one ``bytes`` object, ``key TAB tag-byte rest``: the key is
-the input item's first TAB-delimited field, the tag byte names its input
-stream, and rest is what followed the key's TAB.  Each job feeds all of its
+``external_sort`` sorts byte strings as they are; compile and join2 group its
+sorted output themselves.  The shuffle ``run_group_by`` (join3's) sorts
+engine items: one ``bytes`` object, ``key TAB tag-byte rest``, where the key
+is the input item's first TAB-delimited field, the tag byte names its input
+stream, and rest is what followed the key's TAB.  Each sort feeds all of its
 items to one sorter that holds the whole memory budget.  The sorter orders
 the bytes as they are, spilling sorted runs to disk whenever its buffer fills
 the budget, then merges the runs, so each key's items are contiguous, by tag
@@ -246,8 +248,10 @@ def run_group_by(
     """Group all tagged input items by key and reduce each group once.
 
     An input item is `key TAB rest` with a non-empty key, and a tag is one
-    byte (0-255).  key_fn reads the key of an engine item back; every caller
-    passes first_field.  reduce_fn(key, items) sees the group's engine items
+    byte (0-255).  key_fn reads the key of an engine item back; join3, the
+    one caller, passes first_field (compile and join2 sort with
+    external_sort and group the sorted items themselves).  reduce_fn(key,
+    items) sees the group's engine items
     `key TAB tag-byte rest` sorted by (tag, rest bytes), finds the tag at
     item[len(key) + 1] and the rest from len(key) + 2 on, and must be pure.
     Outputs come in ascending key order, each group's in the order reduce_fn

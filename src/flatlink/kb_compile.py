@@ -5,18 +5,21 @@ triple; subjects spread over multiple input files merge into a single
 record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
-Items are built straight from the bytes of each input line that
-``iter_triple_bytes`` matches with its line regex.  The reduce only groups
-a subject's sorted items into raw tokens and drops duplicate values;
-``flat_record.record_line_bytes`` escapes and writes the line.  Each line
-is byte-equal to ``serialize_record(record_from_triples(...))`` of the
-triples that the reference reader ``iter_triples`` (text mode and the
-character parser, no line regex) reads from the same files, which
-``reference_lines`` computes in memory.
+Items ``subject TAB predicate TAB seq8 kind lexical`` are built straight
+from the bytes of each input line that ``iter_triple_bytes`` matches with
+its line regex, and sorted as they are by ``engine.external_sort``.  One
+pass over the sorted stream (``_records``) groups each subject's items into
+raw tokens and drops duplicate values; ``flat_record.record_line_bytes``
+escapes and writes the line.  Each line is byte-equal to
+``serialize_record(record_from_triples(...))`` of the triples that the
+reference reader ``iter_triples`` (text mode and the character parser, no
+line regex) reads from the same files, which ``reference_lines`` computes
+in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -66,29 +69,39 @@ class CompileReport:
         )
 
 
-def _reduce_entity(key: bytes, items: Iterator[bytes]):
-    # Engine items `subject TAB tag predicate TAB seq8 kind lexical` arrive
-    # sorted by (predicate, seq), and UTF-8 byte order is code point order,
-    # so predicates come in record_from_triples' key order with their values
-    # in input order.  Exact duplicate (kind, lexical) values of one
-    # predicate keep their first occurrence.
-    start = len(key) + 2
-    tokens = [key]
-    literals = []  # indices of the literal values, still unwrapped
-    predicate = None
-    for item in items:
-        tab = item.index(b"\t", start)
-        if item[start:tab] != predicate:
-            predicate, seen = item[start:tab], set()
-        value = item[tab + 1 + _SEQ.size :]  # kind byte, then lexical
-        if value in seen:
-            continue
-        seen.add(value)
-        if value[:1] == b"L":
-            literals.append(len(tokens) + 1)
-        tokens.append(predicate)
-        tokens.append(value[1:])
-    yield record_line_bytes(tokens, literals)
+def _records(items: Iterator[bytes], stats: engine.JobStats) -> Iterator[bytes]:
+    # Sorted items `subject TAB predicate TAB seq8 kind lexical`: subject and
+    # predicate hold no byte <= 0x20, so the first two TABs split them off,
+    # and no further (seq8 may hold a TAB byte).  UTF-8 byte order is code
+    # point order, so each subject's predicates come in record_from_triples'
+    # key order with their values in input order.  Exact duplicate (kind,
+    # lexical) values of one predicate keep their first occurrence.  Closes
+    # the sort when it ends or fails, so its spill dir goes at once.
+    try:
+        subject = predicate = None
+        for item in items:
+            key, pred, value = item.split(b"\t", 2)
+            if key != subject:
+                if subject is not None:
+                    yield record_line_bytes(tokens, literals)
+                stats.keys_reduced += 1
+                subject, predicate = key, None
+                tokens = [key]
+                literals = []  # indices of the literal values, still unwrapped
+            if pred != predicate:
+                predicate, seen = pred, set()
+            value = value[_SEQ.size :]  # kind byte, then lexical
+            if value in seen:
+                continue
+            seen.add(value)
+            if value[:1] == b"L":
+                literals.append(len(tokens) + 1)
+            tokens.append(predicate)
+            tokens.append(value[1:])
+        if subject is not None:
+            yield record_line_bytes(tokens, literals)
+    finally:
+        items.close()
 
 
 def reference_lines(
@@ -128,14 +141,9 @@ def compile_kb(
             for subject, predicate, value in iter_triple_bytes(path, report.parse):
                 yield b"%b\t%b\t%b%b" % (subject, predicate, _SEQ.pack(next(seq)), value)
 
-    lines = engine.run_group_by(
-        [(0, items())],
-        engine.first_field,
-        _reduce_entity,
-        cfg,
-        stats=stats,
-    )
-    with engine.atomic_output(spec.output_path) as out:
+    lines = _records(engine.external_sort(items(), cfg, stats), stats)
+    # closing: a failed write drops the sort's spill dir at once too.
+    with engine.atomic_output(spec.output_path) as out, contextlib.closing(lines):
         for line in lines:
             out.write(line)
             out.write(b"\n")

@@ -558,7 +558,8 @@ def join3(
         cfg,
         stats=stats,
     )
-    with engine.atomic_output(out_path) as out:
+    # closing: a failed write drops both shuffles' spill dirs at once too.
+    with engine.atomic_output(out_path) as out, contextlib.closing(by_left_id):
         for line in by_left_id:
             out.write(line)
             report.lines_emitted += 1

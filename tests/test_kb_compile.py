@@ -190,6 +190,52 @@ def test_spills_observed_under_small_budget(tmp_path, rng):
     assert flatten_lines(out) == group_oracle(triples)
 
 
+@pytest.mark.parametrize("budget", [1 << 20, 4096], ids=["in-memory", "spilled"])
+def test_seq_bytes_holding_tab_or_lf_split_no_item(tmp_path, budget):
+    # Each item carries its triple's global seq as 8 raw bytes between the
+    # predicate's TAB and the value, so seq 9 holds a TAB byte, 10 an LF, 13
+    # a CR and 0x0900 a TAB in its next-to-last byte.  One (subject,
+    # predicate) group holds values at those four seqs, two of them repeats,
+    # and at seq 12 a value that is one TAB.
+    values = {9: '"x"', 10: "<http://x/o>", 12: '"\\t"', 13: '"x"', 0x0900: "<http://x/o>"}
+    lines = [
+        f"<http://x/hub> <http://x/p> {values[seq]} .\n" if seq in values
+        else f'<http://x/f{seq:04}> <http://x/p> "f {seq % 7}" .\n'
+        for seq in range(0x0900 + 2)
+    ]
+    src = tmp_path / "kb.nt"
+    src.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "kb.ents"
+    report = compile_kb(
+        KbSpec("kb", [str(src)], str(out)), cfg_for(tmp_path, memory_budget_bytes=budget)
+    )
+    assert (report.spill_runs > 0) == (budget == 4096)
+    assert out.read_bytes() == b"".join(line + b"\n" for line in reference_lines([str(src)]))
+    hub = parse_record(read_lines(out)[-1])
+    assert hub.uri == "http://x/hub"
+    assert hub.properties["http://x/p"] == [
+        ObjectValue(LITERAL, "x"), ObjectValue(URI, "http://x/o"), ObjectValue(LITERAL, "\t")
+    ]
+
+
+@pytest.mark.parametrize("budget", [1 << 20, 8 * 1024], ids=["in-memory", "spilled"])
+def test_counters_match_the_report(tmp_path, rng, budget):
+    # The benchmark judges each compile call by these counters: one item
+    # per triple into the sort, one reduced key per entity.
+    triples = synth_triples(rng, "kb", 3000, 400)
+    src = tmp_path / "kb.nt"
+    write_nt(src, triples + triples[:500])  # repeats, which the reduce drops
+    stats = JobStats()
+    report = compile_kb(
+        KbSpec("kb", [str(src)], str(tmp_path / "kb.ents")),
+        cfg_for(tmp_path, memory_budget_bytes=budget),
+        stats=stats,
+    )
+    assert (stats.spill_runs > 0) == (budget == 8 * 1024)
+    assert stats.items_in == report.triples == 3500
+    assert stats.keys_reduced == report.entities == 400
+
+
 def test_surrogate_escape_line_is_skipped(tmp_path):
     src = tmp_path / "kb.nt"
     src.write_text(

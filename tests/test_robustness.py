@@ -1,10 +1,12 @@
 """A failed job leaves nothing behind, and every output of a run passes
 validate.
 
-The fault tests make one sort or one reduce of compile, join2 or join3 raise
-part-way through a spilling job.  The property test runs compile x3, join2 x2
+The fault tests make one sort, one reduce, one record of compile or one
+output write of compile, join2 or join3 raise part-way through a spilling
+job.  The property test runs compile x3, join2 x2
 and join3 over generated N-Triples and ground truth of awkward shapes."""
 
+import contextlib
 import functools
 import itertools
 import os
@@ -97,6 +99,39 @@ def _fail_at_group(monkeypatch, module, name: str, n: int) -> None:
     monkeypatch.setattr(module, name, failing_reduce)
 
 
+def _fail_at_call(monkeypatch, module, name: str, n: int) -> None:
+    # The n-th call of module.name raises.
+    fn = getattr(module, name)
+    calls = itertools.count(1)
+
+    def failing_fn(*args):
+        if next(calls) == n:
+            raise Injected(f"call {n} of {name}")
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, failing_fn)
+
+
+def _fail_at_write(monkeypatch, n: int) -> None:
+    # The output file's n-th write raises, as a full disk would.
+    atomic_output = engine.atomic_output
+
+    @contextlib.contextmanager
+    def failing_output(path):
+        with atomic_output(path) as out:
+            write, writes = out.write, itertools.count(1)
+
+            def failing_write(data):
+                if next(writes) == n:
+                    raise Injected(f"write {n}")
+                return write(data)
+
+            out.write = failing_write
+            yield out
+
+    monkeypatch.setattr(engine, "atomic_output", failing_output)
+
+
 # fault id -> (stage, inject(monkeypatch))
 FAULTS = {
     f"{stage}-add-sort{sort_no}": (stage, functools.partial(_fail_at_add, sort_no=sort_no, k=40))
@@ -106,13 +141,22 @@ FAULTS.update({
     f"{stage}-{name}-group{n}": (
         stage, functools.partial(_fail_at_group, module=module, name=name, n=n))
     for stage, module, name in [
-        ("compile", kb_compile, "_reduce_entity"),
         ("join2", link_join, "_reduce_by_right"),
         ("join2", link_join, "_reduce_by_left"),
         ("join3", link_join, "_reduce_by_uri"),
         ("join3", link_join, "_reduce_by_left_id"),
     ]
     for n in (1, 25)
+})
+FAULTS.update({
+    f"compile-record_line_bytes-call{n}": (
+        "compile",
+        functools.partial(_fail_at_call, module=kb_compile, name="record_line_bytes", n=n))
+    for n in (1, 25)
+})
+FAULTS.update({
+    f"{stage}-write": (stage, functools.partial(_fail_at_write, n=25))
+    for stage in ("compile", "join2", "join3")
 })
 
 
