@@ -175,7 +175,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
 
     Keys: ``kb<i>.label / kb<i>.inputs / kb<i>.out`` for two or three KBs;
     ``link1.*`` joins kb1 x kb2 and ``link2.*`` joins kb3 x kb2 (keys gt,
-    gt_format, out, optional sameas_uri); optional ``join3.out`` /
+    gt_format, out, optional sameas_uri); a numbered section needs the one
+    before it, so none is renumbered; optional ``join3.out`` /
     ``join3.order``, the three KB labels once each (default kb2,kb1,kb3);
     plus the engine keys memory_budget_bytes and spill_dir.
     """
@@ -207,6 +208,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         keys = {k for k in values if k.startswith(prefix)}
         if not keys:
             continue
+        if len(cfg.kbs) < i - 1:
+            raise ConfigError(f"kb{i} needs kb{i - 1}")
         try:
             label = values[prefix + "label"]
             inputs = [resolve(p) for p in values[prefix + "inputs"].split(",")]
@@ -221,6 +224,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         keys = {k for k in values if k.startswith(prefix)}
         if not keys:
             continue
+        if len(cfg.links) < i - 1:
+            raise ConfigError(f"link{i} needs link{i - 1}")
         try:
             job = {
                 "gt": resolve(values[prefix + "gt"]),

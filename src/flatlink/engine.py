@@ -1,17 +1,17 @@
 """Local, deterministic map-shuffle-reduce with bounded-memory external sort.
 
-``external_sort`` sorts byte strings as they are; compile and join2 group its
-sorted output themselves.  The shuffle ``run_group_by`` (join3's) sorts
-engine items: one ``bytes`` object, ``key TAB tag-byte rest``, where the key
-is the input item's first TAB-delimited field, the tag byte names its input
-stream, and rest is what followed the key's TAB.  Each sort feeds all of its
-items to one sorter that holds the whole memory budget.  The sorter orders
-the bytes as they are, spilling sorted runs to disk whenever its buffer fills
-the budget, then merges the runs, so each key's items are contiguous, by tag
-and then rest, and each key group is reduced once.  No key holds a byte at or
-below 0x20, so a key that is a prefix of another meets the TAB first and keys
-come in ascending byte order.  Two runs over the same inputs are
-byte-identical, whatever the budget.
+Every sort of every stage is one ``external_sort`` call: one sorter that
+holds the whole memory budget orders byte strings as they are, spilling
+sorted runs to disk whenever its buffer fills the budget, then merges the
+runs.  compile and join2 group its sorted output themselves.  The shuffle
+``run_group_by`` (join3's) sorts engine items through it: one ``bytes``
+object, ``key TAB tag-byte rest``, where the key is the input item's first
+TAB-delimited field, the tag byte names its input stream, and rest is what
+followed the key's TAB.  So each key's items are contiguous, by tag and then
+rest, and each key group is reduced once.  No key holds a byte at or below
+0x20, so a key that is a prefix of another meets the TAB first and keys come
+in ascending byte order.  Two runs over the same inputs are byte-identical,
+whatever the budget.
 
 Spill run format (private, deleted when the job ends): ``<u32 len><item>``
 per item, the length little-endian, in sorted order.
@@ -40,8 +40,8 @@ _ITEM_OVERHEAD = sys.getsizeof(b"") + 8
 
 
 def first_field(item: bytes) -> bytes:
-    """The bytes before the item's first TAB: every stage's shuffle key, and
-    the key of an engine item."""
+    """The bytes before the item's first TAB: the key of an engine item, and
+    of each item that join2 groups after its sorts."""
     return item[: item.index(b"\t")]
 
 
@@ -59,17 +59,17 @@ class ExecConfig:
 class JobStats:
     """Filled in as a job runs; spill_runs is the observable for scale tests.
 
-    items_in counts the items fed to every sort of the job, through
-    external_sort and run_group_by alike; each sorter adds its count when it
-    spills a run or starts to yield from memory, so counting costs nothing
-    per item.  peak_buffer_bytes is the largest in-memory buffer one sort of
-    the job held, as an exact byte count: sys.getsizeof(item) plus an 8-byte
-    list slot per item (the list's spare capacity aside).  A sort that
-    spilled holds no buffer while it merges, and one that did not lets go of
-    each item as it yields it, so when a later sort is fed from an earlier
-    one's output (join2 sorts the outputs of its first merge, join3 those of
-    its first shuffle) the two hold about one buffer of items between them;
-    this figure does not add the two buffers up.
+    items_in counts the items fed to every sort of the job, each one
+    external_sort call; each sorter adds its count when it spills a run or
+    starts to yield from memory, so counting costs nothing per item.
+    peak_buffer_bytes is the largest in-memory buffer one sort of the job
+    held, as an exact byte count: sys.getsizeof(item) plus an 8-byte list
+    slot per item (the list's spare capacity aside).  A sort that spilled
+    holds no buffer while it merges, and one that did not lets go of each
+    item as it yields it, so when a later sort is fed from an earlier one's
+    output (join2 sorts the outputs of its first merge, join3 those of its
+    first shuffle) the two hold about one buffer of items between them; this
+    figure does not add the two buffers up.
     """
 
     items_in: int = 0
@@ -114,10 +114,10 @@ class _Spill:
 class ExternalSorter:
     """Buffers byte-string items, spilling sorted runs past the budget."""
 
-    def __init__(self, budget_bytes: int, spill_dir: str, stats: JobStats | None = None):
-        self.budget_bytes = max(budget_bytes, 1)
+    def __init__(self, budget_bytes: int, spill_dir: str, stats: JobStats):
+        self.budget_bytes = budget_bytes
         self.spill_dir = spill_dir
-        self.stats = stats if stats is not None else JobStats()
+        self.stats = stats
         self._buffer: list[bytes] = []
         self._buffer_bytes = 0
         self._runs: list[_Spill] = []
@@ -165,17 +165,16 @@ class ExternalSorter:
 def external_sort(
     items: Iterable[bytes], cfg: ExecConfig, stats: JobStats | None = None
 ) -> Iterator[bytes]:
-    """Sort an arbitrarily large stream of byte strings."""
-    return _sorted(items, cfg, stats)
+    """Sort an arbitrarily large stream of byte strings.
 
-
-def _sorted(items: Iterable[bytes], cfg: ExecConfig, stats: JobStats | None) -> Iterator[bytes]:
-    # The sort path of external_sort and run_group_by: one sorter with the
-    # whole budget in a job-scoped spill dir, made at the first item pulled
-    # and removed when the merge ends or the generator is closed.  It closes
-    # its input when it ends or fails, so an upstream sort feeding it (as
-    # join2's first sort feeds its second) drops its spill dir now, not when
-    # a traceback goes.
+    One sorter with the whole budget works in a job-scoped spill dir, made
+    at the first item pulled and removed when the merge ends or the
+    generator is closed.  The sort closes its input when it ends or fails,
+    so an upstream sort feeding it (as join2's first sort feeds its second)
+    drops its spill dir now, not when a traceback goes.
+    """
+    if stats is None:
+        stats = JobStats()
     try:
         cfg.validate()
         with _spill_scope(cfg) as spill_dir:
@@ -245,7 +244,8 @@ def run_group_by(
     cfg: ExecConfig,
     stats: JobStats | None = None,
 ) -> Iterator[bytes]:
-    """Group all tagged input items by key and reduce each group once.
+    """Group all tagged input items by key and reduce each group once; the
+    engine items go through one external_sort call.
 
     An input item is `key TAB rest` with a non-empty key, and a tag is one
     byte (0-255).  key_fn reads the key of an engine item back; join3, the
@@ -259,7 +259,7 @@ def run_group_by(
     """
     if stats is None:
         stats = JobStats()
-    items = _sorted(_tag_items(inputs), cfg, stats)
+    items = external_sort(_tag_items(inputs), cfg, stats)
     try:
         for key, group in itertools.groupby(items, key=key_fn):
             stats.keys_reduced += 1

@@ -314,26 +314,29 @@ def _reduce_by_right(key: bytes, line: bytes | None, items: Iterator[bytes]):
             yield item[start:] + tail
 
 
-_DROPPED_LEFT = b"L"
-_DROPPED_RIGHT = b"R"
-
-
 def _reduce_by_left(
-    sentinels: tuple[bytes, bytes], key: bytes, line: bytes | None, items: Iterator[bytes]
+    sentinels: tuple[bytes, bytes],
+    report: Join2Report,
+    key: bytes,
+    line: bytes | None,
+    items: Iterator[bytes],
 ):
     # _reduce_by_right's items of one l, sorted by r, so they leave in link-id
-    # order, and l's left entity line.  A match is the output line after its
-    # link id; a drop is one marker byte.
+    # order, and l's left entity line.  Yields each match's output line after
+    # its link id, and counts each drop in the report: a pair missing on both
+    # sides is dropped left.
     if line is None:
-        for _ in items:
-            yield _DROPPED_LEFT
+        report.pairs_dropped_left += sum(1 for _ in items)
         return
     s_left, s_right = sentinels
     head = b"\t".join((b"", s_left, line, s_right, b""))
     at = len(key) + 1
     for item in items:
         right = item[item.index(b"\t", at) + 1 :]
-        yield head + right + b"\n" if right else _DROPPED_RIGHT
+        if right:
+            yield head + right + b"\n"
+        else:
+            report.pairs_dropped_right += 1
 
 
 def join2(
@@ -377,7 +380,9 @@ def join2(
         engine.external_sort(by_right, cfg, stats),
         _entity_lines(left_path, "left"),
         functools.partial(
-            _reduce_by_left, (sentinel_left.encode("utf-8"), sentinel_right.encode("utf-8"))
+            _reduce_by_left,
+            (sentinel_left.encode("utf-8"), sentinel_right.encode("utf-8")),
+            report,
         ),
         stats,
     )
@@ -386,13 +391,8 @@ def join2(
     # closing: a failed write drops the sorts' spill dirs at once too.
     with engine.atomic_output(out_path) as out, contextlib.closing(by_left):
         for tail in by_left:
-            if tail == _DROPPED_LEFT:
-                report.pairs_dropped_left += 1
-            elif tail == _DROPPED_RIGHT:
-                report.pairs_dropped_right += 1
-            else:
-                report.lines_emitted += 1
-                out.write(gen_link_id(prefix, report.lines_emitted).encode("utf-8") + tail)
+            report.lines_emitted += 1
+            out.write(gen_link_id(prefix, report.lines_emitted).encode("utf-8") + tail)
 
     report.pairs_read = gt_report.pairs_ok
     report.gt_lines_skipped = gt_report.lines_skipped

@@ -29,6 +29,8 @@ MODES = ("entity", "link2", "link3")
 SIDES = ("first", "second", "third", "any", "all")
 
 _ARITY = {"entity": 1, "link2": 2, "link3": 3}
+# The record slot a positional side names, 0-based.
+_SLOT = {"first": 0, "second": 1, "third": 2}
 
 
 @dataclass
@@ -77,8 +79,7 @@ class TypeFilterSpec:
     def validate(self, mode: str) -> None:
         if self.side not in SIDES:
             raise FlatlinkError(f"unknown side {self.side!r}")
-        positional = {"first": 1, "second": 2, "third": 3}.get(self.side)
-        if positional is not None and positional > _ARITY[mode]:
+        if self.side in _SLOT and _SLOT[self.side] >= _ARITY[mode]:
             raise FlatlinkError(f"side {self.side!r} is invalid for mode {mode!r}")
 
 
@@ -87,12 +88,6 @@ class FilterReport:
     lines_read: int = 0
     lines_kept: int = 0
     lines_skipped: int = 0  # unparseable
-
-    def as_kv(self) -> str:
-        return (
-            f"lines_read={self.lines_read} lines_kept={self.lines_kept} "
-            f"lines_skipped={self.lines_skipped}"
-        )
 
 
 def _checked_tokens(slot: str) -> list[str]:
@@ -135,8 +130,7 @@ def _matches(records: list[list[str]], spec: TypeFilterSpec) -> bool:
         return any(_has_type(r, spec) for r in records)
     if spec.side == "all":
         return all(_has_type(r, spec) for r in records)
-    index = {"first": 0, "second": 1, "third": 2}[spec.side]
-    return _has_type(records[index], spec)
+    return _has_type(records[_SLOT[spec.side]], spec)
 
 
 def filter_by_type(

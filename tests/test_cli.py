@@ -417,6 +417,10 @@ CONFIG_ERRORS = {
                       + _LINK.format(i=1).replace("tsv-pairs", "csv"),
                       "link1.gt_format must be one of"),
     "one-kb": (_KB.format(i=1) + _LINK.format(i=1), "at least kb1 and kb2"),
+    # A gap is refused, not renumbered: kb3 would take kb2's place.
+    "kb-gap": (_KB.format(i=1) + _KB.format(i=3) + _LINK.format(i=2), "kb3 needs kb2"),
+    "link-gap": (_KB.format(i=1) + _KB.format(i=2) + _KB.format(i=3) + _LINK.format(i=2),
+                 "link2 needs link1"),
     "no-link": (_KB.format(i=1) + _KB.format(i=2), "at least link1"),
     "three-kbs-one-link": (_KB.format(i=1) + _KB.format(i=2) + _KB.format(i=3)
                            + _LINK.format(i=1), "three KBs need link1 and link2"),

@@ -105,6 +105,23 @@ def test_items_in_counts_the_items_of_every_sort(tmp_path, budget):
     assert (stats.spill_runs > 0) == (budget == 1024)
 
 
+def test_group_by_sorts_through_external_sort(tmp_path, monkeypatch):
+    # Every sort of every stage is one external_sort call, the name the
+    # traced benchmark times sorts by; the shuffle's sort too.
+    calls = []
+
+    def recording(items, cfg, stats=None):
+        calls.append(stats)
+        return external_sort(items, cfg, stats)
+
+    monkeypatch.setattr(engine, "external_sort", recording)
+    stats = JobStats()
+    items = [f"{i % 97:03}\t{i}".encode() for i in range(500)]
+    list(run_group_by([(0, iter(items))], first_field, count_reduce, cfg_for(tmp_path), stats))
+    assert calls == [stats]
+    assert stats.items_in == 500 and stats.keys_reduced == 97
+
+
 def test_failed_sort_closes_a_sort_that_feeds_it(tmp_path, monkeypatch):
     # The second sort fails while it reads the first, spilled one; the first
     # drops its spill dir at once, while the exception is still held.
