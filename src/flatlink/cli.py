@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .engine import ExecConfig
 from .errors import ConfigError, FlatlinkError
@@ -167,7 +168,12 @@ class PipelineConfig:
     engine_values: dict = field(default_factory=dict)
 
 
-_ENGINE_KEYS = {"memory_budget_bytes", "spill_dir"}
+# The numbered section kinds: how many sections of each there may be, their
+# required keys and their optional keys with each one's default.
+_SECTIONS = {
+    "kb": (3, ("label", "inputs", "out"), {}),
+    "link": (2, ("gt", "gt_format", "out"), {"sameas_uri": OWL_SAMEAS}),
+}
 
 
 def parse_pipeline_config(path: str) -> PipelineConfig:
@@ -175,10 +181,12 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
 
     Keys: ``kb<i>.label / kb<i>.inputs / kb<i>.out`` for two or three KBs;
     ``link1.*`` joins kb1 x kb2 and ``link2.*`` joins kb3 x kb2 (keys gt,
-    gt_format, out, optional sameas_uri); a numbered section needs the one
-    before it, so none is renumbered; optional ``join3.out`` /
-    ``join3.order``, the three KB labels once each (default kb2,kb1,kb3);
-    plus the engine keys memory_budget_bytes and spill_dir.
+    gt_format, out, optional sameas_uri).  `_SECTIONS` gives these numbered
+    sections; each needs the one before it, so none is renumbered.  Optional
+    ``join3.out`` / ``join3.order``, the three KB labels once each (default
+    kb2,kb1,kb3); plus the engine keys memory_budget_bytes and spill_dir.
+    An empty value, or an empty item of ``kb<i>.inputs``, is refused.  Every
+    refusal is a ConfigError, raised before any stage runs.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -194,68 +202,52 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value")
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key, value = key.strip(), value.strip()
             if key in values:
                 raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+            if not value:
+                raise ConfigError(f"{path}:{line_no}: empty value for {key!r}")
             values[key] = value
 
-    cfg = PipelineConfig()
-    known: set[str] = set()
-
-    for i in (1, 2, 3):
-        prefix = f"kb{i}."
-        keys = {k for k in values if k.startswith(prefix)}
-        if not keys:
-            continue
-        if len(cfg.kbs) < i - 1:
-            raise ConfigError(f"kb{i} needs kb{i - 1}")
-        try:
-            label = values[prefix + "label"]
-            inputs = [resolve(p) for p in values[prefix + "inputs"].split(",")]
-            out = resolve(values[prefix + "out"])
-        except KeyError as exc:
-            raise ConfigError(f"kb{i} needs label, inputs and out ({exc} missing)")
-        cfg.kbs.append(KbSpec(label, inputs, out))
-        known |= {prefix + "label", prefix + "inputs", prefix + "out"}
-
-    for i in (1, 2):
-        prefix = f"link{i}."
-        keys = {k for k in values if k.startswith(prefix)}
-        if not keys:
-            continue
-        if len(cfg.links) < i - 1:
-            raise ConfigError(f"link{i} needs link{i - 1}")
-        try:
-            job = {
-                "gt": resolve(values[prefix + "gt"]),
-                "gt_format": values[prefix + "gt_format"],
-                "out": resolve(values[prefix + "out"]),
-                "sameas_uri": values.get(prefix + "sameas_uri", OWL_SAMEAS),
-            }
-        except KeyError as exc:
-            raise ConfigError(f"link{i} needs gt, gt_format and out ({exc} missing)")
-        if job["gt_format"] not in GT_FORMATS:
-            raise ConfigError(f"link{i}.gt_format must be one of {GT_FORMATS}")
-        cfg.links.append(job)
-        known |= {prefix + k for k in ("gt", "gt_format", "out", "sameas_uri")}
-
+    engine = {k: values[k] for k in ("memory_budget_bytes", "spill_dir") if k in values}
+    known = set(engine)
     if "join3.out" in values:
-        cfg.join3 = {
-            "out": resolve(values["join3.out"]),
-            "order": values.get("join3.order"),
-        }
         known |= {"join3.out", "join3.order"}
-
-    for key in _ENGINE_KEYS:
-        if key in values:
-            value = values[key]
-            cfg.engine_values[key] = resolve(value) if key == "spill_dir" else value
-            known.add(key)
+    sections: dict[str, list[dict]] = {}
+    for kind, (count, required, optional) in _SECTIONS.items():
+        found = sections[kind] = []
+        for i in range(1, count + 1):
+            name = f"{kind}{i}"
+            if not any(key.startswith(name + ".") for key in values):
+                continue
+            if len(found) < i - 1:
+                raise ConfigError(f"{name} needs {kind}{i - 1}")
+            keys = {k: f"{name}.{k}" for k in (*required, *optional)}
+            missing = [keys[k] for k in required if keys[k] not in values]
+            if missing:
+                raise ConfigError(f"{name} needs {', '.join(required[:-1])} and {required[-1]}"
+                                  f" ({missing[0]!r} missing)")
+            found.append({k: values.get(key, optional.get(k)) for k, key in keys.items()})
+            known |= set(keys.values())
 
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+
+    if "spill_dir" in engine:
+        engine["spill_dir"] = resolve(engine["spill_dir"])
+    cfg = PipelineConfig(engine_values=engine)
+    for i, kb in enumerate(sections["kb"], 1):
+        inputs = kb["inputs"].split(",")
+        if "" in inputs:
+            raise ConfigError(f"kb{i}.inputs has an empty item: {kb['inputs']!r}")
+        cfg.kbs.append(KbSpec(kb["label"], [resolve(p) for p in inputs], resolve(kb["out"])))
+    for i, link in enumerate(sections["link"], 1):
+        if link["gt_format"] not in GT_FORMATS:
+            raise ConfigError(f"link{i}.gt_format must be one of {GT_FORMATS}")
+        cfg.links.append({**link, "gt": resolve(link["gt"]), "out": resolve(link["out"])})
+    if "join3.out" in values:
+        cfg.join3 = {"out": resolve(values["join3.out"]), "order": values.get("join3.order")}
 
     if len(cfg.kbs) < 2:
         raise ConfigError("pipeline needs at least kb1 and kb2")
@@ -267,9 +259,9 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         raise ConfigError("three KBs need link1 and link2")
     if len(cfg.kbs) == 2 and len(cfg.links) != 1:
         raise ConfigError("two KBs take exactly link1")
-    if cfg.join3 and len(cfg.kbs) != 3:
-        raise ConfigError("join3 needs three KBs")
     if cfg.join3:
+        if len(cfg.kbs) != 3:
+            raise ConfigError("join3 needs three KBs")
         labels = [kb.label for kb in cfg.kbs]
         order = cfg.join3["order"]
         cfg.join3["order"] = order.split(",") if order else [labels[1], labels[0], labels[2]]
@@ -279,9 +271,7 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
                 f" not {order!r}"
             )
 
-    outputs = [kb.output_path for kb in cfg.kbs] + [j["out"] for j in cfg.links]
-    if cfg.join3:
-        outputs.append(cfg.join3["out"])
+    outputs = [kb.output_path for kb in cfg.kbs] + [j["out"] for j in [*cfg.links, cfg.join3] if j]
     if len(set(outputs)) != len(outputs):
         raise ConfigError("output paths must be distinct")
     return cfg
@@ -292,35 +282,24 @@ def _cmd_pipeline(args) -> int:
     cfg = _exec_config(args, pipe.engine_values)
     _echo_config("pipeline", {"config": args.config, **_engine_kv(cfg)})
 
-    for kb in pipe.kbs:
-        os.makedirs(os.path.dirname(kb.output_path) or ".", exist_ok=True)
-        print(compile_kb(kb, cfg).as_kv())
-
+    kbs = pipe.kbs
+    stages = [(kb.output_path, partial(compile_kb, kb, cfg)) for kb in kbs]
     # link1 joins kb1 x kb2; link2 joins kb3 x kb2; kb2 is the shared KB.
-    pairs = [(pipe.kbs[0], pipe.kbs[1])]
-    if len(pipe.links) == 2:
-        pairs.append((pipe.kbs[2], pipe.kbs[1]))
-    for job, (left, right) in zip(pipe.links, pairs):
-        os.makedirs(os.path.dirname(job["out"]) or ".", exist_ok=True)
-        report = join2(
-            left.output_path,
-            right.output_path,
-            job["gt"],
-            job["gt_format"],
-            (left.label, right.label),
-            job["out"],
-            cfg,
-            sameas_uri=job["sameas_uri"],
-        )
-        print(report.as_kv())
-
+    shared = kbs[1]
+    for job, left in zip(pipe.links, kbs[0::2]):
+        stages.append((job["out"], partial(
+            join2, left.output_path, shared.output_path, job["gt"], job["gt_format"],
+            (left.label, shared.label), job["out"], cfg, sameas_uri=job["sameas_uri"],
+        )))
     if pipe.join3:
-        os.makedirs(os.path.dirname(pipe.join3["out"]) or ".", exist_ok=True)
-        report = join3(
-            pipe.links[0]["out"], pipe.links[1]["out"], pipe.kbs[1].label,
+        stages.append((pipe.join3["out"], partial(
+            join3, pipe.links[0]["out"], pipe.links[1]["out"], shared.label,
             pipe.join3["order"], pipe.join3["out"], cfg,
-        )
-        print(report.as_kv())
+        )))
+
+    for out, stage in stages:
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+        print(stage().as_kv())
     return 0
 
 

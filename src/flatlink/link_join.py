@@ -211,17 +211,18 @@ def load_ground_truth(
             yield left, right
     else:
         # Compile's bytes path yields what iter_triples would, and its URIs
-        # and blank-node labels keep the tsv-pairs URI rule.  From a report at
-        # zero, as join2's, lines_total is the triple's line number.  A
+        # and blank-node labels keep the tsv-pairs URI rule.  lines_total less
+        # its count before this file is the triple's line number.  A
         # sameas_uri that is not UTF-8 (a lone surrogate from argv) matches
         # no line.
         sameas = sameas_uri.encode("utf-8", "surrogatepass")
+        before = report.lines_total
         for subject, predicate, obj in iter_triple_bytes(path, report):
             if predicate != sameas:
-                report.record_error(report.lines_total, f"predicate is not {sameas_uri}")
+                report.record_error(report.lines_total - before, f"predicate is not {sameas_uri}")
                 continue
             if obj[:1] != b"U":  # the kind byte
-                report.record_error(report.lines_total, "sameAs object is a literal")
+                report.record_error(report.lines_total - before, "sameAs object is a literal")
                 continue
             report.pairs_ok += 1
             yield subject, obj[1:]

@@ -224,16 +224,18 @@ def stats(
     return report
 
 
+VIOLATION_CAP = 100  # violations a ValidationReport lists; it counts them all
+
+
 @dataclass
 class ValidationReport:
     ok_lines: int = 0
     violations: list[tuple[int, str]] = field(default_factory=list)
     violation_count: int = 0
-    violation_cap: int = 100
 
     def flag(self, line_no: int, reason: str) -> None:
         self.violation_count += 1
-        if len(self.violations) < self.violation_cap:
+        if len(self.violations) < VIOLATION_CAP:
             self.violations.append((line_no, reason))
 
     def as_kv(self) -> str:

@@ -1,11 +1,15 @@
 import hashlib
 import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatlink.cli import main, parse_pipeline_config
 from flatlink.errors import ConfigError
+from flatlink.link_join import OWL_SAMEAS
 
 from conftest import damage_gz
 
@@ -434,6 +438,13 @@ CONFIG_ERRORS = {
         "join3.order must list the KB labels k1,k2,k3 once each, not 'k2,k1,wrong'"),
     "join3-order-repeated-label": (_THREE + "join3.order=k2,k2,k3\n",
         "join3.order must list the KB labels k1,k2,k3 once each, not 'k2,k2,k3'"),
+    # An empty value is refused, not taken as the config's dir or the default.
+    "empty-spill-dir": (_THREE + "spill_dir=\n", "empty value for 'spill_dir'"),
+    "empty-join3-order": (_THREE + "join3.order=\n", "empty value for 'join3.order'"),
+    "empty-kb-label": (_THREE.replace("kb2.label=k2", "kb2.label= "),
+                       "empty value for 'kb2.label'"),
+    "empty-inputs-item": (_THREE.replace("kb3.inputs=x3.nt", "kb3.inputs=x3.nt,"),
+                          "kb3.inputs has an empty item: 'x3.nt,'"),
 }
 
 
@@ -451,3 +462,42 @@ def test_join3_order_defaults_to_the_shared_kb_first(tmp_path):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(_THREE, encoding="utf-8")
     assert parse_pipeline_config(str(cfg)).join3["order"] == ["k2", "k1", "k3"]
+
+
+_SECTION_TEXT = {"kb1": _KB.format(i=1), "kb2": _KB.format(i=2), "kb3": _KB.format(i=3),
+                 "link1": _LINK.format(i=1), "link2": _LINK.format(i=2),
+                 "join3": "join3.out=j.links\n"}
+_ACCEPTED = [{"kb1", "kb2", "link1"}, {"kb1", "kb2", "kb3", "link1", "link2"},
+             {"kb1", "kb2", "kb3", "link1", "link2", "join3"}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.sampled_from(sorted(_SECTION_TEXT))), st.booleans())
+def test_config_accepts_only_the_two_pipeline_shapes(sections, sameas):
+    # Each section well formed, so only which sections are present decides.
+    text = "".join(_SECTION_TEXT[name] for name in sorted(sections))
+    if sameas and "link1" in sections:
+        text += "link1.sameas_uri=http://x/same\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if sections not in _ACCEPTED:
+            with pytest.raises(ConfigError):
+                parse_pipeline_config(path)
+            return
+        pipe = parse_pipeline_config(path)
+    n_kbs = 3 if "kb3" in sections else 2
+    assert [kb.label for kb in pipe.kbs] == [f"k{i}" for i in range(1, n_kbs + 1)]
+    assert [kb.input_paths for kb in pipe.kbs] == [
+        [os.path.join(tmp, f"x{i}.nt")] for i in range(1, n_kbs + 1)]
+    assert [(j["gt"], j["out"]) for j in pipe.links] == [
+        (os.path.join(tmp, f"g{i}"), os.path.join(tmp, f"l{i}.links")) for i in range(1, n_kbs)]
+    assert {j["gt_format"] for j in pipe.links} == {"tsv-pairs"}
+    first = "http://x/same" if sameas else OWL_SAMEAS
+    assert [j["sameas_uri"] for j in pipe.links] == [first, OWL_SAMEAS][:n_kbs - 1]
+    if "join3" in sections:
+        assert pipe.join3 == {"out": os.path.join(tmp, "j.links"), "order": ["k2", "k1", "k3"]}
+    else:
+        assert pipe.join3 is None
+    assert pipe.engine_values == {}

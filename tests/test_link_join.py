@@ -127,6 +127,33 @@ def test_gt_ntriples_sameas_errors_in_line_order(tmp_path, cap):
     assert report.lines_skipped == 2
 
 
+GT_TWO_ERRORS = {
+    "tsv-pairs": ("only-one-field\nbad uri\tx\na\tb\n",
+                  ["expected 2 fields, got 1", "empty URI or control/space character"]),
+    "ntriples-sameas": (
+        "<http://f/1> <http://other/pred> <http://d/1> .\n"
+        '<http://f/2> <http://www.w3.org/2002/07/owl#sameAs> "literal" .\n'
+        "<http://f/3> <http://www.w3.org/2002/07/owl#sameAs> <http://d/3> .\n",
+        ["predicate is not http://www.w3.org/2002/07/owl#sameAs", "sameAs object is a literal"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GT_TWO_ERRORS))
+def test_gt_errors_are_numbered_per_file(tmp_path, fmt):
+    # Two files read into one report: each numbers its errors from its own
+    # line 1, as ParseReport promises, not from the report's running count.
+    text, reasons = GT_TWO_ERRORS[fmt]
+    report = GtReport()
+    for name in ("a", "b"):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert len(list(load_ground_truth(str(path), fmt, report=report))) == 1
+    expected = [(1, reasons[0]), (2, reasons[1])]
+    assert report.first_errors == expected * 2
+    assert report.lines_total == 6
+
+
 GT_MIXED = {
     "tsv-pairs": "a\tb\n\nonly-one-field\n\nbad uri\tx\nc\td\n",
     "ntriples-sameas": (
