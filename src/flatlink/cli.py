@@ -66,7 +66,7 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--spill-dir", dest="spill_dir",
-        help="directory under which each sort keeps its spill runs, removed when it ends",
+        help="directory for each sort's spill runs, unnamed files freed when the sort ends",
     )
 
 
@@ -77,9 +77,16 @@ def _engine_kv(cfg: ExecConfig) -> dict:
     }
 
 
+def _split_inputs(value: str, name: str) -> list[str]:
+    inputs = value.split(",")
+    if "" in inputs:
+        raise ConfigError(f"{name} has an empty item: {value!r}")
+    return inputs
+
+
 def _cmd_compile(args) -> int:
     cfg = _exec_config(args)
-    spec = KbSpec(args.label, args.inputs.split(","), args.out)
+    spec = KbSpec(args.label, _split_inputs(args.inputs, "--in"), args.out)
     _echo_config("compile", {"label": spec.label, "in": args.inputs, "out": args.out,
                              **_engine_kv(cfg)})
     report = compile_kb(spec, cfg)
@@ -185,8 +192,9 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     sections; each needs the one before it, so none is renumbered.  Optional
     ``join3.out`` / ``join3.order``, the three KB labels once each (default
     kb2,kb1,kb3); plus the engine keys memory_budget_bytes and spill_dir.
-    An empty value, or an empty item of ``kb<i>.inputs``, is refused.  Every
-    refusal is a ConfigError, raised before any stage runs.
+    An empty value, an empty item of ``kb<i>.inputs`` or a KB label that
+    compile would refuse is refused.  Every refusal is a ConfigError, raised
+    before any stage runs.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -238,10 +246,13 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         engine["spill_dir"] = resolve(engine["spill_dir"])
     cfg = PipelineConfig(engine_values=engine)
     for i, kb in enumerate(sections["kb"], 1):
-        inputs = kb["inputs"].split(",")
-        if "" in inputs:
-            raise ConfigError(f"kb{i}.inputs has an empty item: {kb['inputs']!r}")
-        cfg.kbs.append(KbSpec(kb["label"], [resolve(p) for p in inputs], resolve(kb["out"])))
+        inputs = _split_inputs(kb["inputs"], f"kb{i}.inputs")
+        spec = KbSpec(kb["label"], [resolve(p) for p in inputs], resolve(kb["out"]))
+        try:
+            spec.validate()
+        except FlatlinkError as exc:
+            raise ConfigError(f"kb{i}.label: {exc}") from exc
+        cfg.kbs.append(spec)
     for i, link in enumerate(sections["link"], 1):
         if link["gt_format"] not in GT_FORMATS:
             raise ConfigError(f"link{i}.gt_format must be one of {GT_FORMATS}")

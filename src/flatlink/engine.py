@@ -13,8 +13,8 @@ rest, and each key group is reduced once.  No key holds a byte at or below
 in ascending byte order.  Two runs over the same inputs are byte-identical,
 whatever the budget.
 
-Spill run format (private, deleted when the job ends): ``<u32 len><item>``
-per item, the length little-endian, in sorted order.
+Spill run format (private, in an unnamed file): ``<u32 len><item>`` per
+item, the length little-endian, in sorted order.
 
 Every stage writes its output file through ``atomic_output``, so the file
 appears whole or not at all.
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import io
 import itertools
 import os
-import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -83,38 +83,39 @@ class JobStats:
 
 
 class _Spill:
-    """One sorted run on disk."""
+    """One sorted run in an unnamed file, held open with no buffer until its
+    merge reads and closes it: the kernel frees it then, or at process exit."""
 
-    def __init__(self, spill_dir: str):
-        fd, self.path = tempfile.mkstemp(prefix="run-", suffix=".spill", dir=spill_dir)
-        self._fh = os.fdopen(fd, "wb", buffering=1 << 16)
-
-    def write_items(self, items: Iterable[bytes]) -> None:
-        with self._fh as fh:
+    def __init__(self, spill_dir: str | None, items: Iterable[bytes]):
+        self.spill_dir = spill_dir or tempfile.gettempdir()
+        self.file = tempfile.TemporaryFile(dir=self.spill_dir, buffering=0)
+        try:
+            fh = io.BufferedWriter(self.file, 1 << 16)
             write = fh.write
             for item in items:
                 write(len(item).to_bytes(4, "little"))
                 write(item)
+            fh.detach()  # flushes, and drops the buffer while the run waits
+        except BaseException:
+            self.file.close()
+            raise
 
     def read_items(self) -> Iterator[bytes]:
-        try:
-            with open(self.path, "rb", buffering=1 << 16) as fh:
-                read = fh.read
-                while header := read(4):
-                    size = int.from_bytes(header, "little")
-                    item = read(size)
-                    if len(item) != size or len(header) != 4:
-                        raise EngineError(f"truncated spill run {self.path}")
-                    yield item
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(self.path)
+        self.file.seek(0)
+        with io.BufferedReader(self.file, 1 << 16) as fh:
+            read = fh.read
+            while header := read(4):
+                size = int.from_bytes(header, "little")
+                item = read(size)
+                if len(item) != size or len(header) != 4:
+                    raise EngineError(f"truncated spill run in {self.spill_dir}")
+                yield item
 
 
 class ExternalSorter:
     """Buffers byte-string items, spilling sorted runs past the budget."""
 
-    def __init__(self, budget_bytes: int, spill_dir: str, stats: JobStats):
+    def __init__(self, budget_bytes: int, spill_dir: str | None, stats: JobStats):
         self.budget_bytes = budget_bytes
         self.spill_dir = spill_dir
         self.stats = stats
@@ -134,9 +135,7 @@ class ExternalSorter:
         self.stats.saw_buffer(self._buffer_bytes)
         self.stats.items_in += len(self._buffer)
         self._buffer.sort()
-        run = _Spill(self.spill_dir)
-        run.write_items(self._buffer)
-        self._runs.append(run)
+        self._runs.append(_Spill(self.spill_dir, self._buffer))
         self.stats.spill_runs += 1
         self._buffer = []
         self._buffer_bytes = 0
@@ -159,7 +158,11 @@ class ExternalSorter:
             return
         self._spill()
         yield from heapq.merge(*[run.read_items() for run in self._runs])
-        self._runs = []
+
+    def close(self) -> None:
+        """Close every run, merged or not; each one's disk space goes."""
+        for run in self._runs:
+            run.file.close()
 
 
 def external_sort(
@@ -167,23 +170,25 @@ def external_sort(
 ) -> Iterator[bytes]:
     """Sort an arbitrarily large stream of byte strings.
 
-    One sorter with the whole budget works in a job-scoped spill dir, made
-    at the first item pulled and removed when the merge ends or the
-    generator is closed.  The sort closes its input when it ends or fails,
-    so an upstream sort feeding it (as join2's first sort feeds its second)
-    drops its spill dir now, not when a traceback goes.
+    One sorter with the whole budget spills runs to unnamed files in
+    cfg.spill_dir (made if missing) or the system temp dir.  Its runs, and
+    its input, are closed when the merge ends or fails or the generator is
+    closed, so an upstream sort feeding it (as join2's first sort feeds its
+    second) frees its runs now, not when a traceback goes.
     """
     if stats is None:
         stats = JobStats()
+    sorter = ExternalSorter(cfg.memory_budget_bytes, cfg.spill_dir, stats)
     try:
         cfg.validate()
-        with _spill_scope(cfg) as spill_dir:
-            sorter = ExternalSorter(cfg.memory_budget_bytes, spill_dir, stats)
-            add = sorter.add
-            for item in items:
-                add(item)
-            yield from sorter.iter_sorted()
+        if cfg.spill_dir:
+            os.makedirs(cfg.spill_dir, exist_ok=True)
+        add = sorter.add
+        for item in items:
+            add(item)
+        yield from sorter.iter_sorted()
     finally:
+        sorter.close()
         if hasattr(items, "close"):
             items.close()
 
@@ -196,7 +201,7 @@ def atomic_output(path: str) -> Iterator[BinaryIO]:
 
     A failed stage so leaves no partial output, and an output may name one
     of its stage's inputs.  The temp file is opened as `path` would be, so
-    it gets the same mode (not mkstemp's 0o600).
+    it gets the same mode, not a private temp file's 0o600.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -207,22 +212,6 @@ def atomic_output(path: str) -> Iterator[BinaryIO]:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-@contextlib.contextmanager
-def _spill_scope(cfg: ExecConfig) -> Iterator[str]:
-    """A job-scoped spill directory, removed with its contents on exit.
-
-    It is made inside cfg.spill_dir when one is set, else in the system temp
-    dir, and removed on success and on failure alike.
-    """
-    if cfg.spill_dir:
-        os.makedirs(cfg.spill_dir, exist_ok=True)
-    path = tempfile.mkdtemp(prefix="flatlink-", dir=cfg.spill_dir or None)
-    try:
-        yield path
-    finally:
-        shutil.rmtree(path, ignore_errors=True)
 
 
 def _tag_items(inputs: list[tuple[int, Iterable[bytes]]]) -> Iterator[bytes]:
@@ -271,7 +260,7 @@ def run_group_by(
                 raise EngineError(f"reduce_fn failed for key {key!r}: {exc}") from exc
     finally:
         # The sort and each input that closes, an upstream job such as join3's
-        # first shuffle, drop their spill dirs now, not when a traceback goes.
+        # first shuffle, free their runs now, not when a traceback goes.
         for stream in [items, *(stream for _, stream in inputs)]:
             if hasattr(stream, "close"):
                 stream.close()

@@ -49,8 +49,6 @@ class KbSpec:
             raise FlatlinkError(
                 f"bad KB label {self.label!r}: must match {LABEL_RE.pattern}"
             )
-        if not self.input_paths:
-            raise FlatlinkError(f"KB {self.label!r} has no input files")
 
 
 @dataclass
@@ -76,7 +74,7 @@ def _records(items: Iterator[bytes], stats: engine.JobStats) -> Iterator[bytes]:
     # point order, so each subject's predicates come in record_from_triples'
     # key order with their values in input order.  Exact duplicate (kind,
     # lexical) values of one predicate keep their first occurrence.  Closes
-    # the sort when it ends or fails, so its spill dir goes at once.
+    # the sort when it ends or fails, so its spill runs go at once.
     try:
         subject = predicate = None
         for item in items:
@@ -142,7 +140,7 @@ def compile_kb(
                 yield b"%b\t%b\t%b%b" % (subject, predicate, _SEQ.pack(next(seq)), value)
 
     lines = _records(engine.external_sort(items(), cfg, stats), stats)
-    # closing: a failed write drops the sort's spill dir at once too.
+    # closing: a failed write frees the sort's spill runs at once too.
     with engine.atomic_output(spec.output_path) as out, contextlib.closing(lines):
         for line in lines:
             out.write(line)

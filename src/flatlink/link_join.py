@@ -389,7 +389,7 @@ def join2(
     )
 
     prefix = labels[0][0] + labels[1][0]
-    # closing: a failed write drops the sorts' spill dirs at once too.
+    # closing: a failed write frees the sorts' spill runs at once too.
     with engine.atomic_output(out_path) as out, contextlib.closing(by_left):
         for tail in by_left:
             report.lines_emitted += 1
@@ -559,7 +559,7 @@ def join3(
         cfg,
         stats=stats,
     )
-    # closing: a failed write drops both shuffles' spill dirs at once too.
+    # closing: a failed write frees both shuffles' spill runs at once too.
     with engine.atomic_output(out_path) as out, contextlib.closing(by_left_id):
         for line in by_left_id:
             out.write(line)

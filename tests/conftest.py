@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from flatlink import engine
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, Triple
 
 PREDICATES = [
@@ -88,3 +89,19 @@ def write_nt(path, triples: list[Triple]) -> None:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xF1A7)
+
+
+@pytest.fixture
+def spill_files(monkeypatch) -> list:
+    """Every spill run file the engine makes in the test.  A run is an unnamed
+    file, so one not yet freed shows as an open file here, never in a listing
+    of the spill dir."""
+    made = []
+    init = engine._Spill.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self.file)
+
+    monkeypatch.setattr(engine._Spill, "__init__", recording)
+    return made

@@ -221,6 +221,19 @@ def test_damaged_gz_input_is_one_error_line(capsys, tmp_path, stage, damage):
     assert list(spill.iterdir()) == []
 
 
+def test_compile_in_with_an_empty_item_names_the_flag(capsys, demo_dir, tmp_path):
+    # Refused as the config reader refuses kb<i>.inputs, not opened as ''.
+    inputs = f"{demo_dir / 'freebase.nt'},"
+    out = tmp_path / "fb.ents"
+    code, _, stderr = run(capsys, "compile", "--label", "freebase", "--in", inputs,
+                          "--out", str(out))
+    assert code == 2
+    assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [
+        f"error: --in has an empty item: {inputs!r}"
+    ]
+    assert not out.exists()
+
+
 def test_missing_input_reports_error(capsys, tmp_path):
     code, _, stderr = run(
         capsys, "compile", "--label", "kb", "--in", str(tmp_path / "absent.nt"),
@@ -241,7 +254,7 @@ def test_env_overrides(capsys, demo_dir, tmp_path, monkeypatch):
     assert code == 0
     assert f"spill_dir={spill}" in stderr
     assert spill.is_dir()
-    assert list(spill.iterdir()) == []  # the job's own subdirectory is gone
+    assert list(spill.iterdir()) == []  # runs are unnamed files
 
 
 def test_flag_beats_env(capsys, demo_dir, tmp_path, monkeypatch):
@@ -445,6 +458,9 @@ CONFIG_ERRORS = {
                        "empty value for 'kb2.label'"),
     "empty-inputs-item": (_THREE.replace("kb3.inputs=x3.nt", "kb3.inputs=x3.nt,"),
                           "kb3.inputs has an empty item: 'x3.nt,'"),
+    # Refused as compile would refuse it, but before kb1 and kb2 compile.
+    "bad-kb-label": (_THREE.replace("kb3.label=k3", "kb3.label=K3"),
+                     "kb3.label: bad KB label 'K3': must match"),
 }
 
 

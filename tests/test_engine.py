@@ -5,7 +5,10 @@ import io
 import itertools
 import os
 import random
+import signal
+import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
@@ -63,8 +66,8 @@ def test_sort_cleans_spill_files(tmp_path):
     assert list((tmp_path / "spill").iterdir()) == []
 
 
-class _FullDisk(io.BufferedWriter):
-    """A spill file on a disk that fills after 300 bytes."""
+class _FullDisk(io.FileIO):
+    """A spill run's raw file on a disk that fills after 300 bytes."""
 
     def write(self, data):
         if self.tell() + len(data) > 300:
@@ -73,9 +76,15 @@ class _FullDisk(io.BufferedWriter):
 
 
 def test_failed_spill_write_closes_its_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        engine.os, "fdopen", lambda fd, mode, buffering: _FullDisk(io.FileIO(fd, "wb"), buffering)
-    )
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def full_disk_file(**kwargs):
+        with temporary_file(**kwargs) as raw:
+            made.append(_FullDisk(os.dup(raw.fileno()), "r+b"))
+        return made[-1]
+
+    monkeypatch.setattr(engine.tempfile, "TemporaryFile", full_disk_file)
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     items = [f"{i:05}\t".encode() + b"x" * 50 for i in range(2000)]
@@ -89,6 +98,7 @@ def test_failed_spill_write_closes_its_file(tmp_path, monkeypatch):
         del excinfo  # its traceback holds the spill run
         gc.collect()
     assert unraisable == []
+    assert len(made) == 1 and made[0].closed
     assert list((tmp_path / "spill").iterdir()) == []
 
 
@@ -122,9 +132,9 @@ def test_group_by_sorts_through_external_sort(tmp_path, monkeypatch):
     assert stats.items_in == 500 and stats.keys_reduced == 97
 
 
-def test_failed_sort_closes_a_sort_that_feeds_it(tmp_path, monkeypatch):
+def test_failed_sort_closes_a_sort_that_feeds_it(tmp_path, monkeypatch, spill_files):
     # The second sort fails while it reads the first, spilled one; the first
-    # drops its spill dir at once, while the exception is still held.
+    # frees its runs at once, while the exception is still held.
     sorters = []
 
     class FailingSecond(engine.ExternalSorter):
@@ -143,6 +153,7 @@ def test_failed_sort_closes_a_sort_that_feeds_it(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="second sort fails") as excinfo:  # noqa: F841, held
         list(external_sort(first, ExecConfig(1024, str(second_spill))))
     assert stats.spill_runs > 0
+    assert len(spill_files) == stats.spill_runs and all(f.closed for f in spill_files)
     assert list(first_spill.iterdir()) == []
     assert list(second_spill.iterdir()) == []
 
@@ -275,7 +286,7 @@ def test_group_values_arrive_tag_then_value_sorted(tmp_path):
     assert seen == [(0, b"k\t0"), (0, b"k\t5"), (1, b"k\t1"), (1, b"k\t9")]
 
 
-def test_reduce_failure_names_key(tmp_path):
+def test_reduce_failure_names_key(tmp_path, spill_files):
     def boom(key, items):
         if key == b"bad":
             raise ValueError("nope")
@@ -297,8 +308,9 @@ def test_reduce_failure_names_key(tmp_path):
         finally:
             # Looked at while the exception, and so its traceback, is alive.
             left_behind = list((tmp_path / "spill").iterdir())
+            left_open = [f for f in spill_files if not f.closed]
     assert stats.spill_runs >= 2
-    assert left_behind == []
+    assert left_behind == [] and left_open == []
 
 
 def test_memory_budget_bounds_sort_buffer(tmp_path):
@@ -434,7 +446,7 @@ def test_group_by_matches_tuple_sort_reference(tmp_path_factory, triples, spill)
 
 
 @pytest.mark.parametrize("bad", [b"no tab", b"\tempty key", b""])
-def test_item_without_a_key_field_rejected(tmp_path, bad):
+def test_item_without_a_key_field_rejected(tmp_path, bad, spill_files):
     items = [b"k%04d\tx" % i for i in range(500)] + [bad]
     stats = JobStats()
     with pytest.raises(EngineError, match="empty key or no TAB"):
@@ -450,21 +462,21 @@ def test_item_without_a_key_field_rejected(tmp_path, bad):
             )
         finally:
             left_behind = list((tmp_path / "spill").iterdir())
+            left_open = [f for f in spill_files if not f.closed]
     assert stats.spill_runs >= 2
-    assert left_behind == []
+    assert left_behind == [] and left_open == []
 
 
 # Bytes cut off the run's end: into the last item, all of it, and all but
 # the first byte of its length, which alone reads as a length of 0.
 @pytest.mark.parametrize("cut", [1, 256, 259])
 def test_truncated_spill_run_names_the_run(tmp_path, cut):
-    run = engine._Spill(str(tmp_path))
-    run.write_items([b"a\t\x00first", b"b\t\x00" + b"s" * 253])  # 4 + 8, then 4 + 256 bytes
-    with open(run.path, "r+b") as fh:
-        fh.truncate(272 - cut)
-    with pytest.raises(EngineError, match=f"truncated spill run {run.path}"):
+    # Items of 4 + 8 and 4 + 256 bytes: 272 in all.
+    run = engine._Spill(str(tmp_path), [b"a\t\x00first", b"b\t\x00" + b"s" * 253])
+    run.file.truncate(272 - cut)
+    with pytest.raises(EngineError, match=f"truncated spill run in {tmp_path}"):
         list(run.read_items())
-    assert not os.path.exists(run.path)
+    assert run.file.closed
 
 
 def test_item_charge_is_its_real_size(tmp_path):
@@ -500,14 +512,17 @@ def test_one_sorter_gets_the_whole_budget(tmp_path):
     assert stats.peak_buffer_bytes > 100_000 // 2
 
 
-def test_spill_dir_is_job_scoped_and_removed(tmp_path):
+def test_spill_runs_are_never_visible_in_spill_dir(tmp_path):
+    # Each run is an unnamed file: it takes disk space in spill_dir while
+    # the sort merges, but no listing shows it, then or after.
     spill = tmp_path / "spill"
     seen = []
 
     def reduce_fn(key, items):
-        seen.append(sorted(p.name for p in spill.iterdir()))
+        seen.append(list(spill.iterdir()))
         yield from items
 
+    stats = JobStats()
     items = [b"k%04d\tx" % i for i in range(2000)]
     list(
         run_group_by(
@@ -515,12 +530,57 @@ def test_spill_dir_is_job_scoped_and_removed(tmp_path):
             first_field,
             reduce_fn,
             cfg_for(tmp_path, memory_budget_bytes=8 * 1024),
+            stats,
         )
     )
-    # While the job runs, its runs live in one subdirectory of spill_dir.
-    assert len(seen[0]) == 1 and seen[0][0].startswith("flatlink-")
+    assert stats.spill_runs >= 2
+    assert seen[0] == [] and seen[-1] == []
     assert list(spill.iterdir()) == []
 
+
+_SIGKILLED_CHILD = """
+import sys
+from flatlink.engine import ExecConfig, JobStats, external_sort
+
+stats = JobStats()
+
+
+def items():
+    for i in range(10**6):
+        if stats.spill_runs == 3:
+            print("spilled", flush=True)
+            sys.stdin.read()  # the parent kills the sort here
+        yield b"k%07d\\t" % (10**6 - i) + b"x" * 40
+
+
+list(external_sort(items(), ExecConfig(256, sys.argv[1]), stats))
+"""
+
+
+def test_sigkilled_sort_leaves_its_spill_dir_empty(tmp_path):
+    # No cleanup runs in a killed process: its runs are gone only because
+    # the kernel frees an unnamed file when its last descriptor closes.
+    spill = tmp_path / "spill"
+    src = os.path.join(os.path.dirname(engine.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = subprocess.Popen([sys.executable, "-c", _SIGKILLED_CHILD, str(spill)], env=env,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        assert child.stdout.readline() == b"spilled\n"
+        fd_dir = f"/proc/{child.pid}/fd"
+        if os.path.isdir(fd_dir):  # Linux: the three runs are open in spill
+            targets = [os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)]
+            runs = os.path.join(os.path.realpath(spill), "")
+            assert sum(t.startswith(runs) for t in targets) == 3
+        assert list(spill.iterdir()) == []
+    finally:
+        child.kill()
+        child.wait()
+        child.stdin.close()
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert list(spill.iterdir()) == []
 
 
 # --- output files ------------------------------------------------------------

@@ -690,7 +690,7 @@ def test_join2_skips_invalid_utf8_ground_truth_line(tmp_path):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_join2_duplicate_subject_is_error(tmp_path, side):
+def test_join2_duplicate_subject_is_error(tmp_path, spill_files, side):
     # Raised from a merge after the sort has spilled; no runs stay behind.
     f_lines = [entity(f"http://f/{i:03}", name=[f"n{i}"])[1] for i in range(100)]
     d_lines = [entity(f"http://d/{i:03}", age=[str(i)])[1] for i in range(100)]
@@ -704,7 +704,8 @@ def test_join2_duplicate_subject_is_error(tmp_path, side):
     gt.write_text("".join(f"http://f/{i:03}\thttp://d/{i:03}\n" for i in range(100)),
                   encoding="utf-8")
     stats = JobStats()
-    with pytest.raises(LinkJoinError, match=f"duplicate subject .* in {side} entity file"):
+    message = f"duplicate subject .* in {side} entity file"
+    with pytest.raises(LinkJoinError, match=message) as excinfo:  # noqa: F841, held
         join2(
             str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
             str(tmp_path / "out"), cfg_for(tmp_path, memory_budget_bytes=2048),
@@ -712,6 +713,7 @@ def test_join2_duplicate_subject_is_error(tmp_path, side):
         )
     assert stats.spill_runs >= 1
     assert list((tmp_path / "spill").iterdir()) == []
+    assert spill_files and all(f.closed for f in spill_files)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -776,7 +778,7 @@ def test_join2_entity_line_with_raw_cr_is_error(tmp_path, side):
     assert str(excinfo.value) == f"{paths[side]}:1: bad entity line: raw control byte 0x0d"
 
 
-def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
+def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path, spill_files):
     # A blank line after the first spill run aborts the job; its runs go too.
     left = [entity(f"http://f/{i:04}", name=[f"n{i}"])[1] for i in range(400)]
     a = tmp_path / "f.ents"
@@ -787,7 +789,7 @@ def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
     gt.write_text("".join(f"http://f/{i:04}\thttp://d/1\n" for i in range(400)),
                   encoding="utf-8")
     stats = JobStats()
-    with pytest.raises(LinkJoinError, match="blank line"):
+    with pytest.raises(LinkJoinError, match="blank line") as excinfo:  # noqa: F841, held
         join2(
             str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"),
             str(tmp_path / "out"), cfg_for(tmp_path, memory_budget_bytes=2048),
@@ -795,10 +797,11 @@ def test_join2_failure_after_spill_leaves_no_spill_files(tmp_path):
         )
     assert stats.spill_runs >= 1
     assert list((tmp_path / "spill").iterdir()) == []
+    assert spill_files and all(f.closed for f in spill_files)
 
 
 @pytest.mark.parametrize("side", ["left", "right", "both"])
-def test_join2_descending_entity_file_is_error(tmp_path, side):
+def test_join2_descending_entity_file_is_error(tmp_path, spill_files, side):
     # A URI below the one before it names its file and line, after the sorts
     # have spilled; no output, temp file or spill run stays behind.  The
     # right file's fault comes first.
@@ -831,9 +834,10 @@ def test_join2_descending_entity_file_is_error(tmp_path, side):
     assert stats.spill_runs >= 1
     assert list(outdir.iterdir()) == []
     assert list((tmp_path / "spill").iterdir()) == []
+    assert spill_files and all(f.closed for f in spill_files)
 
 
-def test_join2_failure_after_output_lines_leaves_no_output(tmp_path):
+def test_join2_failure_after_output_lines_leaves_no_output(tmp_path, spill_files):
     # The duplicate subject sorts near the end of the left file, so the
     # second shuffle has emitted many lines when it raises; the old output
     # stays as it was and no temp file is left beside it.
@@ -851,7 +855,8 @@ def test_join2_failure_after_output_lines_leaves_no_output(tmp_path):
     out.write_bytes(b"old\n")
     before = sorted(p.name for p in tmp_path.iterdir())
     stats = JobStats()
-    with pytest.raises(LinkJoinError, match="duplicate subject .* in left entity file"):
+    message = "duplicate subject .* in left entity file"
+    with pytest.raises(LinkJoinError, match=message) as excinfo:  # noqa: F841, held
         join2(
             str(a), str(b), str(gt), "tsv-pairs", ("freebase", "dbpedia"), str(out),
             cfg_for(tmp_path, memory_budget_bytes=2048), stats=stats,
@@ -860,6 +865,7 @@ def test_join2_failure_after_output_lines_leaves_no_output(tmp_path):
     assert out.read_bytes() == b"old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before + ["spill"]
     assert list((tmp_path / "spill").iterdir()) == []
+    assert spill_files and all(f.closed for f in spill_files)
 
 
 def join2_oracle(a_lines, b_lines, pairs, labels):
@@ -1165,7 +1171,7 @@ JOIN3_INPUT_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(JOIN3_INPUT_ERRORS))
-def test_join3_input_errors_at_a_spilling_budget(tmp_path, case):
+def test_join3_input_errors_at_a_spilling_budget(tmp_path, spill_files, case):
     where, edit, message = JOIN3_INPUT_ERRORS[case]
     fd_rows, yd_rows = [], []
     for i in range(60):
@@ -1196,6 +1202,7 @@ def test_join3_input_errors_at_a_spilling_budget(tmp_path, case):
         assert f"{path}:60: " in str(excinfo.value)
     assert stats.spill_runs > 0
     assert list((tmp_path / "spill").iterdir()) == []
+    assert spill_files and all(f.closed for f in spill_files)
 
 
 def test_join3_traceability(tmp_path, rng):

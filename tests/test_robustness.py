@@ -161,7 +161,7 @@ FAULTS.update({
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_injected_fault_leaves_no_output_and_no_spill(tmp_path, monkeypatch, fault):
+def test_injected_fault_leaves_no_output_and_no_spill(tmp_path, monkeypatch, spill_files, fault):
     stage, inject = FAULTS[fault]
     run = _stages(tmp_path)[stage]
     outdir, spill = tmp_path / "out", tmp_path / "spill"
@@ -177,6 +177,7 @@ def test_injected_fault_leaves_no_output_and_no_spill(tmp_path, monkeypatch, fau
     assert out.read_bytes() == b"the output of an earlier run\n"
     assert os.listdir(outdir) == ["result"]  # no <out>.<pid>.tmp
     assert list(spill.iterdir()) == []
+    assert spill_files and all(f.closed for f in spill_files)  # freed with `info` held
 
 
 # --- every output passes validate --------------------------------------------
