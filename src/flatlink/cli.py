@@ -100,8 +100,8 @@ def _cmd_join2(args) -> int:
     if len(labels) != 2:
         raise ConfigError("--labels needs exactly two comma-separated labels")
     _echo_config("join2", {"left": args.left, "right": args.right, "gt": args.gt,
-                           "gt_format": args.gt_format, "labels": args.labels,
-                           "out": args.out, **_engine_kv(cfg)})
+                           "gt_format": args.gt_format, "sameas_uri": args.sameas_uri,
+                           "labels": args.labels, "out": args.out, **_engine_kv(cfg)})
     report = join2(
         args.left, args.right, args.gt, args.gt_format, labels, args.out, cfg,
         sameas_uri=args.sameas_uri,
@@ -190,8 +190,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     ``link1.*`` joins kb1 x kb2 and ``link2.*`` joins kb3 x kb2 (keys gt,
     gt_format, out, optional sameas_uri).  `_SECTIONS` gives these numbered
     sections; each needs the one before it, so none is renumbered.  Optional
-    ``join3.out`` / ``join3.order``, the three KB labels once each (default
-    kb2,kb1,kb3); plus the engine keys memory_budget_bytes and spill_dir.
+    ``join3.out``, and with it ``join3.order``, the three KB labels once each
+    (default kb2,kb1,kb3); plus the engine keys memory_budget_bytes and spill_dir.
     An empty value, an empty item of ``kb<i>.inputs`` or a KB label that
     compile would refuse is refused.  Every refusal is a ConfigError, raised
     before any stage runs.
@@ -221,6 +221,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     known = set(engine)
     if "join3.out" in values:
         known |= {"join3.out", "join3.order"}
+    elif "join3.order" in values:
+        raise ConfigError("join3.order needs join3.out")
     sections: dict[str, list[dict]] = {}
     for kind, (count, required, optional) in _SECTIONS.items():
         found = sections[kind] = []

@@ -3,9 +3,10 @@
 Every sort of every stage is one ``external_sort`` call: one sorter that
 holds the whole memory budget orders byte strings as they are, spilling
 sorted runs to disk whenever its buffer fills the budget, then merges the
-runs.  compile and join2 group its sorted output themselves.  The shuffle
-``run_group_by`` (join3's) sorts engine items through it: one ``bytes``
-object, ``key TAB tag-byte rest``, where the key is the input item's first
+runs.  Each stage groups the sorted output itself, except at join3's
+first sort, the one sort that merges two inputs: the shuffle
+``run_group_by`` sorts engine items through it, each one ``bytes`` object
+``key TAB tag-byte rest``, where the key is the input item's first
 TAB-delimited field, the tag byte names its input stream, and rest is what
 followed the key's TAB.  So each key's items are contiguous, by tag and then
 rest, and each key group is reduced once.  No key holds a byte at or below
@@ -32,7 +33,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .errors import EngineError, FlatlinkError
+from .errors import EngineError
 
 # What a buffered item costs on top of len(item): the rest of
 # sys.getsizeof(item), and its slot in the buffer list (a 64-bit pointer).
@@ -67,8 +68,8 @@ class JobStats:
     slot per item (the list's spare capacity aside).  A sort that spilled
     holds no buffer while it merges, and one that did not lets go of each
     item as it yields it, so when a later sort is fed from an earlier one's
-    output (join2 sorts the outputs of its first merge, join3 those of its
-    first shuffle) the two hold about one buffer of items between them; this
+    output (join2's and join3's second sorts take the outputs of their
+    first) the two hold about one buffer of items between them; this
     figure does not add the two buffers up.
     """
 
@@ -237,14 +238,14 @@ def run_group_by(
     engine items go through one external_sort call.
 
     An input item is `key TAB rest` with a non-empty key, and a tag is one
-    byte (0-255).  key_fn reads the key of an engine item back; join3, the
-    one caller, passes first_field (compile and join2 sort with
-    external_sort and group the sorted items themselves).  reduce_fn(key,
-    items) sees the group's engine items
+    byte (0-255).  key_fn reads the key of an engine item back; join3's
+    first sort, the one caller, passes first_field (every other sort is an
+    external_sort call whose stage groups the sorted items itself).
+    reduce_fn(key, items) sees the group's engine items
     `key TAB tag-byte rest` sorted by (tag, rest bytes), finds the tag at
-    item[len(key) + 1] and the rest from len(key) + 2 on, and must be pure.
-    Outputs come in ascending key order, each group's in the order reduce_fn
-    yields them.
+    item[len(key) + 1] and the rest from len(key) + 2 on, and must be pure;
+    what it raises reaches the caller as raised.  Outputs come in ascending
+    key order, each group's in the order reduce_fn yields them.
     """
     if stats is None:
         stats = JobStats()
@@ -252,15 +253,10 @@ def run_group_by(
     try:
         for key, group in itertools.groupby(items, key=key_fn):
             stats.keys_reduced += 1
-            try:
-                yield from reduce_fn(key, group)
-            except FlatlinkError:
-                raise  # domain errors already name their context
-            except Exception as exc:
-                raise EngineError(f"reduce_fn failed for key {key!r}: {exc}") from exc
+            yield from reduce_fn(key, group)
     finally:
-        # The sort and each input that closes, an upstream job such as join3's
-        # first shuffle, free their runs now, not when a traceback goes.
+        # The sort and each input that closes free their runs and files now,
+        # not when a traceback goes.
         for stream in [items, *(stream for _, stream in inputs)]:
             if hasattr(stream, "close"):
                 stream.close()

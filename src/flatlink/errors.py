@@ -14,7 +14,7 @@ class FlatRecordError(FlatlinkError):
 
 
 class EngineError(FlatlinkError):
-    """The map-shuffle-reduce engine failed (I/O, bad reduce, bad config)."""
+    """The engine refused its config or an item, or read a truncated spill run."""
 
 
 class LinkJoinError(FlatlinkError):

@@ -26,10 +26,12 @@ second sort's items arrive by right URI, so the lines leave in link-id order
 with no third sort.  No entity line goes through a sort, and each merge reads
 its file to the end, so every line is checked.
 
-join3 is two shuffles: keyed by the shared URI, then by left link id.  Inside
-one left id the second shuffle's values arrive sorted by right id, so the
-lines leave in (idA, idB) order with no final sort.  The first shuffle keeps
-only the left link ids of one shared URI in memory.
+join3 is two sorts.  The first, the shuffle ``engine.run_group_by`` keyed by
+the shared URI, merges the two files, so its items carry a tag byte; it keeps
+only the left link ids of one shared URI in memory.  The second sorts its
+outputs as they are, and join3 groups them by left link id.  Inside one left
+id they arrive sorted by right id, so the lines leave in (idA, idB) order
+with no final sort.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def split_link_line(line: bytes, arity: int) -> list[bytes]:
     """[link id, label, record, label, record, ...] of a linkage line with
     `arity` record groups, or its first fault: the line checks, the cut, the
     link-id rule of join3 and validate (no byte at or below 0x20, which would
-    sort join3's second shuffle out of idB order, and no opening literal
+    sort join3's second sort out of idB order, and no opening literal
     wrapper, which join3 would copy into `idA,idB`), the group count."""
     line_text(line)
     fields = _cut(line)
@@ -477,7 +479,7 @@ def _reduce_by_left_id(left_path: str, right_path: str, key: bytes, items: Itera
     head = None
     prev_b = None
     id_a = key.decode("utf-8", "replace")
-    start = len(key) + 2  # every item has tag 0
+    start = len(key) + 1
     for item in items:
         id_b, label, value = item[start:].split(b"\t", 2)
         if not id_b:
@@ -552,18 +554,14 @@ def join3(
         cfg,
         stats=stats,
     )
-    by_left_id = engine.run_group_by(
-        [(0, by_uri)],
-        engine.first_field,
-        functools.partial(_reduce_by_left_id, ab_path, cb_path),
-        cfg,
-        stats=stats,
-    )
-    # closing: a failed write frees both shuffles' spill runs at once too.
+    by_left_id = engine.external_sort(by_uri, cfg, stats)
+    # closing: a failed write frees both sorts' spill runs at once too.
     with engine.atomic_output(out_path) as out, contextlib.closing(by_left_id):
-        for line in by_left_id:
-            out.write(line)
-            report.lines_emitted += 1
+        for key, group in itertools.groupby(by_left_id, key=engine.first_field):
+            stats.keys_reduced += 1
+            for line in _reduce_by_left_id(ab_path, cb_path, key, group):
+                out.write(line)
+                report.lines_emitted += 1
 
     report.spill_runs = stats.spill_runs
     return report

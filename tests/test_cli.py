@@ -71,6 +71,29 @@ def test_join2_subcommand(capsys, demo_dir, tmp_path):
     assert out.read_text(encoding="utf-8").startswith("fd-1\tfreebase-instance\t")
 
 
+def test_join2_echo_names_its_sameas_uri(capsys, demo_dir, tmp_path):
+    # A run that reads no pair because of its --sameas-uri must say so in its
+    # echo, or it reads like a default run over an empty ground truth.
+    ents = {}
+    for label, inputs in [("yago", "yago.nt"),
+                          ("dbpedia", "dbpedia_infobox.nt,dbpedia_types.nt")]:
+        ents[label] = tmp_path / f"{label}.ents"
+        run(capsys, "compile", "--label", label, "--out", str(ents[label]),
+            "--in", ",".join(str(demo_dir / name) for name in inputs.split(",")))
+    echoes = {}
+    for uri in (OWL_SAMEAS, "http://x/same"):
+        code, stdout, stderr = run(
+            capsys, "join2", "--left", str(ents["yago"]), "--right", str(ents["dbpedia"]),
+            "--gt", str(demo_dir / "gt_yd.nt"), "--gt-format", "ntriples-sameas",
+            "--labels", "yago,dbpedia", "--sameas-uri", uri, "--out", str(tmp_path / "yd.links"),
+        )
+        assert code == 0
+        assert ("pairs_read=0 " in stdout) == (uri != OWL_SAMEAS)
+        (echoes[uri],) = [line for line in stderr.splitlines() if line.startswith("config: ")]
+        assert f" sameas_uri={uri} " in echoes[uri]
+    assert echoes[OWL_SAMEAS] != echoes["http://x/same"]
+
+
 def test_flag_order_independence(capsys, demo_dir, tmp_path):
     out1 = tmp_path / "a.ents"
     out2 = tmp_path / "b.ents"
@@ -443,6 +466,9 @@ CONFIG_ERRORS = {
                            + _LINK.format(i=1), "three KBs need link1 and link2"),
     "two-kbs-two-links": (_KB.format(i=1) + _KB.format(i=2) + _LINK.format(i=1)
                           + _LINK.format(i=2), "two KBs take exactly link1"),
+    # join3.order alone is a known key of a join3 that is not configured.
+    "join3-order-without-out": (_THREE.replace("join3.out=j.links\n", "join3.order=k2,k1,k3\n"),
+                                "join3.order needs join3.out"),
     "join3-two-kbs": (_KB.format(i=1) + _KB.format(i=2) + _LINK.format(i=1)
                       + "join3.out=j.links\n", "join3 needs three KBs"),
     "join3-order-two-labels": (_THREE + "join3.order=a,b\n",

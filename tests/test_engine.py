@@ -286,7 +286,9 @@ def test_group_values_arrive_tag_then_value_sorted(tmp_path):
     assert seen == [(0, b"k\t0"), (0, b"k\t5"), (1, b"k\t1"), (1, b"k\t9")]
 
 
-def test_reduce_failure_names_key(tmp_path, spill_files):
+def test_reduce_failure_propagates_as_raised(tmp_path, spill_files):
+    # A reduce bug surfaces as itself, as in every stage, and the failed
+    # sort's spill runs still go.
     def boom(key, items):
         if key == b"bad":
             raise ValueError("nope")
@@ -294,7 +296,7 @@ def test_reduce_failure_names_key(tmp_path, spill_files):
 
     items = [b"ok%03d\tx" % i for i in range(300)] + [b"bad\ty"]
     stats = JobStats()
-    with pytest.raises(EngineError, match="bad"):
+    with pytest.raises(ValueError, match="^nope$"):
         try:
             list(
                 run_group_by(

@@ -1019,6 +1019,46 @@ def test_join3_cross_product_counts(tmp_path):
     assert report.lines_emitted == 6
 
 
+def test_join3_second_sort_is_untagged_and_grouped_by_join3(tmp_path, monkeypatch):
+    # Only the first sort merges two files, so only it is a shuffle whose
+    # items carry a tag byte after the key's TAB; the second sorts the
+    # shuffle's outputs `idA TAB ...` as they are.
+    group_by_calls, sorted_items = [], []
+    run_group_by, external_sort = engine.run_group_by, engine.external_sort
+
+    def counting_group_by(*args, **kwargs):
+        group_by_calls.append(args)
+        return run_group_by(*args, **kwargs)
+
+    def recording_sort(items, *args, **kwargs):
+        def tap():
+            seen = []
+            for item in items:
+                seen.append(item)
+                yield item
+            sorted_items.append(seen)  # the first sort's input ends first
+
+        return external_sort(tap(), *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_group_by", counting_group_by)
+    monkeypatch.setattr(engine, "external_sort", recording_sort)
+    _, d3 = entity("http://d/3", age=["3"])
+    fd_rows = [(f"http://f/{i}", entity(f"http://f/{i}", name=[str(i)])[1], "http://d/3", d3)
+               for i in range(2)]
+    yd_rows = [(f"http://y/{i}", entity(f"http://y/{i}", label=[str(i)])[1], "http://d/3", d3)
+               for i in range(3)]
+    fd = make_2way(tmp_path, "fd.links", "freebase", "dbpedia", fd_rows)
+    yd = make_2way(tmp_path, "yd.links", "yago", "dbpedia", yd_rows)
+    stats = JobStats()
+    report = join3(fd, yd, "dbpedia", ["dbpedia", "freebase", "yago"],
+                   str(tmp_path / "dfy.links"), cfg_for(tmp_path), stats)
+    assert report.lines_emitted == 6
+    assert len(group_by_calls) == 1
+    assert [len(items) for items in sorted_items] == [5, 8]  # 2 + 3 lines; 2 left + 6 pairs
+    assert all(item[item.index(b"\t") + 1] != 0 for item in sorted_items[1])
+    assert stats.keys_reduced == 3  # one shared URI, then two left ids
+
+
 def _replace_id(line: str, new_id: str) -> str:
     return new_id + line[line.index("\t"):]
 
