@@ -2,8 +2,9 @@
 
 Subcommands: compile, join2, join3, sample, filter-type, stats, validate,
 pipeline.  Every run echoes its effective configuration to stderr so results
-can be reproduced; failures print a single ``error: ...`` line and exit
-nonzero.
+can be reproduced: every parsed argument by its dest, plus the engine
+settings the engine flags resolved to.  Failures print a single
+``error: ...`` line and exit nonzero.
 
 Engine settings are the sort memory budget and the spill directory.  They
 resolve flag > environment > config file > default; ``FLATLINK_SPILL_DIR`` is
@@ -37,9 +38,16 @@ from .tools import (
 ENV_SPILL_DIR = "FLATLINK_SPILL_DIR"
 
 
-def _echo_config(name: str, pairs: dict) -> None:
+def _echo_config(args, cfg: ExecConfig | None = None) -> None:
+    """Echo every parsed argument by its dest, in parser order, then the
+    engine settings the engine flags resolved to."""
+    pairs = {k: v for k, v in vars(args).items()
+             if k not in ("command", "func", "memory_budget", "spill_dir")}
+    if cfg is not None:
+        pairs.update(memory_budget_bytes=cfg.memory_budget_bytes,
+                     spill_dir=cfg.spill_dir or "<temp>")
     rendered = " ".join(f"{k}={v}" for k, v in pairs.items())
-    print(f"config: cmd={name} {rendered}", file=sys.stderr)
+    print(f"config: cmd={args.command} {rendered}", file=sys.stderr)
 
 
 def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
@@ -70,13 +78,6 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_kv(cfg: ExecConfig) -> dict:
-    return {
-        "memory_budget_bytes": cfg.memory_budget_bytes,
-        "spill_dir": cfg.spill_dir or "<temp>",
-    }
-
-
 def _split_inputs(value: str, name: str) -> list[str]:
     inputs = value.split(",")
     if "" in inputs:
@@ -87,8 +88,7 @@ def _split_inputs(value: str, name: str) -> list[str]:
 def _cmd_compile(args) -> int:
     cfg = _exec_config(args)
     spec = KbSpec(args.label, _split_inputs(args.inputs, "--in"), args.out)
-    _echo_config("compile", {"label": spec.label, "in": args.inputs, "out": args.out,
-                             **_engine_kv(cfg)})
+    _echo_config(args, cfg)
     report = compile_kb(spec, cfg)
     print(report.as_kv())
     return 0
@@ -99,9 +99,7 @@ def _cmd_join2(args) -> int:
     labels = tuple(args.labels.split(","))
     if len(labels) != 2:
         raise ConfigError("--labels needs exactly two comma-separated labels")
-    _echo_config("join2", {"left": args.left, "right": args.right, "gt": args.gt,
-                           "gt_format": args.gt_format, "sameas_uri": args.sameas_uri,
-                           "labels": args.labels, "out": args.out, **_engine_kv(cfg)})
+    _echo_config(args, cfg)
     report = join2(
         args.left, args.right, args.gt, args.gt_format, labels, args.out, cfg,
         sameas_uri=args.sameas_uri,
@@ -112,48 +110,36 @@ def _cmd_join2(args) -> int:
 
 def _cmd_join3(args) -> int:
     cfg = _exec_config(args)
-    order = args.order.split(",")
-    _echo_config("join3", {"left": args.left, "right": args.right,
-                           "shared": args.shared, "order": args.order,
-                           "out": args.out, **_engine_kv(cfg)})
-    report = join3(args.left, args.right, args.shared, order, args.out, cfg)
+    _echo_config(args, cfg)
+    report = join3(args.left, args.right, args.shared, args.order.split(","), args.out, cfg)
     print(report.as_kv())
     return 0
 
 
 def _cmd_sample(args) -> int:
-    spec = SampleSpec(n=args.n, seed=args.seed)
-    _echo_config("sample", {"in": args.infile, "out": args.out, "n": args.n,
-                            "seed": args.seed})
-    written = sample_lines(args.infile, spec, args.out)
+    _echo_config(args)
+    written = sample_lines(args.infile, SampleSpec(n=args.n, seed=args.seed), args.out)
     print(f"lines_written={written}")
     return 0
 
 
 def _cmd_filter_type(args) -> int:
-    spec = TypeFilterSpec(
-        type_uri=args.type_uri, side=args.side, type_predicate=args.type_predicate
-    )
-    _echo_config("filter-type", {"in": args.infile, "out": args.out,
-                                 "mode": args.mode, "type_uri": args.type_uri,
-                                 "side": args.side,
-                                 "type_predicate": args.type_predicate})
+    _echo_config(args)
+    spec = TypeFilterSpec(args.type_uri, args.side, args.type_predicate)
     kept = filter_by_type(args.infile, spec, args.out, args.mode)
     print(f"lines_written={kept}")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    _echo_config("stats", {"in": args.infile, "mode": args.mode,
-                           "type_predicate": args.type_predicate,
-                           "top_k": args.top_k})
+    _echo_config(args)
     report = stats(args.infile, args.mode, args.type_predicate, args.top_k)
     print(report.as_kv() if args.machine else report.as_text())
     return 0
 
 
 def _cmd_validate(args) -> int:
-    _echo_config("validate", {"in": args.infile, "mode": args.mode})
+    _echo_config(args)
     report = validate(args.infile, args.mode)
     if args.machine:
         print(report.as_kv())
@@ -192,9 +178,10 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     sections; each needs the one before it, so none is renumbered.  Optional
     ``join3.out``, and with it ``join3.order``, the three KB labels once each
     (default kb2,kb1,kb3); plus the engine keys memory_budget_bytes and spill_dir.
-    An empty value, an empty item of ``kb<i>.inputs`` or a KB label that
-    compile would refuse is refused.  Every refusal is a ConfigError, raised
-    before any stage runs.
+    An empty value, an empty item of ``kb<i>.inputs``, a KB label that
+    compile would refuse, two outputs on one path and an output on an input
+    path are refused.  Every refusal is a ConfigError, raised before any
+    stage runs.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -284,16 +271,27 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
                 f" not {order!r}"
             )
 
-    outputs = [kb.output_path for kb in cfg.kbs] + [j["out"] for j in [*cfg.links, cfg.join3] if j]
-    if len(set(outputs)) != len(outputs):
+    # Paths compare resolved, so `out/../x` and a symlink to x name x.  No
+    # stage may write what any stage reads, one that ran before it included.
+    outputs = {f"kb{i}.out": kb.output_path for i, kb in enumerate(cfg.kbs, 1)}
+    outputs.update({f"link{i}.out": j["out"] for i, j in enumerate(cfg.links, 1)})
+    if cfg.join3:
+        outputs["join3.out"] = cfg.join3["out"]
+    real = {key: os.path.realpath(p) for key, p in outputs.items()}
+    if len(set(real.values())) != len(real):
         raise ConfigError("output paths must be distinct")
+    inputs = [p for kb in cfg.kbs for p in kb.input_paths] + [j["gt"] for j in cfg.links]
+    read = set(map(os.path.realpath, inputs))
+    for key, path in real.items():
+        if path in read:
+            raise ConfigError(f"{key} names an input: {outputs[key]!r}")
     return cfg
 
 
 def _cmd_pipeline(args) -> int:
     pipe = parse_pipeline_config(args.config)
     cfg = _exec_config(args, pipe.engine_values)
-    _echo_config("pipeline", {"config": args.config, **_engine_kv(cfg)})
+    _echo_config(args, cfg)
 
     kbs = pipe.kbs
     stages = [(kb.output_path, partial(compile_kb, kb, cfg)) for kb in kbs]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink.cli import main, parse_pipeline_config
+from flatlink.cli import build_parser, main, parse_pipeline_config
+from flatlink.engine import ExecConfig
 from flatlink.errors import ConfigError
 from flatlink.link_join import OWL_SAMEAS
 
@@ -92,6 +93,51 @@ def test_join2_echo_names_its_sameas_uri(capsys, demo_dir, tmp_path):
         (echoes[uri],) = [line for line in stderr.splitlines() if line.startswith("config: ")]
         assert f" sameas_uri={uri} " in echoes[uri]
     assert echoes[OWL_SAMEAS] != echoes["http://x/same"]
+
+
+# One run of each subcommand on the demo; {d} is the demo copy, {o} its out/.
+ECHO_RUNS = {
+    "compile": ["--label", "freebase", "--in", "{d}/freebase.nt", "--out", "{d}/fb.ents",
+                "--memory-budget", "4096"],
+    "join2": ["--left", "{o}/freebase.ents", "--right", "{o}/dbpedia.ents",
+              "--gt", "{d}/gt_fd.tsv", "--labels", "freebase,dbpedia", "--out", "{d}/fd.links",
+              "--spill-dir", "{d}/spill"],
+    "join3": ["--left", "{o}/fd.links", "--right", "{o}/yd.links", "--shared", "dbpedia",
+              "--order", "dbpedia,freebase,yago", "--out", "{d}/dfy.links"],
+    "sample": ["--in", "{o}/dfy.links", "--out", "{d}/dfy.sample.links", "-n", "2"],
+    "filter-type": ["--in", "{o}/fd.links", "--out", "{d}/players.links", "--mode", "link2",
+                    "--type-uri", "http://dbpedia.org/ontology/FootballPlayer"],
+    "stats": ["--in", "{o}/fd.links", "--mode", "link2", "--machine"],
+    "validate": ["--in", "{o}/yago.ents", "--mode", "entity"],
+    "pipeline": ["--config", "{d}/demo.cfg"],
+}
+# What each engine command's settings resolve to: a flag, else the config
+# file (demo.cfg sets the budget), else the default.
+ECHO_ENGINE = {
+    "compile": (4096, "<temp>"),
+    "join2": (ExecConfig.memory_budget_bytes, "{d}/spill"),
+    "join3": (ExecConfig.memory_budget_bytes, "<temp>"),
+    "pipeline": (4194304, "<temp>"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_RUNS))
+def test_echo_names_every_parsed_argument(capsys, demo_dir, monkeypatch, command):
+    monkeypatch.delenv("FLATLINK_SPILL_DIR", raising=False)
+    assert run(capsys, "pipeline", "--config", str(demo_dir / "demo.cfg"))[0] == 0
+    argv = [command, *(a.format(d=demo_dir, o=demo_dir / "out") for a in ECHO_RUNS[command])]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 0
+    (echo,) = [line for line in stderr.splitlines() if line.startswith("config: ")]
+    # Every dest, in parser order, with its parsed value; the engine flags
+    # show as the settings they resolve to.
+    dests = {k: v for k, v in vars(build_parser().parse_args(argv)).items()
+             if k not in ("command", "func", "memory_budget", "spill_dir")}
+    expected = [f"cmd={command}", *(f"{k}={v}" for k, v in dests.items())]
+    if command in ECHO_ENGINE:
+        budget, spill = ECHO_ENGINE[command]
+        expected += [f"memory_budget_bytes={budget}", f"spill_dir={spill.format(d=demo_dir)}"]
+    assert echo == "config: " + " ".join(expected)
 
 
 def test_flag_order_independence(capsys, demo_dir, tmp_path):
@@ -402,6 +448,22 @@ def test_compile_out_naming_its_input_keeps_it_on_error(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.nt"]
 
 
+@pytest.mark.parametrize("out", ["gt_yd.nt", "out/../gt_yd.nt", "gt_yd.link"])
+def test_pipeline_refuses_an_output_on_an_input(capsys, demo_dir, out):
+    # link1 writing over link2's ground truth would leave yd.links and
+    # dfy.links empty.  Paths compare resolved, through `..` and symlinks.
+    (demo_dir / "gt_yd.link").symlink_to("gt_yd.nt")
+    cfg = demo_dir / "demo.cfg"
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+        "link1.out=out/fd.links", f"link1.out={out}"), encoding="utf-8")
+    names, gt = sorted(os.listdir(demo_dir)), (demo_dir / "gt_yd.nt").read_bytes()
+    code, stdout, stderr = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 2
+    assert (stdout, stderr) == ("", f"error: link1.out names an input: {str(demo_dir / out)!r}\n")
+    assert sorted(os.listdir(demo_dir)) == names  # no out/
+    assert (demo_dir / "gt_yd.nt").read_bytes() == gt
+
+
 def test_report_out_flag_is_gone(capsys, demo_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "compile", "--label", "freebase", "--in", str(demo_dir / "freebase.nt"),
@@ -487,6 +549,14 @@ CONFIG_ERRORS = {
     # Refused as compile would refuse it, but before kb1 and kb2 compile.
     "bad-kb-label": (_THREE.replace("kb3.label=k3", "kb3.label=K3"),
                      "kb3.label: bad KB label 'K3': must match"),
+    # No stage writes what a stage reads, its own input included.
+    "link-out-names-a-gt": (_THREE.replace("link1.out=l1.links", "link1.out=g2"),
+                            "link1.out names an input: "),
+    "kb-out-names-its-input": (_THREE.replace("kb2.out=o2.ents", "kb2.out=x2.nt"),
+                               "kb2.out names an input: "),
+    "outputs-equal-once-resolved": (_THREE.replace("link2.out=l2.links",
+                                                   "link2.out=sub/../l1.links"),
+                                    "output paths must be distinct"),
 }
 
 
