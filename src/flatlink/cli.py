@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,8 +47,18 @@ def _echo_config(args, cfg: ExecConfig | None = None) -> None:
     if cfg is not None:
         pairs.update(memory_budget_bytes=cfg.memory_budget_bytes,
                      spill_dir=cfg.spill_dir or "<temp>")
-    rendered = " ".join(f"{k}={v}" for k, v in pairs.items())
+    rendered = " ".join(f"{k}={_shell_word(v)}" for k, v in pairs.items())
     print(f"config: cmd={args.command} {rendered}", file=sys.stderr)
+
+
+def _shell_word(value) -> str:
+    """The value as one word that ``shlex.split`` reads back.  Only a value
+    that is empty or holds whitespace, a quote or a backslash is quoted, so
+    a ``#`` in a URI stays bare."""
+    text = str(value)
+    if text and not any(c.isspace() or c in "'\"\\" for c in text):
+        return text
+    return shlex.quote(text)
 
 
 def _exec_config(args, file_values: dict | None = None) -> ExecConfig:

@@ -269,7 +269,9 @@ def _entity_lines(path: str, side: str) -> Iterator[tuple[bytes, bytes]]:
             if uri <= prev:
                 text = uri.decode("utf-8", "replace")
                 if uri == prev:
-                    raise LinkJoinError(f"duplicate subject {text!r} in {side} entity file")
+                    raise LinkJoinError(
+                        f"{path}:{line_no}: duplicate subject {text!r} in {side} entity file"
+                    )
                 raise LinkJoinError(
                     f"{path}:{line_no}: entity file not sorted: subject {text!r} sorts"
                     " below the line before"

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import shutil
 import tempfile
 
@@ -140,6 +141,20 @@ def test_echo_names_every_parsed_argument(capsys, demo_dir, monkeypatch, command
     assert echo == "config: " + " ".join(expected)
 
 
+def test_echo_reads_back_as_shell_words(capsys, demo_dir, tmp_path):
+    # A value holding a space or a quote is quoted, so the echo splits back
+    # into the run's arguments.
+    spaced = demo_dir / "free base.nt"
+    shutil.copy(demo_dir / "freebase.nt", spaced)
+    out = tmp_path / "it's.ents"
+    code, _, stderr = run(capsys, "compile", "--label", "freebase", "--in", str(spaced),
+                          "--out", str(out))
+    assert code == 0
+    (echo,) = [line for line in stderr.splitlines() if line.startswith("config: ")]
+    words = shlex.split(echo.removeprefix("config: "))
+    assert words[:4] == ["cmd=compile", "label=freebase", f"inputs={spaced}", f"out={out}"]
+
+
 def test_flag_order_independence(capsys, demo_dir, tmp_path):
     out1 = tmp_path / "a.ents"
     out2 = tmp_path / "b.ents"
@@ -182,6 +197,12 @@ def test_pipeline_outputs_validate_clean(capsys, demo_dir):
         )
         assert code == 0, f"{name}: {stdout}"
         assert "violations=0" in stdout
+        code, stdout, _ = run(
+            capsys, "stats", "--in", str(demo_dir / "out" / name),
+            "--mode", mode, "--machine",
+        )
+        assert code == 0
+        assert " unparseable=0 " in stdout, f"{name}: {stdout}"
 
 
 def test_validate_exit_code_nonzero_on_violation(capsys, tmp_path):
@@ -189,7 +210,7 @@ def test_validate_exit_code_nonzero_on_violation(capsys, tmp_path):
     bad.write_text("uri\tkey-without-value\n", encoding="utf-8")
     code, stdout, _ = run(capsys, "validate", "--in", str(bad), "--mode", "entity")
     assert code == 1
-    assert "violations: 1" in stdout
+    assert stdout == "ok_lines:   0\nviolations: 1\n  line 1: even token count (2)\n"
 
 
 def test_sample_and_filter_and_stats(capsys, demo_dir, tmp_path):
@@ -212,6 +233,10 @@ def test_sample_and_filter_and_stats(capsys, demo_dir, tmp_path):
     )
     assert code == 0
     assert "lines_written=2" in stdout  # Alex Park and Eli Vega
+
+    for path in (sampled, filtered):
+        code, stdout, _ = run(capsys, "validate", "--in", str(path), "--mode", "link2")
+        assert code == 0, f"{path.name}: {stdout}"
 
     code, stdout, _ = run(
         capsys, "stats", "--in", str(links), "--mode", "link2", "--machine",

@@ -4,6 +4,7 @@ The digests were recorded from ``flatlink pipeline --config demo/demo.cfg``;
 any change to them is a change of the output contract.
 """
 
+import gzip
 import hashlib
 import os
 import shutil
@@ -24,17 +25,42 @@ GOLDEN_SHA256 = {
 }
 
 
+def _digests(out) -> dict[str, str]:
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+    }
+
+
 # The demo config's 4 MiB budget sorts in memory; 256 bytes spills a run
-# every few items in every compile and join.
+# every few items in every compile and join.  The runs are unnamed files,
+# so the spill dir holds nothing afterwards.
 @pytest.mark.parametrize("budget_args", [[], ["--memory-budget", "256"]])
 def test_demo_pipeline_outputs_match_golden_digests(tmp_path, capsys, budget_args):
     demo = tmp_path / "demo"
     shutil.copytree(DEMO, demo, ignore=shutil.ignore_patterns("out"))
-    assert main(["pipeline", "--config", str(demo / "demo.cfg"), *budget_args]) == 0
+    spill = tmp_path / "spill"
+    argv = ["pipeline", "--config", str(demo / "demo.cfg"), *budget_args,
+            "--spill-dir", str(spill)]
+    assert main(argv) == 0
     capsys.readouterr()
-    out = demo / "out"
-    got = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in sorted(os.listdir(out))
-    }
-    assert got == GOLDEN_SHA256
+    assert _digests(demo / "out") == GOLDEN_SHA256
+    assert os.listdir(spill) == []
+
+
+def test_crlf_gzipped_inputs_give_the_golden_bytes(tmp_path, capsys):
+    # Line endings and compression change no output byte: every KB and
+    # ground-truth input, in both formats, is read as a CRLF, gzipped copy.
+    demo = tmp_path / "demo"
+    demo.mkdir()
+    for name in os.listdir(DEMO):
+        if name.endswith((".nt", ".tsv")):
+            with open(os.path.join(DEMO, name), "rb") as fh:
+                data = fh.read().replace(b"\n", b"\r\n")
+            (demo / f"{name}.gz").write_bytes(gzip.compress(data))
+    with open(os.path.join(DEMO, "demo.cfg"), encoding="utf-8") as fh:
+        cfg = fh.read().replace(".nt", ".nt.gz").replace(".tsv", ".tsv.gz")
+    (demo / "demo.cfg").write_text(cfg, encoding="utf-8")
+    assert main(["pipeline", "--config", str(demo / "demo.cfg")]) == 0
+    capsys.readouterr()
+    assert _digests(demo / "out") == GOLDEN_SHA256
