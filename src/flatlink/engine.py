@@ -18,7 +18,7 @@ Spill run format (private, in an unnamed file): ``<u32 len><item>`` per
 item, the length little-endian, in sorted order.
 
 Every stage writes its output file through ``atomic_output``, so the file
-appears whole or not at all.
+appears whole or not at all, and enters it before it reads any input.
 """
 
 from __future__ import annotations
@@ -183,7 +183,12 @@ def external_sort(
     try:
         cfg.validate()
         if cfg.spill_dir:
-            os.makedirs(cfg.spill_dir, exist_ok=True)
+            try:
+                os.makedirs(cfg.spill_dir, exist_ok=True)
+            except OSError as exc:
+                # makedirs raises "File exists" where a file holds the name.
+                reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+                raise EngineError(f"cannot use spill dir {cfg.spill_dir}: {reason}") from exc
         add = sorter.add
         for item in items:
             add(item)
@@ -202,13 +207,25 @@ def atomic_output(path: str) -> Iterator[BinaryIO]:
 
     A failed stage so leaves no partial output, and an output may name one
     of its stage's inputs.  The temp file is opened as `path` would be, so
-    it gets the same mode, not a private temp file's 0o600.
+    it gets the same mode, not a private temp file's 0o600.  A stage enters
+    this before it reads any input, so a target that is a directory, or
+    that cannot be opened or replaced, is refused with an EngineError that
+    names `path` and the OS reason, never the temp name.
     """
+    if os.path.isdir(path):
+        raise EngineError(f"cannot write {path}: Is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as out:
+        out = open(tmp, "wb")
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with out:
             yield out
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -14,7 +14,8 @@ class FlatRecordError(FlatlinkError):
 
 
 class EngineError(FlatlinkError):
-    """The engine refused its config or an item, or read a truncated spill run."""
+    """The engine refused its config, an item or an output or spill path, or
+    read a truncated spill run."""
 
 
 class LinkJoinError(FlatlinkError):

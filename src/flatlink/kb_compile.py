@@ -6,15 +6,17 @@ record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
 Items ``subject TAB predicate TAB seq8 kind lexical`` are built straight
-from the bytes of each input line that ``iter_triple_bytes`` matches with
-its line regex, and sorted as they are by ``engine.external_sort``.  One
-pass over the sorted stream (``_records``) groups each subject's items into
-raw tokens and drops duplicate values; ``flat_record.record_line_bytes``
+from the triple bytes that ``iter_triple_bytes`` yields, cut from the groups
+of its block regex (a clean block, one ``findall``) or of its line regex
+(every other block, line by line) wherever a line has the fast path's
+shape, and sorted as they are by ``engine.external_sort``.  One pass over
+the sorted stream (``_records``) groups each subject's items into raw
+tokens and drops duplicate values; ``flat_record.record_line_bytes``
 escapes and writes the line.  Each line is byte-equal to
 ``serialize_record(record_from_triples(...))`` of the triples that the
 reference reader ``iter_triples`` (text mode and the character parser, no
-line regex) reads from the same files, which ``reference_lines`` computes
-in memory.
+regex) reads from the same files, which ``reference_lines`` computes in
+memory.
 """
 
 from __future__ import annotations

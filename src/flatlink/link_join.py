@@ -14,8 +14,9 @@ join3's 2-way lines and every line of validate, filter-type and stats:
 ``line_text`` refuses a raw CR and bytes that are not UTF-8, and
 ``split_link_line`` runs the split on the bytes of a linkage line and names
 each fault of its cut, its link id and its group count itself.  Ground truth
-in either format is read through ``rdf_ingest.read_lines``, and its pairs
-stay UTF-8 bytes into join2's items.
+is read through ``rdf_ingest``'s block reader, tsv-pairs by ``read_lines``
+and ntriples-sameas by ``iter_triple_bytes``, and its pairs stay UTF-8
+bytes into join2's items.
 
 join2 is a merge join, because entity files strictly ascend by raw URI, the
 join key: it sorts only the ground-truth items ``right TAB left`` and merges
@@ -185,7 +186,10 @@ def load_ground_truth(
     report: GtReport | None = None,
 ) -> Iterator[tuple[bytes, bytes]]:
     """Stream (left, right) URI pairs as UTF-8 bytes from a ground-truth
-    file, read through read_lines: plain or .gz, any line ending.
+    file, plain or .gz, any line ending: tsv-pairs through read_lines, and
+    ntriples-sameas through iter_triple_bytes, compile's parser, which cuts
+    a clean block's triples from one findall and parses every other block
+    line by line.
 
     Pairs keep file orientation, and duplicates stream through: join2
     collapses them inside its first merge, so no pair is held in memory here.

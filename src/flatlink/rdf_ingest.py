@@ -13,27 +13,37 @@ Files are decoded as UTF-8 line by line, so a line that is not valid UTF-8
 is malformed too.  Malformed lines never abort a stream: they are counted,
 sampled into the report, and skipped.
 
-``read_lines`` reads every raw input, KB files and both ground-truth
-formats: a plain or ``.gz`` file as bytes, split where text mode splits (LF,
-CR LF, lone CR), each line counted and one that is not UTF-8 skipped; a
-damaged ``.gz`` is one ``FlatlinkError``.  ``parse_ntriples_line`` is the
-character parser and the reference, and alone names error reasons;
-``iter_triples`` reads a file as text through it.  Compile and
-ntriples-sameas ground truth read ``iter_triple_bytes``, which yields each
-triple as the UTF-8 bytes of its subject, predicate and kind byte plus
-lexical form.  It fullmatches each line of ``read_lines`` against one bytes
-regex for ``(<uri> | _:label) <uri> (<uri> | _:label | "literal"(@lang |
-^^<dtype>)?) .`` with an optional trailing comment.  URIs may hold
-``\\u``/``\\U`` escapes and literals those and the ECHARs (``\\t``,
-``\\"``, ...); a datatype IRI or language tag holds no escape.  A matched
-body with a backslash is decoded by one codec call, ``unicode_escape`` after
+Every raw input, KB files and both ground-truth formats, is read as bytes
+in blocks of whole lines of about 8 KiB, one block at a time, by one block
+reader: a plain or ``.gz`` file, split where text mode splits (LF, CR LF,
+lone CR), each line counted and one that is not UTF-8 skipped; a damaged
+``.gz`` is one ``FlatlinkError``.  ``read_lines`` yields the lines of those
+blocks.  ``parse_ntriples_line`` is the character parser and the reference,
+and alone names error reasons; ``iter_triples`` reads a file as text through
+it.  Compile and ntriples-sameas ground truth read ``iter_triple_bytes``,
+which yields each triple as the UTF-8 bytes of its subject, predicate and
+kind byte plus lexical form, and counts its lines one at a time as it
+yields.  The fast path's line shape is ``(<uri> | _:label) <uri> (<uri> |
+_:label | "literal"(@lang | ^^<dtype>)?) .`` with an optional trailing
+comment, where URIs may hold ``\\u``/``\\U`` escapes and literals those and
+the ECHARs (``\\t``, ``\\"``, ...); a datatype IRI or language tag holds no
+escape.
+
+A block that is UTF-8 and holds no backslash and no CR is cut by one
+``findall`` of the block regex: the same line shape without its escape
+alternatives, which a block with no backslash never needs, with literal
+bodies and comments stopped at LF, and a last branch that takes any other
+line whole, so it yields one tuple per line and a triple is cut from its
+groups with no regex call per line.  Every other block goes line by line:
+each UTF-8 line is fullmatched against the line regex, and a matched body
+with a backslash is decoded by one codec call, ``unicode_escape`` after
 ``backslashreplace``, which is sound because the regex has proved that every
-backslash starts a well-formed escape.  A line the regex misses (blanks,
+backslash starts a well-formed escape.  A line either regex misses (blanks,
 comments, escapes in a datatype or label, a byte in a label or tag where the
 character parser might end it, and anything malformed), or whose decoding
 finds what the character parser rejects (a surrogate or out-of-range code
 point, or a URI that decodes to a control or space character), is decoded
-and handed to the character parser.  A line taken from the regex yields the
+and handed to the character parser.  A line taken by either regex yields the
 triple the character parser would.
 
 ``Triple`` and ``ObjectValue`` are named tuples, so each compares equal to
@@ -106,12 +116,29 @@ _FAST_LINE_BYTES = re.compile(
     ).encode("ascii"),
     re.DOTALL,
 )
+# The block regex: the same line shape for a block of lines that holds no
+# backslash, so each escape alternative is dropped, and no CR, so each line
+# ends at an LF.  Literal bodies and comments stop at LF, and a last branch
+# takes any other line whole, so findall yields one tuple per line: the line
+# regex's groups, then the other line.  With no UCHAR a URI body is
+# _URI_CHARS+, never empty, and findall gives b"" for a group that took no
+# part: a line with no subject group is an other line, and an object with no
+# URI or blank-node group is a literal, the empty literal included.
+_BLOCK_LINES = re.compile(
+    (
+        rf"^(?:[ \t]*(?:<({_URI_CHARS}+)>|{_BNODE})[ \t]*<({_URI_CHARS}+)>[ \t]*"
+        rf'(?:<({_URI_CHARS}+)>|{_BNODE}|"([^"\\\t\n]*)"(?:{_LANG}|\^\^<{_URI_CHARS}+>)?)'
+        r"[ \t]*\.[ \t]*(?:#[^\n]*)?|(.*))$"
+    ).encode("ascii"),
+    re.MULTILINE,
+)
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 
 # A byte value for `in` tests on bytes: `int in bytes` is one memchr, while
 # `bytes in bytes` first tries its operand as an integer and pays for the
 # TypeError, several times slower per line.
 _BACKSLASH = ord("\\")
+_CR = ord("\r")
 
 
 class ObjectValue(NamedTuple):
@@ -397,29 +424,44 @@ def iter_triples(
         yield triple
 
 
+def _blocks(path: str | os.PathLike) -> Iterator[bytes]:
+    """The bytes of a plain or .gz file in blocks of whole lines, about
+    8 KiB each; every block but the last ends at an LF, so no CR LF spans
+    two.  A damaged .gz raises FlatlinkError naming the path."""
+    try:
+        with _open_bytes(path) as fh:
+            while block := fh.readlines(1 << 13):
+                yield b"".join(block)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise FlatlinkError(f"{path}: damaged gzip data: {exc}") from exc
+
+
 def read_lines(path: str | os.PathLike, report: ParseReport) -> Iterator[tuple[int, bytes]]:
     """(line number, line) of each UTF-8 line of a plain or .gz file, split at
     LF, CR LF and a lone CR as text mode splits.  Each line counts into
     report.lines_total, and one that is not UTF-8 is skipped as "not UTF-8".
     A damaged .gz raises FlatlinkError naming the path."""
     line_no = 0
+    for block in _blocks(path):
+        # bytes.splitlines() splits at LF, CR LF and a lone CR.
+        for line in block.splitlines():
+            line_no += 1
+            report.lines_total += 1
+            if not line.isascii():
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    report.record_error(line_no, "not UTF-8")
+                    continue
+            yield line_no, line
+
+
+def _is_utf8(data: bytes) -> bool:
     try:
-        with _open_bytes(path) as fh:
-            # Blocks of whole lines, each ending at an LF, so no CR LF spans
-            # two; bytes.splitlines() splits at LF, CR LF and a lone CR.
-            while block := fh.readlines(1 << 13):
-                for line in b"".join(block).splitlines():
-                    line_no += 1
-                    report.lines_total += 1
-                    if not line.isascii():
-                        try:
-                            line.decode("utf-8")
-                        except UnicodeDecodeError:
-                            report.record_error(line_no, "not UTF-8")
-                            continue
-                    yield line_no, line
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise FlatlinkError(f"{path}: damaged gzip data: {exc}") from exc
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _fast_triple_bytes(line: bytes) -> tuple[bytes, bytes, bytes] | None:
@@ -444,32 +486,80 @@ def _fast_triple_bytes(line: bytes) -> tuple[bytes, bytes, bytes] | None:
     return subject or s_bnode, predicate, b"L" + lexical
 
 
+def _char_triple(
+    line: bytes, line_no: int, report: ParseReport
+) -> tuple[bytes, bytes, bytes] | None:
+    """The triple the character parser reads from a UTF-8 line, as
+    iter_triple_bytes yields it, or None once the line is counted as blank
+    or as an error."""
+    try:
+        parsed = parse_ntriples_line(line.decode("utf-8"))
+    except NTriplesParseError as exc:
+        report.record_error(line_no, str(exc))
+        return None
+    if parsed is None:
+        report.lines_blank += 1
+        return None
+    subject, predicate, (kind, lexical) = parsed
+    return (
+        subject.encode("utf-8"),
+        predicate.encode("utf-8"),
+        (b"L" if kind == LITERAL else b"U") + lexical.encode("utf-8"),
+    )
+
+
 def iter_triple_bytes(
     path: str | os.PathLike, report: ParseReport
 ) -> Iterator[tuple[bytes, bytes, bytes]]:
     """Yield (subject, predicate, kind + lexical) as UTF-8 bytes, the kind
     byte b"U" or b"L", for the triples iter_triples(path) yields, in order,
-    filling `report` as it does.
+    filling `report` as it does, one line at a time.
 
-    A line of read_lines in the fast path's shape is cut from its match;
-    every other line is decoded and parsed by the character parser.
+    A block of _blocks that is UTF-8 and holds no backslash and no CR is cut
+    by one findall of the block regex: each line it takes as a triple is cut
+    from its groups, with no escape to decode.  Every other block goes line
+    by line as read_lines splits it, and a line in the fast path's shape is
+    cut from its match.  Any other line, in either kind of block, is decoded
+    and parsed by the character parser.
     """
-    for line_no, line in read_lines(path, report):
-        triple = _fast_triple_bytes(line)
-        if triple is None:
-            try:
-                parsed = parse_ntriples_line(line.decode("utf-8"))
-            except NTriplesParseError as exc:
-                report.record_error(line_no, str(exc))
+    line_no = 0
+    for block in _blocks(path):
+        if (
+            _BACKSLASH not in block
+            and _CR not in block
+            and (block.isascii() or _is_utf8(block))
+        ):
+            # endpos leaves out a final LF, which would end one more line.
+            end = len(block) - block.endswith(b"\n")
+            for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other in (
+                _BLOCK_LINES.findall(block, 0, end)
+            ):
+                line_no += 1
+                report.lines_total += 1
+                subject = s_uri or s_bnode
+                if subject:
+                    obj = o_uri or o_bnode
+                    triple = subject, predicate, b"U" + obj if obj else b"L" + lexical
+                else:
+                    triple = _char_triple(other, line_no, report)
+                    if triple is None:
+                        continue
+                report.triples_ok += 1
+                yield triple
+            continue
+        # read_lines' loop, inline: a generator between costs a resumption
+        # per line.
+        for line in block.splitlines():
+            line_no += 1
+            report.lines_total += 1
+            if not line.isascii():
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    report.record_error(line_no, "not UTF-8")
+                    continue
+            triple = _fast_triple_bytes(line) or _char_triple(line, line_no, report)
+            if triple is None:
                 continue
-            if parsed is None:
-                report.lines_blank += 1
-                continue
-            subject, predicate, (kind, lexical) = parsed
-            triple = (
-                subject.encode("utf-8"),
-                predicate.encode("utf-8"),
-                (b"L" if kind == LITERAL else b"U") + lexical.encode("utf-8"),
-            )
-        report.triples_ok += 1
-        yield triple
+            report.triples_ok += 1
+            yield triple

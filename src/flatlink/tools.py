@@ -55,7 +55,7 @@ def sample_lines(in_path: str, spec: SampleSpec, out_path: str) -> int:
     spec.validate()
     rng = random.Random(spec.seed)
     reservoir: list[tuple[int, bytes]] = []
-    with open(in_path, "rb") as fh:
+    with atomic_output(out_path) as out, open(in_path, "rb") as fh:
         for i, line in enumerate(fh):
             if i < spec.n:
                 reservoir.append((i, line))
@@ -63,8 +63,7 @@ def sample_lines(in_path: str, spec: SampleSpec, out_path: str) -> int:
             j = rng.randrange(i + 1)
             if j < spec.n:
                 reservoir[j] = (i, line)
-    reservoir.sort()
-    with atomic_output(out_path) as out:
+        reservoir.sort()
         for _, line in reservoir:
             out.write(line)
     return len(reservoir)
@@ -146,7 +145,7 @@ def filter_by_type(
     spec.validate(mode)
     if report is None:
         report = FilterReport()
-    with open(in_path, "rb") as fh, atomic_output(out_path) as out:
+    with atomic_output(out_path) as out, open(in_path, "rb") as fh:
         for raw in fh:
             report.lines_read += 1
             try:

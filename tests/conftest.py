@@ -74,6 +74,20 @@ def damage_gz(data: bytes, damage: str) -> bytes:
     return data
 
 
+def criterion8_lines(n_subjects: int) -> list[bytes]:
+    """Escape-free N-Triples lines, without line ends, in the acceptance
+    suite's criterion-8 shape: per subject a name literal, repeated for every
+    10th subject, and 3 predicates x 3 object links; about 600 bytes a
+    subject."""
+    lines = []
+    for i in range(n_subjects):
+        uri = b"<http://a.org/e%05d>" % i
+        lines += [b'%s <http://p/name> "name %d" .' % (uri, i)] * (2 if i % 10 == 0 else 1)
+        lines += [b"%s <http://a.org/p/%d> <http://obj.org/o%d> ."
+                  % (uri, j, (i * 7 + j * 131 + k) % 997) for j in range(3) for k in range(3)]
+    return lines
+
+
 def render_nt_lines(triples: list[Triple]) -> list[str]:
     from flatlink.rdf_ingest import render_triple
 

@@ -473,6 +473,43 @@ def test_compile_out_naming_its_input_keeps_it_on_error(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.nt"]
 
 
+# Each stage enters its output before it reads an input, so an output that
+# cannot be written is refused first, here beside inputs that do not exist;
+# every error names the path the user gave, never the temp file.
+_NO_DIR = "error: cannot write nodir/o: No such file or directory"
+_IS_DIR = "error: cannot write adir: Is a directory"
+OUTPUT_ERRORS = {
+    "compile-out-in-missing-dir": (["compile", "--label", "kb", "--in", "a.nt", "--out", "nodir/o"],
+                                   _NO_DIR),
+    "compile-out-is-a-dir": (["compile", "--label", "kb", "--in", "absent.nt", "--out", "adir"],
+                             _IS_DIR),
+    "compile-spill-dir-is-a-file": (["compile", "--label", "kb", "--in", "a.nt", "--out", "o",
+                                     "--spill-dir", "a.nt"],
+                                    "error: cannot use spill dir a.nt: Not a directory"),
+    "join2-out-is-a-dir": (["join2", "--left", "absent", "--right", "absent", "--gt", "absent",
+                            "--labels", "f,d", "--out", "adir"], _IS_DIR),
+    "join3-out-is-a-dir": (["join3", "--left", "absent", "--right", "absent", "--shared", "d",
+                            "--order", "f,d,y", "--out", "adir"], _IS_DIR),
+    "sample-out-in-missing-dir": (["sample", "--in", "absent", "--out", "nodir/o", "-n", "1"],
+                                  _NO_DIR),
+    "filter-type-out-is-a-dir": (["filter-type", "--in", "absent", "--out", "adir",
+                                  "--mode", "entity", "--type-uri", "http://t"], _IS_DIR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_ERRORS))
+def test_output_and_spill_dir_errors_name_the_given_path(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.nt").write_bytes(b"<http://a> <http://p> <http://b> .\n")
+    (tmp_path / "adir").mkdir()
+    argv, message = OUTPUT_ERRORS[case]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [message]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nt", "adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 @pytest.mark.parametrize("out", ["gt_yd.nt", "out/../gt_yd.nt", "gt_yd.link"])
 def test_pipeline_refuses_an_output_on_an_input(capsys, demo_dir, out):
     # link1 writing over link2's ground truth would leave yd.links and

@@ -1,5 +1,6 @@
 import collections
 import gzip
+import io
 import os
 import tempfile
 
@@ -12,9 +13,17 @@ from flatlink.errors import FlatlinkError
 from flatlink.flat_record import parse_record, record_from_triples, serialize_record
 from flatlink import flat_record
 from flatlink.kb_compile import KbSpec, compile_kb, reference_lines
-from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, ParseReport, Triple
+from flatlink.rdf_ingest import (
+    LITERAL,
+    URI,
+    ObjectValue,
+    ParseReport,
+    Triple,
+    iter_triple_bytes,
+    iter_triples,
+)
 
-from conftest import synth_triples, write_nt
+from conftest import criterion8_lines, synth_triples, write_nt
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
@@ -515,3 +524,63 @@ def test_compile_rows_match_the_text_oracle(ending):
         b"".join(line + ending for line in lines[:half]),
         b"".join(line + ending for line in lines[half:]),
     )
+
+
+# Files of 4 blocks of about 8 KiB (the reader's readlines(1 << 13)) from
+# escape-free criterion-8 lines, so that the blocks a splice leaves clean take
+# the block regex and the others go line by line.  A spliced draw is
+# _raw_line() as it is, or stripped of backslashes and CRs with an LF end,
+# which reaches the block regex's other-line branch in a clean block.
+_C8 = criterion8_lines(50)
+_SECOND_BLOCK = len(io.BytesIO(b"".join(line + b"\n" for line in _C8)).readlines(1 << 13))
+
+
+def _escape_free(line: bytes) -> bytes:
+    line = line.replace(b"\\", b"").replace(b"\r", b"")
+    return line if line.endswith(b"\n") else line + b"\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(_C8)), st.one_of(_raw_line(), _raw_line().map(_escape_free))),
+        max_size=6,
+    ),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    st.booleans(),
+    st.sampled_from([".nt", ".nt.gz"]),
+)
+@example(splices=[(len(_C8), b"\n")], ending=b"\n", final=True, suffix=".nt")  # a blank last line
+@example(splices=[], ending=b"\n", final=False, suffix=".nt")  # no final LF
+@example(splices=[(_SECOND_BLOCK, b"garbage\n")], ending=b"\n", final=True, suffix=".nt.gz")
+@example(splices=[(40, b'<http://x/a> <http://x/p> "\xff" .\n')], ending=b"\n", final=True,
+         suffix=".nt")
+@example(splices=[(3, b"_:b\x1c <http://x/p> <http://x/o> .\n"),
+                  (9, b"<http://x/a> <http://x/p> _:b\xc2\xa0x .\n"),
+                  (_SECOND_BLOCK + 5, b'<http://x/a> <http://x/p> "v"@e\xc2\xa0n .\n'),
+                  (_SECOND_BLOCK + 9, b'<http://x/a> <http://x/p> "v"@en\x1c .\n')],
+         ending=b"\n", final=True, suffix=".nt")
+@example(splices=[(11, b'<http://x/a> <http://x/p> "" .\n')], ending=b"\n", final=False,
+         suffix=".nt")
+@example(splices=[(20, b'<http://x/a> <http://x/p> "open\n'), (21, b'close" .\n')],
+         ending=b"\n", final=True, suffix=".nt")  # a literal does not span an LF
+def test_triple_bytes_match_the_text_reader_across_blocks(splices, ending, final, suffix):
+    lines = [line + ending for line in _C8]
+    for at, line in splices:
+        lines.insert(at, line)
+    data = b"".join(lines)
+    if not final:
+        data = data[: -2 if data.endswith(b"\r\n") else -1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kb" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(gzip.compress(data) if suffix.endswith(".gz") else data)
+        report = ParseReport()
+        got = list(iter_triple_bytes(path, report))
+        expected = ParseReport()
+        text = [
+            (s.encode(), p.encode(), (b"L" if kind == LITERAL else b"U") + lexical.encode())
+            for s, p, (kind, lexical) in iter_triples(path, expected)
+        ]
+    assert got == text
+    assert report == expected  # every field, first_errors included

@@ -1,4 +1,5 @@
 import gzip
+import io
 import os
 import re
 import tempfile
@@ -256,6 +257,32 @@ def test_gt_ntriples_sameas_rows_match_the_text_reader(suffix, ending):
 )
 def test_gt_ntriples_sameas_matches_the_text_reader(lines, suffix, sameas_uri, cap):
     _check_gt_against_the_text_reader(b"".join(lines), suffix, sameas_uri, cap)
+
+
+@pytest.mark.parametrize("suffix", [".nt", ".nt.gz"])
+def test_gt_ntriples_sameas_errors_name_their_lines_past_the_first_block(tmp_path, suffix):
+    # A line's number is lines_total less its count before the file, read
+    # as each triple comes; the clean blocks here are cut by the block regex.
+    lines = [b"<http://f/%d> %s <http://d/%d> ." % (i, _SAMEAS, i) for i in range(1, 401)]
+    lines[149] = b"<http://f/150> <http://other/p> <http://d/150> ."
+    lines[299] = b'<http://f/300> ' + _SAMEAS + b' "literal" .'
+    data = b"".join(line + b"\n" for line in lines)
+    blocks = []
+    fh = io.BytesIO(data)
+    while block := fh.readlines(1 << 13):
+        blocks.append(len(block))
+    assert blocks[0] < 150 <= blocks[0] + blocks[1] < 300 <= sum(blocks[:3])
+    path = tmp_path / ("gt" + suffix)
+    path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+    report = GtReport()
+    pairs = list(load_ground_truth(str(path), "ntriples-sameas", OWL_SAMEAS, report))
+    assert report.first_errors == [
+        (150, f"predicate is not {OWL_SAMEAS}"),
+        (300, "sameAs object is a literal"),
+    ]
+    assert pairs == [(b"http://f/%d" % i, b"http://d/%d" % i)
+                     for i in range(1, 401) if i not in (150, 300)]
+    assert report.pairs_ok == 398 and report.lines_total == 400
 
 
 # Raw tsv-pairs rows: valid pairs, non-ASCII URIs, a BOM, blank lines, the

@@ -1,12 +1,15 @@
 import gzip
+import io
 import re
 import time
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatlink import rdf_ingest
 from flatlink.errors import FlatlinkError, NTriplesParseError
 from flatlink.rdf_ingest import (
     _FAST_LINE_BYTES,
@@ -18,13 +21,14 @@ from flatlink.rdf_ingest import (
     _decode_escapes,
     _decode_uri,
     _fast_triple_bytes,
+    iter_triple_bytes,
     iter_triples,
     parse_ntriples_line,
     read_lines,
     render_triple,
 )
 
-from conftest import damage_gz, synth_triples
+from conftest import criterion8_lines, damage_gz, synth_triples
 
 
 def test_minimal_uri_triple():
@@ -546,13 +550,63 @@ def test_fast_path_matches_character_parser(line):
     [("truncated", EOFError), ("corrupt", zlib.error), ("header", gzip.BadGzipFile)],
 )
 def test_read_lines_names_a_damaged_gz_file(tmp_path, damage, cause):
+    # Both readers share one block reader.  A whole gzip member of more than
+    # one block comes first, so the damage lies past the first block, which
+    # is read and yielded before the error.
     data = b"".join(b'<http://f/%d> <http://x/p> "v %d" .\n' % (i, i * 7919 % 1000)
                     for i in range(400))
     path = tmp_path / "kb.nt.gz"
-    path.write_bytes(damage_gz(data, damage))
-    report = ParseReport()
+    path.write_bytes(gzip.compress(data, mtime=0) + damage_gz(data, damage))
     message = f"^{re.escape(str(path))}: damaged gzip data: "
-    with pytest.raises(FlatlinkError, match=message) as info:
-        for _ in read_lines(path, report):
-            pass
-    assert type(info.value.__cause__) is cause
+    for reader in (read_lines, iter_triple_bytes):
+        report = ParseReport()
+        yielded = 0
+        with pytest.raises(FlatlinkError, match=message) as info:
+            for _ in reader(path, report):
+                yielded += 1
+        assert type(info.value.__cause__) is cause
+        assert yielded == report.lines_total == len(io.BytesIO(data).readlines(1 << 13))
+
+
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _real=getattr(rdf_ingest, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rdf_ingest, name, counting)
+    return calls
+
+
+def test_clean_blocks_go_to_no_per_line_parser(tmp_path, monkeypatch):
+    # A clean file of 4 blocks is cut by the block regex alone; one malformed
+    # line in its second block reaches the character parser, and only it.
+    calls = _count_calls(monkeypatch, "_fast_triple_bytes", "parse_ntriples_line")
+    lines = criterion8_lines(50)
+    path = tmp_path / "kb.nt"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    assert path.stat().st_size > 3 << 13
+    report = ParseReport()
+    assert len(list(iter_triple_bytes(path, report))) == report.triples_ok == len(lines)
+    assert calls == {"_fast_triple_bytes": 0, "parse_ntriples_line": 0}
+
+    path.write_bytes(b"".join(line + b"\n" for line in lines[:200] + [b"garbage"] + lines[200:]))
+    report = ParseReport()
+    assert len(list(iter_triple_bytes(path, report))) == len(lines)
+    assert calls == {"_fast_triple_bytes": 0, "parse_ntriples_line": 1}
+    assert report.first_errors == [(201, "expected <uri> for subject")]
+
+
+def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
+    path = tmp_path / "kb.nt"
+    path.write_bytes(b"".join(line + b"\n" for line in criterion8_lines(3500)))
+    assert path.stat().st_size > 2_000_000
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_triple_bytes(path, ParseReport()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 35_350
+    assert peak < 512 << 10
