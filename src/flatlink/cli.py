@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 
-from .engine import ExecConfig
+from .engine import ExecConfig, make_dir
 from .errors import ConfigError, FlatlinkError
 from .kb_compile import KbSpec, compile_kb
 from .link_join import GT_FORMATS, OWL_SAMEAS, join2, join3
@@ -170,6 +170,8 @@ class PipelineConfig:
     links: list[dict] = field(default_factory=list)  # 2-way jobs, in order
     join3: dict | None = None
     engine_values: dict = field(default_factory=dict)
+    # Config key -> (path as given, resolved path) of each output, in stage order.
+    outputs: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
 # The numbered section kinds: how many sections of each there may be, their
@@ -296,6 +298,7 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     for key, path in real.items():
         if path in read:
             raise ConfigError(f"{key} names an input: {outputs[key]!r}")
+    cfg.outputs = {key: (values[key], path) for key, path in outputs.items()}
     return cfg
 
 
@@ -305,22 +308,25 @@ def _cmd_pipeline(args) -> int:
     _echo_config(args, cfg)
 
     kbs = pipe.kbs
-    stages = [(kb.output_path, partial(compile_kb, kb, cfg)) for kb in kbs]
+    stages = [partial(compile_kb, kb, cfg) for kb in kbs]
     # link1 joins kb1 x kb2; link2 joins kb3 x kb2; kb2 is the shared KB.
     shared = kbs[1]
     for job, left in zip(pipe.links, kbs[0::2]):
-        stages.append((job["out"], partial(
+        stages.append(partial(
             join2, left.output_path, shared.output_path, job["gt"], job["gt_format"],
             (left.label, shared.label), job["out"], cfg, sameas_uri=job["sameas_uri"],
-        )))
+        ))
     if pipe.join3:
-        stages.append((pipe.join3["out"], partial(
+        stages.append(partial(
             join3, pipe.links[0]["out"], pipe.links[1]["out"], shared.label,
             pipe.join3["order"], pipe.join3["out"], cfg,
-        )))
+        ))
 
-    for out, stage in stages:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    # Every output directory is made before the first stage runs, so one
+    # that cannot be made is refused before any stage has run.
+    for key, (given, path) in pipe.outputs.items():
+        make_dir(os.path.dirname(path), f"{key}: cannot write {given}")
+    for stage in stages:
         print(stage().as_kv())
     return 0
 

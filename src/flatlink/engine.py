@@ -166,6 +166,17 @@ class ExternalSorter:
             run.file.close()
 
 
+def make_dir(path: str, what: str) -> None:
+    """Make directory `path` and its parents if missing; where that fails,
+    raise an EngineError that reads `<what>: <OS reason>`."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        # makedirs raises "File exists" where a file holds the name.
+        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        raise EngineError(f"{what}: {reason}") from exc
+
+
 def external_sort(
     items: Iterable[bytes], cfg: ExecConfig, stats: JobStats | None = None
 ) -> Iterator[bytes]:
@@ -183,12 +194,7 @@ def external_sort(
     try:
         cfg.validate()
         if cfg.spill_dir:
-            try:
-                os.makedirs(cfg.spill_dir, exist_ok=True)
-            except OSError as exc:
-                # makedirs raises "File exists" where a file holds the name.
-                reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror
-                raise EngineError(f"cannot use spill dir {cfg.spill_dir}: {reason}") from exc
+            make_dir(cfg.spill_dir, f"cannot use spill dir {cfg.spill_dir}")
         add = sorter.add
         for item in items:
             add(item)

@@ -6,10 +6,10 @@ record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
 Items ``subject TAB predicate TAB seq8 kind lexical`` are built straight
-from the triple bytes that ``iter_triple_bytes`` yields, cut from the groups
-of its block regex (a clean block, one ``findall``) or of its line regex
-(every other block, line by line) wherever a line has the fast path's
-shape, and sorted as they are by ``engine.external_sort``.  One pass over
+from the triple bytes that ``iter_triple_bytes`` yields, cut by one
+``findall`` a block from the groups of its block regex, or of the escaped
+twin for a block with a backslash, wherever a line has the regex's shape,
+and sorted as they are by ``engine.external_sort``.  One pass over
 the sorted stream (``_records``) groups each subject's items into raw
 tokens and drops duplicate values; ``flat_record.record_line_bytes``
 escapes and writes the line.  Each line is byte-equal to

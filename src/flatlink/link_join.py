@@ -188,8 +188,7 @@ def load_ground_truth(
     """Stream (left, right) URI pairs as UTF-8 bytes from a ground-truth
     file, plain or .gz, any line ending: tsv-pairs through read_lines, and
     ntriples-sameas through iter_triple_bytes, compile's parser, which cuts
-    a clean block's triples from one findall and parses every other block
-    line by line.
+    each block's triples from one findall.
 
     Pairs keep file orientation, and duplicates stream through: join2
     collapses them inside its first merge, so no pair is held in memory here.

@@ -23,27 +23,27 @@ and alone names error reasons; ``iter_triples`` reads a file as text through
 it.  Compile and ntriples-sameas ground truth read ``iter_triple_bytes``,
 which yields each triple as the UTF-8 bytes of its subject, predicate and
 kind byte plus lexical form, and counts its lines one at a time as it
-yields.  The fast path's line shape is ``(<uri> | _:label) <uri> (<uri> |
-_:label | "literal"(@lang | ^^<dtype>)?) .`` with an optional trailing
-comment, where URIs may hold ``\\u``/``\\U`` escapes and literals those and
-the ECHARs (``\\t``, ``\\"``, ...); a datatype IRI or language tag holds no
-escape.
+yields.  Its line shape is ``(<uri> | _:label) <uri> (<uri> | _:label |
+"literal"(@lang | ^^<dtype>)?) .`` with an optional trailing comment, where
+URIs may hold ``\\u``/``\\U`` escapes and literals those and the ECHARs
+(``\\t``, ``\\"``, ...); a datatype IRI or language tag holds no escape.
 
-A block that is UTF-8 and holds no backslash and no CR is cut by one
-``findall`` of the block regex: the same line shape without its escape
-alternatives, which a block with no backslash never needs, with literal
-bodies and comments stopped at LF, and a last branch that takes any other
-line whole, so it yields one tuple per line and a triple is cut from its
-groups with no regex call per line.  Every other block goes line by line:
-each UTF-8 line is fullmatched against the line regex, and a matched body
+Each block is cut by one ``findall``: a block holding a CR is first split
+where text mode splits and joined back with LFs, and a block that is not
+UTF-8 is cut one line at a time.  A block with no backslash takes the block
+regex, the line shape without its escape alternatives, which such a block
+never needs; every other block takes its escaped twin, built from the same
+pieces.  Both stop literal bodies and comments at LF and end in a branch
+that takes any other line whole, so they yield one tuple per line, and a
+triple is cut from its groups with no regex call per line.  A matched body
 with a backslash is decoded by one codec call, ``unicode_escape`` after
 ``backslashreplace``, which is sound because the regex has proved that every
-backslash starts a well-formed escape.  A line either regex misses (blanks,
+backslash starts a well-formed escape.  A line the regex misses (blanks,
 comments, escapes in a datatype or label, a byte in a label or tag where the
 character parser might end it, and anything malformed), or whose decoding
 finds what the character parser rejects (a surrogate or out-of-range code
 point, or a URI that decodes to a control or space character), is decoded
-and handed to the character parser.  A line taken by either regex yields the
+and handed to the character parser.  A line taken by a regex yields the
 triple the character parser would.
 
 ``Triple`` and ``ObjectValue`` are named tuples, so each compares equal to
@@ -88,10 +88,10 @@ _HEX = re.compile(r"[0-9A-Fa-f]*")
 # is not valid UTF-8 into a lone surrogate; strict UTF-8 never decodes to one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
-# The bytes regex's line shape, after the W3C N-Triples grammar (UCHAR,
+# The block regexes' line shape, after the W3C N-Triples grammar (UCHAR,
 # ECHAR).  URI bodies hold no byte <= 0x20, no '>' and no backslash outside a
-# well-formed UCHAR; literal bodies no quote, raw tab or backslash outside a
-# UCHAR or ECHAR; a blank node label no whitespace, control or backslash.
+# well-formed UCHAR; literal bodies no quote, raw tab, LF or backslash outside
+# a UCHAR or ECHAR; a blank node label no whitespace, control or backslash.
 # Each body is an unrolled loop, normal* (special normal*)*, so a failing
 # line cannot backtrack beyond linear time.  A datatype IRI holds no escape.
 #
@@ -104,34 +104,34 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _URI_CHARS = r"[^\x00-\x20>\\]"
 _URI = rf"<(?=[^>])({_URI_CHARS}*(?:{_UCHAR}{_URI_CHARS}*)*)>"
-_LIT_CHARS = r'[^"\\\t]'
+_LIT_CHARS = r'[^"\\\t\n]'
 _LITERAL = rf'"({_LIT_CHARS}*(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_LIT_CHARS}*)*)"'
 _BNODE = r"(_:[^\s\x00-\x20\\\x80-\xff]+)(?!\S)"
 _LANG = r"@[^\s.\\\x1c-\x1f\x80-\xff]+"
-_FAST_LINE_BYTES = re.compile(
-    (
-        rf"[ \t]*(?:{_URI}|{_BNODE})[ \t]*{_URI}[ \t]*"
-        rf"(?:{_URI}|{_BNODE}|{_LITERAL}(?:{_LANG}|\^\^<{_URI_CHARS}+>)?)"
-        r"[ \t]*\.[ \t]*(?:#.*)?"
-    ).encode("ascii"),
-    re.DOTALL,
-)
-# The block regex: the same line shape for a block of lines that holds no
-# backslash, so each escape alternative is dropped, and no CR, so each line
-# ends at an LF.  Literal bodies and comments stop at LF, and a last branch
-# takes any other line whole, so findall yields one tuple per line: the line
-# regex's groups, then the other line.  With no UCHAR a URI body is
-# _URI_CHARS+, never empty, and findall gives b"" for a group that took no
-# part: a line with no subject group is an other line, and an object with no
-# URI or blank-node group is a literal, the empty literal included.
-_BLOCK_LINES = re.compile(
-    (
-        rf"^(?:[ \t]*(?:<({_URI_CHARS}+)>|{_BNODE})[ \t]*<({_URI_CHARS}+)>[ \t]*"
-        rf'(?:<({_URI_CHARS}+)>|{_BNODE}|"([^"\\\t\n]*)"(?:{_LANG}|\^\^<{_URI_CHARS}+>)?)'
-        r"[ \t]*\.[ \t]*(?:#[^\n]*)?|(.*))$"
-    ).encode("ascii"),
-    re.MULTILINE,
-)
+
+
+def _block_regex(uri: str, literal: str) -> re.Pattern[bytes]:
+    """A regex that findall runs over a block of LF-ended lines, one tuple
+    per line: the groups of the line shape with `uri` and `literal` for its
+    URI and literal terms, then a last group that takes any other line
+    whole.  A URI body is never empty, and findall gives b"" for a group
+    that took no part: a line with no subject group is an other line, and
+    an object with no URI or blank-node group is a literal, the empty
+    literal included."""
+    return re.compile(
+        (
+            rf"^(?:[ \t]*(?:{uri}|{_BNODE})[ \t]*{uri}[ \t]*"
+            rf"(?:{uri}|{_BNODE}|{literal}(?:{_LANG}|\^\^<{_URI_CHARS}+>)?)"
+            r"[ \t]*\.[ \t]*(?:#[^\n]*)?|(.*))$"
+        ).encode("ascii"),
+        re.MULTILINE,
+    )
+
+
+# A block with no backslash never needs an escape alternative, and the
+# regex without them runs faster on it; a block with one takes the twin.
+_BLOCK_LINES = _block_regex(rf"<({_URI_CHARS}+)>", rf'"({_LIT_CHARS}*)"')
+_ESCAPED_LINES = _block_regex(_URI, _LITERAL)
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 
 # A byte value for `in` tests on bytes: `int in bytes` is one memchr, while
@@ -266,7 +266,8 @@ def _skip_ws(line: str, i: int) -> int:
 # Decoding a bytes regex match raises ValueError where the character parser
 # would reject the line; the caller then hands the line to it.
 def _decode_escapes(body: bytes) -> bytes:
-    """Decode the UCHARs and ECHARs of a UTF-8 body the line regex matched.
+    """Decode the UCHARs and ECHARs of a UTF-8 body the escaped block regex
+    matched.
 
     One codec call: unicode_escape reads the body's escapes, each of which
     means to Python what it means to N-Triples, after backslashreplace has
@@ -280,8 +281,8 @@ def _decode_escapes(body: bytes) -> bytes:
     return body.decode("unicode_escape").encode("utf-8")
 
 
-def _decode_uri(body: bytes | None) -> bytes | None:
-    if body is None or _BACKSLASH not in body:
+def _decode_uri(body: bytes) -> bytes:
+    if _BACKSLASH not in body:
         return body
     uri = _decode_escapes(body)
     if _CONTROL_OR_SPACE.search(uri):
@@ -464,28 +465,6 @@ def _is_utf8(data: bytes) -> bool:
     return True
 
 
-def _fast_triple_bytes(line: bytes) -> tuple[bytes, bytes, bytes] | None:
-    """The triple of a UTF-8 line in the fast path's shape, or None when the
-    line must go to parse_ntriples_line: it misses the regex, or decoding its
-    escapes finds what the character parser rejects."""
-    m = _FAST_LINE_BYTES.fullmatch(line)
-    if m is None:
-        return None
-    subject, s_bnode, predicate, uri, o_bnode, lexical = m.groups()
-    if _BACKSLASH in line:
-        try:
-            subject = _decode_uri(subject)
-            predicate = _decode_uri(predicate)
-            uri = _decode_uri(uri)
-            if lexical is not None and _BACKSLASH in lexical:
-                lexical = _decode_escapes(lexical)
-        except ValueError:
-            return None
-    if lexical is None:
-        return subject or s_bnode, predicate, b"U" + (uri or o_bnode)
-    return subject or s_bnode, predicate, b"L" + lexical
-
-
 def _char_triple(
     line: bytes, line_no: int, report: ParseReport
 ) -> tuple[bytes, bytes, bytes] | None:
@@ -508,58 +487,83 @@ def _char_triple(
     )
 
 
+def _decoded_triple(
+    subject: bytes, predicate: bytes, obj: bytes, lexical: bytes
+) -> tuple[bytes, bytes, bytes]:
+    """The triple of a line the escaped block regex matched, from its groups,
+    each body's escapes decoded; ValueError where the character parser
+    would reject the line."""
+    if obj:
+        return _decode_uri(subject), _decode_uri(predicate), b"U" + _decode_uri(obj)
+    if _BACKSLASH in lexical:
+        lexical = _decode_escapes(lexical)
+    return _decode_uri(subject), _decode_uri(predicate), b"L" + lexical
+
+
+def _cut_blocks(
+    blocks: Iterable[bytes], report: ParseReport
+) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """Yield the triples of `blocks`, each whole lines of bytes, as
+    iter_triple_bytes does, numbering their lines from 1 and counting each
+    into `report` as it goes.
+
+    A block holding a CR is first split where text mode splits and joined
+    back with LFs.  One findall cuts the block: by the escaped block regex
+    if it holds a backslash, else by the block regex; a block that is not
+    UTF-8 is cut one line at a time.  A line taken as a triple is cut from
+    its groups, and a matched body with a backslash decoded.  Any other
+    line, and a matched line whose decoding fails, is decoded and parsed by
+    the character parser.
+    """
+    line_no = 0
+    for block in blocks:
+        if _CR in block:
+            block = b"\n".join(block.splitlines()) + b"\n"
+        if block.isascii() or _is_utf8(block):
+            parts = (block,)
+        else:
+            # One line at a time; None stands for a line that is not UTF-8.
+            parts = [line if _is_utf8(line) else None for line in block.splitlines()]
+        for part in parts:
+            if part is None:
+                line_no += 1
+                report.lines_total += 1
+                report.record_error(line_no, "not UTF-8")
+                continue
+            first = line_no
+            escaped = _BACKSLASH in part
+            # endpos leaves out a final LF, which would end one more line.
+            for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other in (
+                (_ESCAPED_LINES if escaped else _BLOCK_LINES).findall(
+                    part, 0, len(part) - part.endswith(b"\n")
+                )
+            ):
+                line_no += 1
+                report.lines_total += 1
+                subject = s_uri or s_bnode
+                if not subject:
+                    triple = _char_triple(other, line_no, report)
+                elif not escaped:
+                    obj = o_uri or o_bnode
+                    triple = subject, predicate, b"U" + obj if obj else b"L" + lexical
+                else:
+                    try:
+                        triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical)
+                    except ValueError:
+                        # findall keeps no matched line whole, so cut it from the part.
+                        line = part.split(b"\n")[line_no - first - 1]
+                        triple = _char_triple(line, line_no, report)
+                if triple is None:
+                    continue
+                report.triples_ok += 1
+                yield triple
+
+
 def iter_triple_bytes(
     path: str | os.PathLike, report: ParseReport
 ) -> Iterator[tuple[bytes, bytes, bytes]]:
     """Yield (subject, predicate, kind + lexical) as UTF-8 bytes, the kind
     byte b"U" or b"L", for the triples iter_triples(path) yields, in order,
-    filling `report` as it does, one line at a time.
-
-    A block of _blocks that is UTF-8 and holds no backslash and no CR is cut
-    by one findall of the block regex: each line it takes as a triple is cut
-    from its groups, with no escape to decode.  Every other block goes line
-    by line as read_lines splits it, and a line in the fast path's shape is
-    cut from its match.  Any other line, in either kind of block, is decoded
-    and parsed by the character parser.
-    """
-    line_no = 0
-    for block in _blocks(path):
-        if (
-            _BACKSLASH not in block
-            and _CR not in block
-            and (block.isascii() or _is_utf8(block))
-        ):
-            # endpos leaves out a final LF, which would end one more line.
-            end = len(block) - block.endswith(b"\n")
-            for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other in (
-                _BLOCK_LINES.findall(block, 0, end)
-            ):
-                line_no += 1
-                report.lines_total += 1
-                subject = s_uri or s_bnode
-                if subject:
-                    obj = o_uri or o_bnode
-                    triple = subject, predicate, b"U" + obj if obj else b"L" + lexical
-                else:
-                    triple = _char_triple(other, line_no, report)
-                    if triple is None:
-                        continue
-                report.triples_ok += 1
-                yield triple
-            continue
-        # read_lines' loop, inline: a generator between costs a resumption
-        # per line.
-        for line in block.splitlines():
-            line_no += 1
-            report.lines_total += 1
-            if not line.isascii():
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    report.record_error(line_no, "not UTF-8")
-                    continue
-            triple = _fast_triple_bytes(line) or _char_triple(line, line_no, report)
-            if triple is None:
-                continue
-            report.triples_ok += 1
-            yield triple
+    filling `report` as it does, one line at a time: the triples that
+    _cut_blocks cuts from the blocks of _blocks."""
+    return _cut_blocks(_blocks(path), report)

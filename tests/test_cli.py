@@ -526,6 +526,26 @@ def test_pipeline_refuses_an_output_on_an_input(capsys, demo_dir, out):
     assert (demo_dir / "gt_yd.nt").read_bytes() == gt
 
 
+@pytest.mark.parametrize("key", ["kb1.out", "link1.out"])
+def test_pipeline_refuses_an_output_under_a_file_before_any_stage(capsys, demo_dir, key):
+    # Every output directory is made before the first stage, so an output
+    # under a file is refused first, by its key and the path as given,
+    # even link1.out, which would be written after three compiles.
+    cfg = demo_dir / "demo.cfg"
+    lines = cfg.read_text(encoding="utf-8").splitlines()
+    outs = [line.partition("=")[2] for line in lines if line.split("=")[0].endswith(".out")]
+    cfg.write_text("".join(
+        f"{key}=yago.nt/fb.ents\n" if line.startswith(key + "=") else line + "\n" for line in lines
+    ), encoding="utf-8")
+    code, stdout, stderr = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 2
+    assert stdout == ""
+    assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [
+        f"error: {key}: cannot write yago.nt/fb.ents: Not a directory"
+    ]
+    assert [out for out in outs if (demo_dir / out).exists()] == []
+
+
 def test_report_out_flag_is_gone(capsys, demo_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "compile", "--label", "freebase", "--in", str(demo_dir / "freebase.nt"),

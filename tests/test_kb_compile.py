@@ -528,7 +528,8 @@ def test_compile_rows_match_the_text_oracle(ending):
 
 # Files of 4 blocks of about 8 KiB (the reader's readlines(1 << 13)) from
 # escape-free criterion-8 lines, so that the blocks a splice leaves clean take
-# the block regex and the others go line by line.  A spliced draw is
+# the block regex, a block a splice gives a backslash its escaped twin, and a
+# block with a line that is not UTF-8 goes line by line.  A spliced draw is
 # _raw_line() as it is, or stripped of backslashes and CRs with an LF end,
 # which reaches the block regex's other-line branch in a clean block.
 _C8 = criterion8_lines(50)
@@ -564,6 +565,23 @@ def _escape_free(line: bytes) -> bytes:
          suffix=".nt")
 @example(splices=[(20, b'<http://x/a> <http://x/p> "open\n'), (21, b'close" .\n')],
          ending=b"\n", final=True, suffix=".nt")  # a literal does not span an LF
+# A matched line whose decoding fails, as the first, a middle and the last
+# line of an escaped block, goes to the character parser.
+@example(splices=[(0, b'<http://x/\\uD800> <http://x/p> "v" .\n')], ending=b"\n", final=True,
+         suffix=".nt")
+@example(splices=[(_SECOND_BLOCK + 5, b'<http://x/a> <http://x/p> "\\U00110000" .\n')],
+         ending=b"\n", final=True, suffix=".nt.gz")
+@example(splices=[(_SECOND_BLOCK - 1, b"<http://x/a> <http://x/p> <http://x/a\\u0020b> .\n")],
+         ending=b"\n", final=True, suffix=".nt")
+# A lone CR inside an escaped block ends a line, here before a decode failure.
+@example(splices=[(7, b'<http://x/a> <http://x/p> "caf\\u00E9" .\r'
+                      b'<http://x/\\uD800> <http://x/p> "w" .\n')],
+         ending=b"\n", final=True, suffix=".nt")
+# A line that is not UTF-8 inside an escaped block: the block goes line by line.
+@example(splices=[(12, b'<http://x/a> <http://x/p> "caf\\u00E9" .\n'),
+                  (13, b'<http://x/a> <http://x/p> "\xff" .\n'),
+                  (14, b"<http://x/\\uD800> <http://x/p> <http://x/o> .\n")],
+         ending=b"\r\n", final=True, suffix=".nt")
 def test_triple_bytes_match_the_text_reader_across_blocks(splices, ending, final, suffix):
     lines = [line + ending for line in _C8]
     for at, line in splices:

@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +13,14 @@ from hypothesis import strategies as st
 from flatlink import rdf_ingest
 from flatlink.errors import FlatlinkError, NTriplesParseError
 from flatlink.rdf_ingest import (
-    _FAST_LINE_BYTES,
     LITERAL,
     URI,
     ObjectValue,
     ParseReport,
     Triple,
+    _cut_blocks,
     _decode_escapes,
     _decode_uri,
-    _fast_triple_bytes,
     iter_triple_bytes,
     iter_triples,
     parse_ntriples_line,
@@ -341,10 +341,11 @@ def test_codec_unescape_decodes_like_the_character_parser(body, decoded):
     assert _decode_escapes(body.encode()) == decoded.encode()
     line = f'<http://x/a> <http://x/p> "{body}" .'
     assert parse_ntriples_line(line).object.lexical == decoded
-    assert _fast_triple_bytes(line.encode())[2] == b"L" + decoded.encode()
+    triples, _, char_calls = _cut(line)
+    assert (triples, char_calls) == ([_bytes_of(parse_ntriples_line(line))], 0)
 
 
-# --- bytes fast path vs character parser -----------------------------------
+# --- block cutter vs character parser --------------------------------------
 
 
 def _outcome(parse, line: str):
@@ -354,30 +355,43 @@ def _outcome(parse, line: str):
         return ("error", str(exc))
 
 
+def _bytes_of(triple: Triple) -> tuple[bytes, bytes, bytes]:
+    subject, predicate, (kind, lexical) = triple
+    return subject.encode(), predicate.encode(), (b"L" if kind == LITERAL else b"U") + lexical.encode()
+
+
 def _takes_fast_path(line: str) -> bool:
-    return _FAST_LINE_BYTES.fullmatch(line.encode()) is not None
+    """Whether the block regex that _cut_blocks picks for `line`, one line,
+    takes it as a triple."""
+    data = line.encode()
+    regex = rdf_ingest._ESCAPED_LINES if b"\\" in data else rdf_ingest._BLOCK_LINES
+    (groups,) = regex.findall(data)
+    return bool(groups[0] or groups[1])
 
 
-def _bytes_outcome(line: str):
-    """What the bytes fast path makes of `line`: None when it leaves the
-    line to the character parser, else the triple it yields."""
-    triple = _fast_triple_bytes(line.encode())
-    if triple is None:
-        return None
-    subject, predicate, obj = (part.decode() for part in triple)
-    return ("ok", Triple(subject, predicate, ObjectValue(LITERAL if obj[0] == "L" else URI, obj[1:])))
+def _cut(line: str):
+    """What _cut_blocks makes of `line`: the triples it yields, its report,
+    and how many lines it handed to the character parser."""
+    report = ParseReport()
+    with mock.patch.object(rdf_ingest, "parse_ntriples_line", wraps=parse_ntriples_line) as char:
+        triples = list(_cut_blocks([line.encode()], report))
+    return triples, report, char.call_count
 
 
 def _check_routing(line: str, fast: bool) -> None:
+    # A line the regex takes is cut there, unless decoding shows that it is
+    # bad; then the character parser decides the error reason.  A line the
+    # regex misses always goes to the character parser.
     expected = _outcome(parse_ntriples_line, line)
-    # A line the regex matches is parsed there, unless decoding shows that it
-    # is bad; then the character parser decides the error reason.  A line
-    # the regex misses always goes to the character parser.
-    if fast and expected[0] == "ok":
-        assert isinstance(expected[1], Triple)
-        assert _bytes_outcome(line) == expected
+    triples, report, char_calls = _cut(line)
+    assert report.lines_total == 1
+    assert char_calls == (0 if fast and expected[0] == "ok" else 1)
+    if expected[0] == "error":
+        assert (triples, report.first_errors) == ([], [(1, expected[1])])
+    elif expected[1] is None:
+        assert (triples, report.lines_blank) == ([], 1)
     else:
-        assert _bytes_outcome(line) is None
+        assert triples == [_bytes_of(expected[1])]
 
 
 @pytest.mark.parametrize(
@@ -468,7 +482,8 @@ def test_long_failing_line_parses_in_linear_time(case):
     # exponentially on a failing line; the unrolled loops do not.
     line = _LONG_FAILING_LINES[case]
     start = time.perf_counter()
-    assert _fast_triple_bytes(line.encode()) is None
+    triples, report, char_calls = _cut(line)
+    assert (triples, report.lines_skipped, char_calls) == ([], 1, 1)
     with pytest.raises(NTriplesParseError):
         parse_ntriples_line(line)
     assert time.perf_counter() - start < 5.0
@@ -542,7 +557,16 @@ def _adversarial_lines(draw) -> str:
 @settings(max_examples=600, deadline=None)
 @given(_adversarial_lines())
 def test_fast_path_matches_character_parser(line):
-    _check_routing(line, _takes_fast_path(line))
+    # A raw LF, which the edits may leave in a literal, ends a line in the
+    # cutter as in text mode: each line is routed alone, and all of them
+    # cut as one part read as the text reader reads them.
+    for one in line.split("\n"):
+        _check_routing(one, _takes_fast_path(one))
+    expected = ParseReport()
+    text = [_bytes_of(t) for t in iter_triples(io.StringIO(line), expected)]
+    report = ParseReport()
+    assert list(_cut_blocks([line.encode()], report)) == text
+    assert report == expected
 
 
 @pytest.mark.parametrize(
@@ -579,34 +603,54 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
     return calls
 
 
-def test_clean_blocks_go_to_no_per_line_parser(tmp_path, monkeypatch):
-    # A clean file of 4 blocks is cut by the block regex alone; one malformed
-    # line in its second block reaches the character parser, and only it.
-    calls = _count_calls(monkeypatch, "_fast_triple_bytes", "parse_ntriples_line")
-    lines = criterion8_lines(50)
-    path = tmp_path / "kb.nt"
-    path.write_bytes(b"".join(line + b"\n" for line in lines))
-    assert path.stat().st_size > 3 << 13
-    report = ParseReport()
-    assert len(list(iter_triple_bytes(path, report))) == report.triples_ok == len(lines)
-    assert calls == {"_fast_triple_bytes": 0, "parse_ntriples_line": 0}
+def _escape(line: bytes) -> bytes:
+    """A criterion-8 line with a UCHAR in each object URI and a UCHAR and an
+    ECHAR in each name literal, so that every line holds a backslash."""
+    return line.replace(b"/obj.org/", b"/obj.org\\u002F").replace(b'"name ', b'"na\\u006De\\t')
 
-    path.write_bytes(b"".join(line + b"\n" for line in lines[:200] + [b"garbage"] + lines[200:]))
-    report = ParseReport()
-    assert len(list(iter_triple_bytes(path, report))) == len(lines)
-    assert calls == {"_fast_triple_bytes": 0, "parse_ntriples_line": 1}
-    assert report.first_errors == [(201, "expected <uri> for subject")]
+
+def test_only_missed_or_undecodable_lines_reach_the_character_parser(tmp_path, monkeypatch):
+    # Files of 4 blocks, clean and escaped, LF and CR LF ended, are cut by
+    # the block regexes alone.  A malformed line and a line whose decoding
+    # fails, both in the second block, reach the character parser, and only
+    # they.
+    calls = _count_calls(monkeypatch, "parse_ntriples_line")
+    clean = criterion8_lines(50)
+    bad = [b"garbage", b"<http://x/a> <http://x/p> <http://x/\\uD800> ."]
+    path = tmp_path / "kb.nt"
+    for lines in (clean, [_escape(line) for line in clean]):
+        for ending in (b"\n", b"\r\n"):
+            path.write_bytes(b"".join(line + ending for line in lines))
+            assert path.stat().st_size > 3 << 13
+            report = ParseReport()
+            assert len(list(iter_triple_bytes(path, report))) == report.triples_ok == len(lines)
+            assert calls == {"parse_ntriples_line": 0}
+
+            path.write_bytes(b"".join(line + ending for line in lines[:200] + bad + lines[200:]))
+            report = ParseReport()
+            assert len(list(iter_triple_bytes(path, report))) == len(lines)
+            assert calls == {"parse_ntriples_line": 2}
+            assert report.first_errors == [
+                (201, "expected <uri> for subject"),
+                (202, "\\u escape is a surrogate code point"),
+            ]
+            calls["parse_ntriples_line"] = 0
 
 
 def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
+    # Clean LF lines, and escaped CR LF lines, which each block first rejoins
+    # with LFs.
     path = tmp_path / "kb.nt"
-    path.write_bytes(b"".join(line + b"\n" for line in criterion8_lines(3500)))
-    assert path.stat().st_size > 2_000_000
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in iter_triple_bytes(path, ParseReport()))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert count == 35_350
-    assert peak < 512 << 10
+    lines = criterion8_lines(3500)
+    for data in (b"".join(line + b"\n" for line in lines),
+                 b"".join(_escape(line) + b"\r\n" for line in lines)):
+        path.write_bytes(data)
+        assert path.stat().st_size > 2_000_000
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_triple_bytes(path, ParseReport()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 35_350
+        assert peak < 512 << 10
