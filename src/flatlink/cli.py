@@ -24,6 +24,7 @@ from .engine import ExecConfig, make_dir
 from .errors import ConfigError, FlatlinkError
 from .kb_compile import KbSpec, compile_kb
 from .link_join import GT_FORMATS, OWL_SAMEAS, join2, join3
+from .rdf_ingest import not_utf8
 from .tools import (
     MODES,
     RDF_TYPE,
@@ -193,8 +194,8 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     (default kb2,kb1,kb3); plus the engine keys memory_budget_bytes and spill_dir.
     An empty value, an empty item of ``kb<i>.inputs``, a KB label that
     compile would refuse, two outputs on one path and an output on an input
-    path are refused.  Every refusal is a ConfigError, raised before any
-    stage runs.
+    path are refused, and so is a line that is not UTF-8.  Every refusal is
+    a ConfigError, raised before any stage runs.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -202,8 +203,10 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
+            if not_utf8(raw):
+                raise ConfigError(f"{path}:{line_no}: not UTF-8")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

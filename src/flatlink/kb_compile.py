@@ -6,17 +6,19 @@ record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
 Items ``subject TAB predicate TAB seq8 kind lexical`` are built straight
-from the triple bytes that ``iter_triple_bytes`` yields, cut by one
-``findall`` a block from the groups of its block regex, or of the escaped
-twin for a block with a backslash, wherever a line has the regex's shape,
-and sorted as they are by ``engine.external_sort``.  One pass over
-the sorted stream (``_records``) groups each subject's items into raw
-tokens and drops duplicate values; ``flat_record.record_line_bytes``
-escapes and writes the line.  Each line is byte-equal to
-``serialize_record(record_from_triples(...))`` of the triples that the
-reference reader ``iter_triples`` (text mode and the character parser, no
-regex) reads from the same files, which ``reference_lines`` computes in
-memory.
+from the triple bytes that ``iter_triple_bytes`` yields a block at a time,
+cut by one ``findall`` a block from the groups of its block regex, or of
+the escaped twin for a block with a backslash, wherever a line has the
+regex's shape.  Each block's items are encoded in one list comprehension
+and fed, chained, to ``engine.external_sort``, which sorts them as they
+are; one block's triples and items, about 8 KiB of input, are held outside
+the sort budget.  One pass over the sorted stream (``_records``) groups
+each subject's items into raw tokens and drops duplicate values;
+``flat_record.record_line_bytes`` escapes and writes the line.  Each line
+is byte-equal to ``serialize_record(record_from_triples(...))`` of the
+triples that the reference reader ``iter_triples`` (text mode and the
+character parser, no regex) reads from the same files, which
+``reference_lines`` computes in memory.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .flat_record import (
 from .rdf_ingest import ParseReport, Triple, iter_triple_bytes, iter_triples
 
 _SEQ = struct.Struct(">Q")
+# Offsets into an item's value `seq8 kind lexical`.
+_KIND = _SEQ.size
+_LEXICAL = _KIND + 1
+_LITERAL = ord("L")
 
 
 @dataclass
@@ -75,8 +81,9 @@ def _records(items: Iterator[bytes], stats: engine.JobStats) -> Iterator[bytes]:
     # and no further (seq8 may hold a TAB byte).  UTF-8 byte order is code
     # point order, so each subject's predicates come in record_from_triples'
     # key order with their values in input order.  Exact duplicate (kind,
-    # lexical) values of one predicate keep their first occurrence.  Closes
-    # the sort when it ends or fails, so its spill runs go at once.
+    # lexical) values of one predicate keep their first occurrence, whose
+    # value seeds the predicate's seen set.  Closes the sort when it ends or
+    # fails, so its spill runs go at once.
     try:
         subject = predicate = None
         for item in items:
@@ -89,15 +96,16 @@ def _records(items: Iterator[bytes], stats: engine.JobStats) -> Iterator[bytes]:
                 tokens = [key]
                 literals = []  # indices of the literal values, still unwrapped
             if pred != predicate:
-                predicate, seen = pred, set()
-            value = value[_SEQ.size :]  # kind byte, then lexical
-            if value in seen:
-                continue
-            seen.add(value)
-            if value[:1] == b"L":
+                predicate, seen = pred, {value[_KIND:]}
+            else:
+                kind_lexical = value[_KIND:]
+                if kind_lexical in seen:
+                    continue
+                seen.add(kind_lexical)
+            if value[_KIND] == _LITERAL:
                 literals.append(len(tokens) + 1)
             tokens.append(predicate)
-            tokens.append(value[1:])
+            tokens.append(value[_LEXICAL:])
         if subject is not None:
             yield record_line_bytes(tokens, literals)
     finally:
@@ -132,18 +140,30 @@ def compile_kb(
     if stats is None:
         stats = engine.JobStats()
 
-    def items() -> Iterator[bytes]:
-        # subject TAB predicate TAB seq8 kind lexical.  Subject and predicate
-        # hold no byte <= 0x20, so byte order on the item is (subject,
-        # predicate, seq) order and the TABs split it unambiguously.
-        seq = itertools.count()
+    def blocks() -> Iterator[list[bytes]]:
+        # Each block's items, subject TAB predicate TAB seq8 kind lexical.
+        # Subject and predicate hold no byte <= 0x20, so byte order on the
+        # item is (subject, predicate, seq) order and the TABs split it
+        # unambiguously.
+        seq = 0
+        pack = _SEQ.pack
         for path in spec.input_paths:
-            for subject, predicate, value in iter_triple_bytes(path, report.parse):
-                yield b"%b\t%b\t%b%b" % (subject, predicate, _SEQ.pack(next(seq)), value)
+            for triples, _ in iter_triple_bytes(path, report.parse):
+                yield [
+                    b"%b\t%b\t%b%b" % (subject, predicate, pack(n), value)
+                    for n, (subject, predicate, value) in enumerate(triples, seq)
+                ]
+                seq += len(triples)
 
-    lines = _records(engine.external_sort(items(), cfg, stats), stats)
-    # closing: a failed write frees the sort's spill runs at once too.
-    with engine.atomic_output(spec.output_path) as out, contextlib.closing(lines):
+    items = blocks()
+    lines = _records(engine.external_sort(itertools.chain.from_iterable(items), cfg, stats), stats)
+    # A chain has no close(), so the sort cannot close the input files; the
+    # closings do, and a failed write frees the sort's spill runs at once.
+    with (
+        engine.atomic_output(spec.output_path) as out,
+        contextlib.closing(items),
+        contextlib.closing(lines),
+    ):
         for line in lines:
             out.write(line)
             out.write(b"\n")

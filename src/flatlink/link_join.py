@@ -58,6 +58,8 @@ GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
 _CR = ord("\r")
 _TAB = ord("\t")
 _COMMA = ord(",")
+# The kind byte that opens a URI object of iter_triple_bytes.
+_URI_KIND = ord("U")
 
 
 def sentinel_for(label: str) -> str:
@@ -188,7 +190,9 @@ def load_ground_truth(
     """Stream (left, right) URI pairs as UTF-8 bytes from a ground-truth
     file, plain or .gz, any line ending: tsv-pairs through read_lines, and
     ntriples-sameas through iter_triple_bytes, compile's parser, which cuts
-    each block's triples from one findall.
+    each block's triples from one findall and yields them a block at a time
+    with their line numbers.  Each block's errors, the parser's and the
+    sameAs filter's, are recorded in line order under any error_cap.
 
     Pairs keep file orientation, and duplicates stream through: join2
     collapses them inside its first merge, so no pair is held in memory here.
@@ -215,22 +219,30 @@ def load_ground_truth(
             report.pairs_ok += 1
             yield left, right
     else:
-        # Compile's bytes path yields what iter_triples would, and its URIs
-        # and blank-node labels keep the tsv-pairs URI rule.  lines_total less
-        # its count before this file is the triple's line number.  A
-        # sameas_uri that is not UTF-8 (a lone surrogate from argv) matches
-        # no line.
+        # Compile's bytes path yields what iter_triples would, a block at a
+        # time with each triple's line number, and its URIs and blank-node
+        # labels keep the tsv-pairs URI rule.  The cutter has recorded a
+        # block's parse errors by the time the block comes, so this loop's
+        # errors for the block are merged into them in line order, and the
+        # first error_cap of the two stay.  A sameas_uri that is not UTF-8
+        # (a lone surrogate from argv) matches no line.
         sameas = sameas_uri.encode("utf-8", "surrogatepass")
-        before = report.lines_total
-        for subject, predicate, obj in iter_triple_bytes(path, report):
-            if predicate != sameas:
-                report.record_error(report.lines_total - before, f"predicate is not {sameas_uri}")
-                continue
-            if obj[:1] != b"U":  # the kind byte
-                report.record_error(report.lines_total - before, "sameAs object is a literal")
-                continue
-            report.pairs_ok += 1
-            yield subject, obj[1:]
+        kept = len(report.first_errors)
+        for triples, line_nos in iter_triple_bytes(path, report):
+            errors = []
+            for (subject, predicate, obj), line_no in zip(triples, line_nos):
+                if predicate != sameas:
+                    errors.append((line_no, f"predicate is not {sameas_uri}"))
+                elif obj[0] != _URI_KIND:
+                    errors.append((line_no, "sameAs object is a literal"))
+                else:
+                    report.pairs_ok += 1
+                    yield subject, obj[1:]
+            if errors:
+                report.lines_skipped += len(errors)
+                merged = sorted(report.first_errors[kept:] + errors)
+                report.first_errors[kept:] = merged[: report.error_cap - kept]
+            kept = len(report.first_errors)
 
 
 @dataclass

@@ -21,9 +21,10 @@ lone CR), each line counted and one that is not UTF-8 skipped; a damaged
 blocks.  ``parse_ntriples_line`` is the character parser and the reference,
 and alone names error reasons; ``iter_triples`` reads a file as text through
 it.  Compile and ntriples-sameas ground truth read ``iter_triple_bytes``,
-which yields each triple as the UTF-8 bytes of its subject, predicate and
-kind byte plus lexical form, and counts its lines one at a time as it
-yields.  Its line shape is ``(<uri> | _:label) <uri> (<uri> | _:label |
+which yields one block at a time: the block's triples, each the UTF-8 bytes
+of its subject, predicate and kind byte plus lexical form, and their line
+numbers, with the block's lines counted and its errors recorded before it
+is yielded.  Its line shape is ``(<uri> | _:label) <uri> (<uri> | _:label |
 "literal"(@lang | ^^<dtype>)?) .`` with an optional trailing comment, where
 URIs may hold ``\\u``/``\\U`` escapes and literals those and the ECHARs
 (``\\t``, ``\\"``, ...); a datatype IRI or language tag holds no escape.
@@ -35,7 +36,9 @@ regex, the line shape without its escape alternatives, which such a block
 never needs; every other block takes its escaped twin, built from the same
 pieces.  Both stop literal bodies and comments at LF and end in a branch
 that takes any other line whole, so they yield one tuple per line, and a
-triple is cut from its groups with no regex call per line.  A matched body
+triple is cut from its groups with no regex call per line.  A block with no
+backslash whose lines all match becomes its triples in one list
+comprehension; every other block goes line by line.  A matched body
 with a backslash is decoded by one codec call, ``unicode_escape`` after
 ``backslashreplace``, which is sound because the regex has proved that every
 backslash starts a well-formed escape.  A line the regex misses (blanks,
@@ -58,7 +61,8 @@ import os
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FlatlinkError, NTriplesParseError
 
@@ -133,6 +137,8 @@ def _block_regex(uri: str, literal: str) -> re.Pattern[bytes]:
 _BLOCK_LINES = _block_regex(rf"<({_URI_CHARS}+)>", rf'"({_LIT_CHARS}*)"')
 _ESCAPED_LINES = _block_regex(_URI, _LITERAL)
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
+# The predicate group of a findall tuple of either block regex.
+_PREDICATE = itemgetter(2)
 
 # A byte value for `in` tests on bytes: `int in bytes` is one memchr, while
 # `bytes in bytes` first tries its operand as an integer and pays for the
@@ -500,70 +506,104 @@ def _decoded_triple(
     return _decode_uri(subject), _decode_uri(predicate), b"L" + lexical
 
 
+def _cut_lines(
+    part: bytes,
+    rows: list[tuple[bytes, ...]],
+    line_no: int,
+    report: ParseReport,
+    triples: list[tuple[bytes, bytes, bytes]],
+    numbers: list[int],
+) -> int:
+    """Append the triples of `part`, UTF-8 lines that findall cut into
+    `rows`, and their line numbers, one line at a time, the first line being
+    line_no + 1; returns the number of its last line.  A line taken as a
+    triple is cut from its groups, and a matched body with a backslash
+    decoded; any other line, and a matched line whose decoding fails, is
+    decoded and parsed by the character parser."""
+    start = line_no
+    escaped = _BACKSLASH in part
+    for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other in rows:
+        line_no += 1
+        subject = s_uri or s_bnode
+        if not subject:
+            triple = _char_triple(other, line_no, report)
+        elif not escaped:
+            obj = o_uri or o_bnode
+            triple = subject, predicate, b"U" + obj if obj else b"L" + lexical
+        else:
+            try:
+                triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical)
+            except ValueError:
+                # findall keeps no matched line whole, so cut it from the part.
+                line = part.split(b"\n")[line_no - start - 1]
+                triple = _char_triple(line, line_no, report)
+        if triple is not None:
+            triples.append(triple)
+            numbers.append(line_no)
+    return line_no
+
+
+def _findall(part: bytes) -> list[tuple[bytes, ...]]:
+    """One tuple per line of `part`, by the escaped block regex if it holds
+    a backslash, else by the block regex."""
+    regex = _ESCAPED_LINES if _BACKSLASH in part else _BLOCK_LINES
+    # endpos leaves out a final LF, which would end one more line.
+    return regex.findall(part, 0, len(part) - part.endswith(b"\n"))
+
+
 def _cut_blocks(
     blocks: Iterable[bytes], report: ParseReport
-) -> Iterator[tuple[bytes, bytes, bytes]]:
-    """Yield the triples of `blocks`, each whole lines of bytes, as
-    iter_triple_bytes does, numbering their lines from 1 and counting each
-    into `report` as it goes.
+) -> Iterator[tuple[list[tuple[bytes, bytes, bytes]], Sequence[int]]]:
+    """Yield, per block of `blocks`, each whole lines of bytes, its triples
+    as iter_triple_bytes yields them and their line numbers, numbering lines
+    from 1; each block is counted into `report` before it is yielded.
 
     A block holding a CR is first split where text mode splits and joined
-    back with LFs.  One findall cuts the block: by the escaped block regex
-    if it holds a backslash, else by the block regex; a block that is not
-    UTF-8 is cut one line at a time.  A line taken as a triple is cut from
-    its groups, and a matched body with a backslash decoded.  Any other
-    line, and a matched line whose decoding fails, is decoded and parsed by
-    the character parser.
+    back with LFs.  One findall cuts the block, and a block that is not
+    UTF-8 is cut one line at a time.  A block with no backslash whose lines
+    all match becomes its triples in one comprehension; every other block
+    goes line by line (_cut_lines).  The line numbers are a range where
+    every line of the block gave a triple.
     """
     line_no = 0
     for block in blocks:
         if _CR in block:
             block = b"\n".join(block.splitlines()) + b"\n"
+        first = line_no
         if block.isascii() or _is_utf8(block):
-            parts = (block,)
+            rows = _findall(block)
+            # The predicate group is set exactly where the line matched.
+            if _BACKSLASH not in block and b"" not in map(_PREDICATE, rows):
+                triples = [
+                    (s_uri or s_bnode, predicate,
+                     b"U" + o_uri if o_uri else b"U" + o_bnode if o_bnode else b"L" + lexical)
+                    for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, _ in rows
+                ]
+                line_no += len(rows)
+            else:
+                triples, numbers = [], []
+                line_no = _cut_lines(block, rows, line_no, report, triples, numbers)
         else:
-            # One line at a time; None stands for a line that is not UTF-8.
-            parts = [line if _is_utf8(line) else None for line in block.splitlines()]
-        for part in parts:
-            if part is None:
-                line_no += 1
-                report.lines_total += 1
-                report.record_error(line_no, "not UTF-8")
-                continue
-            first = line_no
-            escaped = _BACKSLASH in part
-            # endpos leaves out a final LF, which would end one more line.
-            for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other in (
-                (_ESCAPED_LINES if escaped else _BLOCK_LINES).findall(
-                    part, 0, len(part) - part.endswith(b"\n")
-                )
-            ):
-                line_no += 1
-                report.lines_total += 1
-                subject = s_uri or s_bnode
-                if not subject:
-                    triple = _char_triple(other, line_no, report)
-                elif not escaped:
-                    obj = o_uri or o_bnode
-                    triple = subject, predicate, b"U" + obj if obj else b"L" + lexical
+            triples, numbers = [], []
+            for line in block.splitlines():
+                if _is_utf8(line):
+                    line_no = _cut_lines(line, _findall(line), line_no, report, triples, numbers)
                 else:
-                    try:
-                        triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical)
-                    except ValueError:
-                        # findall keeps no matched line whole, so cut it from the part.
-                        line = part.split(b"\n")[line_no - first - 1]
-                        triple = _char_triple(line, line_no, report)
-                if triple is None:
-                    continue
-                report.triples_ok += 1
-                yield triple
+                    line_no += 1
+                    report.record_error(line_no, "not UTF-8")
+        if len(triples) == line_no - first:  # every line gave a triple
+            numbers = range(first + 1, line_no + 1)
+        report.lines_total += line_no - first
+        report.triples_ok += len(triples)
+        yield triples, numbers
 
 
 def iter_triple_bytes(
     path: str | os.PathLike, report: ParseReport
-) -> Iterator[tuple[bytes, bytes, bytes]]:
-    """Yield (subject, predicate, kind + lexical) as UTF-8 bytes, the kind
-    byte b"U" or b"L", for the triples iter_triples(path) yields, in order,
-    filling `report` as it does, one line at a time: the triples that
-    _cut_blocks cuts from the blocks of _blocks."""
+) -> Iterator[tuple[list[tuple[bytes, bytes, bytes]], Sequence[int]]]:
+    """Yield, one block at a time, the block's triples as (subject,
+    predicate, kind + lexical) in UTF-8 bytes, the kind byte b"U" or b"L",
+    and each one's line number: in order, the triples iter_triples(path)
+    yields, with `report` filled as it fills it, each block counted before
+    it is yielded.  The blocks are those of _blocks, cut by _cut_blocks."""
     return _cut_blocks(_blocks(path), report)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from flatlink import engine
-from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, Triple
+from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, Triple, iter_triples
 
 PREDICATES = [
     "http://x.org/p/name",
@@ -86,6 +86,30 @@ def criterion8_lines(n_subjects: int) -> list[bytes]:
         lines += [b"%s <http://a.org/p/%d> <http://obj.org/o%d> ."
                   % (uri, j, (i * 7 + j * 131 + k) % 997) for j in range(3) for k in range(3)]
     return lines
+
+
+def numbered_triples(blocks) -> list[tuple[int, tuple[bytes, bytes, bytes]]]:
+    """(line number, triple) of every triple in `blocks`, as iter_triple_bytes
+    yields them: each block's triples and their line numbers, one number a
+    triple, ascending across blocks."""
+    numbered = []
+    for triples, line_nos in blocks:
+        assert len(triples) == len(line_nos)
+        numbered += zip(line_nos, triples)
+    line_nos = [line_no for line_no, _ in numbered]
+    assert line_nos == sorted(set(line_nos))
+    return numbered
+
+
+def text_numbered_triples(source, report) -> list[tuple[int, tuple[bytes, bytes, bytes]]]:
+    """numbered_triples' list as the text reader iter_triples gives it, the
+    triples in iter_triple_bytes' form: the reader has counted a triple's
+    line into report.lines_total when it yields it."""
+    return [
+        (report.lines_total,
+         (s.encode(), p.encode(), (b"L" if kind == LITERAL else b"U") + lexical.encode()))
+        for s, p, (kind, lexical) in iter_triples(source, report)
+    ]
 
 
 def render_nt_lines(triples: list[Triple]) -> list[str]:

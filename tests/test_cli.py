@@ -526,6 +526,21 @@ def test_pipeline_refuses_an_output_on_an_input(capsys, demo_dir, out):
     assert (demo_dir / "gt_yd.nt").read_bytes() == gt
 
 
+def test_pipeline_refuses_a_config_line_that_is_not_utf8(capsys, demo_dir):
+    # One error line naming the file and the line, exit 2, and no stage
+    # runs: not a UnicodeDecodeError traceback.
+    cfg = demo_dir / "demo.cfg"
+    data = cfg.read_bytes()
+    assert b"\nkb1.label=freebase\n" in data
+    cfg.write_bytes(data.replace(b"\nkb1.label=freebase\n", b"\nkb1.label=a\xff\n"))
+    line_no = data[: data.index(b"\nkb1.label=")].count(b"\n") + 2
+    names = sorted(os.listdir(demo_dir))
+    code, stdout, stderr = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 2
+    assert (stdout, stderr) == ("", f"error: {cfg}:{line_no}: not UTF-8\n")
+    assert sorted(os.listdir(demo_dir)) == names  # no out/
+
+
 @pytest.mark.parametrize("key", ["kb1.out", "link1.out"])
 def test_pipeline_refuses_an_output_under_a_file_before_any_stage(capsys, demo_dir, key):
     # Every output directory is made before the first stage, so an output

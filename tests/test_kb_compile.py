@@ -20,10 +20,15 @@ from flatlink.rdf_ingest import (
     ParseReport,
     Triple,
     iter_triple_bytes,
-    iter_triples,
 )
 
-from conftest import criterion8_lines, synth_triples, write_nt
+from conftest import (
+    criterion8_lines,
+    numbered_triples,
+    synth_triples,
+    text_numbered_triples,
+    write_nt,
+)
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
@@ -594,11 +599,8 @@ def test_triple_bytes_match_the_text_reader_across_blocks(splices, ending, final
         with open(path, "wb") as fh:
             fh.write(gzip.compress(data) if suffix.endswith(".gz") else data)
         report = ParseReport()
-        got = list(iter_triple_bytes(path, report))
+        got = numbered_triples(iter_triple_bytes(path, report))
         expected = ParseReport()
-        text = [
-            (s.encode(), p.encode(), (b"L" if kind == LITERAL else b"U") + lexical.encode())
-            for s, p, (kind, lexical) in iter_triples(path, expected)
-        ]
-    assert got == text
+        text = text_numbered_triples(path, expected)
+    assert got == text  # each triple with its line number
     assert report == expected  # every field, first_errors included

@@ -108,13 +108,19 @@ def test_gt_invalid_utf8_line_is_skipped(tmp_path):
     assert report.first_errors == [(2, "not UTF-8")]
 
 
-@pytest.mark.parametrize("cap", [20, 1])
+@pytest.mark.parametrize("cap", [20, 1, 2])
 def test_gt_ntriples_sameas_errors_in_line_order(tmp_path, cap):
+    # One block: the parser's errors (lines 1 and 5) and the sameAs
+    # filter's (2, 4 and 6) are recorded in line order, and a cap keeps the
+    # first ones by line.
     path = tmp_path / "gt.nt"
     path.write_text(
         "<http://f/1> <http://www.w3.org/2002/07/owl#sameAs>\n"
         "<http://f/2> <http://other/pred> <http://d/2> .\n"
-        "<http://f/3> <http://www.w3.org/2002/07/owl#sameAs> <http://d/3> .\n",
+        "<http://f/3> <http://www.w3.org/2002/07/owl#sameAs> <http://d/3> .\n"
+        "<http://f/4> <http://other/pred> <http://d/4> .\n"
+        "not a triple\n"
+        '<http://f/6> <http://www.w3.org/2002/07/owl#sameAs> "literal" .\n',
         encoding="utf-8",
     )
     report = GtReport(error_cap=cap)
@@ -123,9 +129,12 @@ def test_gt_ntriples_sameas_errors_in_line_order(tmp_path, cap):
     expected = [
         (1, "missing object term"),
         (2, "predicate is not http://www.w3.org/2002/07/owl#sameAs"),
+        (4, "predicate is not http://www.w3.org/2002/07/owl#sameAs"),
+        (5, "expected <uri> for subject"),
+        (6, "sameAs object is a literal"),
     ]
     assert report.first_errors == expected[:cap]
-    assert report.lines_skipped == 2
+    assert report.lines_skipped == 5
 
 
 GT_TWO_ERRORS = {
@@ -261,28 +270,37 @@ def test_gt_ntriples_sameas_matches_the_text_reader(lines, suffix, sameas_uri, c
 
 @pytest.mark.parametrize("suffix", [".nt", ".nt.gz"])
 def test_gt_ntriples_sameas_errors_name_their_lines_past_the_first_block(tmp_path, suffix):
-    # A line's number is lines_total less its count before the file, read
-    # as each triple comes; the clean blocks here are cut by the block regex.
+    # A line's number comes with its triple from the block; the clean blocks
+    # here are cut by the block regex.  The second block holds, in this
+    # order, a wrong predicate, a malformed line and a literal object: the
+    # parser has recorded the malformed line by the time the block comes,
+    # and at every cap the errors still keep line order.
     lines = [b"<http://f/%d> %s <http://d/%d> ." % (i, _SAMEAS, i) for i in range(1, 401)]
     lines[149] = b"<http://f/150> <http://other/p> <http://d/150> ."
+    lines[159] = b"<http://f/160> " + _SAMEAS
+    lines[169] = b'<http://f/170> ' + _SAMEAS + b' "literal" .'
     lines[299] = b'<http://f/300> ' + _SAMEAS + b' "literal" .'
     data = b"".join(line + b"\n" for line in lines)
     blocks = []
     fh = io.BytesIO(data)
     while block := fh.readlines(1 << 13):
         blocks.append(len(block))
-    assert blocks[0] < 150 <= blocks[0] + blocks[1] < 300 <= sum(blocks[:3])
+    assert blocks[0] < 150 < 170 <= blocks[0] + blocks[1] < 300 <= sum(blocks[:3])
     path = tmp_path / ("gt" + suffix)
     path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
-    report = GtReport()
-    pairs = list(load_ground_truth(str(path), "ntriples-sameas", OWL_SAMEAS, report))
-    assert report.first_errors == [
+    expected = [
         (150, f"predicate is not {OWL_SAMEAS}"),
+        (160, "missing object term"),
+        (170, "sameAs object is a literal"),
         (300, "sameAs object is a literal"),
     ]
-    assert pairs == [(b"http://f/%d" % i, b"http://d/%d" % i)
-                     for i in range(1, 401) if i not in (150, 300)]
-    assert report.pairs_ok == 398 and report.lines_total == 400
+    for cap in (1, 2, GtReport().error_cap):
+        report = GtReport(error_cap=cap)
+        pairs = list(load_ground_truth(str(path), "ntriples-sameas", OWL_SAMEAS, report))
+        assert report.first_errors == expected[:cap]
+        assert pairs == [(b"http://f/%d" % i, b"http://d/%d" % i)
+                         for i in range(1, 401) if i not in (150, 160, 170, 300)]
+        assert (report.pairs_ok, report.lines_skipped, report.lines_total) == (396, 4, 400)
 
 
 # Raw tsv-pairs rows: valid pairs, non-ASCII URIs, a BOM, blank lines, the

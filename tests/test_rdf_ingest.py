@@ -28,7 +28,13 @@ from flatlink.rdf_ingest import (
     render_triple,
 )
 
-from conftest import criterion8_lines, damage_gz, synth_triples
+from conftest import (
+    criterion8_lines,
+    damage_gz,
+    numbered_triples,
+    synth_triples,
+    text_numbered_triples,
+)
 
 
 def test_minimal_uri_triple():
@@ -370,11 +376,11 @@ def _takes_fast_path(line: str) -> bool:
 
 
 def _cut(line: str):
-    """What _cut_blocks makes of `line`: the triples it yields, its report,
-    and how many lines it handed to the character parser."""
+    """What _cut_blocks makes of `line`: the triples of the block it yields,
+    its report, and how many lines it handed to the character parser."""
     report = ParseReport()
     with mock.patch.object(rdf_ingest, "parse_ntriples_line", wraps=parse_ntriples_line) as char:
-        triples = list(_cut_blocks([line.encode()], report))
+        triples = [triple for _, triple in numbered_triples(_cut_blocks([line.encode()], report))]
     return triples, report, char.call_count
 
 
@@ -559,13 +565,14 @@ def _adversarial_lines(draw) -> str:
 def test_fast_path_matches_character_parser(line):
     # A raw LF, which the edits may leave in a literal, ends a line in the
     # cutter as in text mode: each line is routed alone, and all of them
-    # cut as one part read as the text reader reads them.
+    # cut as one block read as the text reader reads them, each triple with
+    # its line number.
     for one in line.split("\n"):
         _check_routing(one, _takes_fast_path(one))
     expected = ParseReport()
-    text = [_bytes_of(t) for t in iter_triples(io.StringIO(line), expected)]
+    text = text_numbered_triples(io.StringIO(line), expected)
     report = ParseReport()
-    assert list(_cut_blocks([line.encode()], report)) == text
+    assert numbered_triples(_cut_blocks([line.encode()], report)) == text
     assert report == expected
 
 
@@ -582,12 +589,13 @@ def test_read_lines_names_a_damaged_gz_file(tmp_path, damage, cause):
     path = tmp_path / "kb.nt.gz"
     path.write_bytes(gzip.compress(data, mtime=0) + damage_gz(data, damage))
     message = f"^{re.escape(str(path))}: damaged gzip data: "
-    for reader in (read_lines, iter_triple_bytes):
+    # read_lines yields a line at a time, iter_triple_bytes a block of triples.
+    for reader, count in ((read_lines, lambda _: 1), (iter_triple_bytes, lambda b: len(b[0]))):
         report = ParseReport()
         yielded = 0
         with pytest.raises(FlatlinkError, match=message) as info:
-            for _ in reader(path, report):
-                yielded += 1
+            for got in reader(path, report):
+                yielded += count(got)
         assert type(info.value.__cause__) is cause
         assert yielded == report.lines_total == len(io.BytesIO(data).readlines(1 << 13))
 
@@ -611,30 +619,36 @@ def _escape(line: bytes) -> bytes:
 
 def test_only_missed_or_undecodable_lines_reach_the_character_parser(tmp_path, monkeypatch):
     # Files of 4 blocks, clean and escaped, LF and CR LF ended, are cut by
-    # the block regexes alone.  A malformed line and a line whose decoding
+    # the block regexes alone, and a clean block by one comprehension, never
+    # line by line (_cut_lines).  A malformed line and a line whose decoding
     # fails, both in the second block, reach the character parser, and only
     # they.
-    calls = _count_calls(monkeypatch, "parse_ntriples_line")
+    calls = _count_calls(monkeypatch, "parse_ntriples_line", "_cut_lines")
     clean = criterion8_lines(50)
     bad = [b"garbage", b"<http://x/a> <http://x/p> <http://x/\\uD800> ."]
     path = tmp_path / "kb.nt"
-    for lines in (clean, [_escape(line) for line in clean]):
+    for lines, escaped in ((clean, False), ([_escape(line) for line in clean], True)):
         for ending in (b"\n", b"\r\n"):
             path.write_bytes(b"".join(line + ending for line in lines))
             assert path.stat().st_size > 3 << 13
+            blocks = sum(1 for _ in rdf_ingest._blocks(path))
             report = ParseReport()
-            assert len(list(iter_triple_bytes(path, report))) == report.triples_ok == len(lines)
-            assert calls == {"parse_ntriples_line": 0}
+            assert len(numbered_triples(iter_triple_bytes(path, report))) == report.triples_ok
+            assert report.triples_ok == len(lines)
+            assert calls == {"parse_ntriples_line": 0, "_cut_lines": blocks if escaped else 0}
+            calls.update(dict.fromkeys(calls, 0))
 
             path.write_bytes(b"".join(line + ending for line in lines[:200] + bad + lines[200:]))
+            blocks = sum(1 for _ in rdf_ingest._blocks(path))
             report = ParseReport()
-            assert len(list(iter_triple_bytes(path, report))) == len(lines)
-            assert calls == {"parse_ntriples_line": 2}
+            assert len(numbered_triples(iter_triple_bytes(path, report))) == len(lines)
+            # The bad lines give the second block a backslash.
+            assert calls == {"parse_ntriples_line": 2, "_cut_lines": blocks if escaped else 1}
             assert report.first_errors == [
                 (201, "expected <uri> for subject"),
                 (202, "\\u escape is a surrogate code point"),
             ]
-            calls["parse_ntriples_line"] = 0
+            calls.update(dict.fromkeys(calls, 0))
 
 
 def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
@@ -648,7 +662,7 @@ def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
         assert path.stat().st_size > 2_000_000
         tracemalloc.start()
         try:
-            count = sum(1 for _ in iter_triple_bytes(path, ParseReport()))
+            count = sum(len(triples) for triples, _ in iter_triple_bytes(path, ParseReport()))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

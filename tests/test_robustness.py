@@ -8,6 +8,7 @@ and join3 over generated N-Triples and ground truth of awkward shapes."""
 
 import contextlib
 import functools
+import gzip
 import itertools
 import os
 import tempfile
@@ -16,11 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink import engine, kb_compile, link_join
+from flatlink import engine, kb_compile, link_join, rdf_ingest
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.kb_compile import KbSpec, compile_kb
 from flatlink.link_join import OWL_SAMEAS, join2, join3
 from flatlink.tools import validate
+
+from conftest import criterion8_lines
 
 LABELS = ("freebase", "dbpedia", "yago")
 ORDER = ["dbpedia", "freebase", "yago"]
@@ -178,6 +181,36 @@ def test_injected_fault_leaves_no_output_and_no_spill(tmp_path, monkeypatch, spi
     assert os.listdir(outdir) == ["result"]  # no <out>.<pid>.tmp
     assert list(spill.iterdir()) == []
     assert spill_files and all(f.closed for f in spill_files)  # freed with `info` held
+
+
+@pytest.mark.parametrize("suffix", [".nt", ".nt.gz"])
+def test_failed_compile_sort_closes_its_input_file(tmp_path, monkeypatch, spill_files, suffix):
+    # compile's sort fails at its 40th item, in the first of four blocks.
+    # The sort reads the blocks through a chain, which it cannot close, so
+    # compile closes the input file itself, while the exception is still
+    # held, and the sort frees its runs.
+    opened = []
+    open_bytes = rdf_ingest._open_bytes
+
+    def recording(path):
+        opened.append(open_bytes(path))
+        return opened[-1]
+
+    monkeypatch.setattr(rdf_ingest, "_open_bytes", recording)
+    data = b"".join(line + b"\n" for line in criterion8_lines(50))
+    assert len(data) > 3 << 13
+    path = tmp_path / ("kb" + suffix)
+    path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+    _fail_at_add(monkeypatch, sort_no=1, k=40)
+    stats = JobStats()
+    cfg = ExecConfig(memory_budget_bytes=1024, spill_dir=str(tmp_path / "spill"))
+    with pytest.raises(Injected) as info:  # noqa: F841, held
+        compile_kb(KbSpec("kb", [str(path)], str(tmp_path / "kb.ents")), cfg, stats)
+    assert stats.spill_runs > 0
+    assert len(opened) == 1 and opened[0].closed
+    assert spill_files and all(f.closed for f in spill_files)
+    assert list((tmp_path / "spill").iterdir()) == []
+    assert not (tmp_path / "kb.ents").exists()
 
 
 # --- every output passes validate --------------------------------------------
