@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 
-from .engine import ExecConfig, make_dir
+from .engine import ExecConfig, make_dir, open_input
 from .errors import ConfigError, FlatlinkError
 from .kb_compile import KbSpec, compile_kb
 from .link_join import GT_FORMATS, OWL_SAMEAS, join2, join3
@@ -203,7 +203,7 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
             if not_utf8(raw):
                 raise ConfigError(f"{path}:{line_no}: not UTF-8")

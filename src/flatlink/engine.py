@@ -33,7 +33,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .errors import EngineError
+from .errors import EngineError, FlatlinkError
 
 # What a buffered item costs on top of len(item): the rest of
 # sys.getsizeof(item), and its slot in the buffer list (a 64-bit pointer).
@@ -203,6 +203,16 @@ def external_sort(
         sorter.close()
         if hasattr(items, "close"):
             items.close()
+
+
+def open_input(path: str | os.PathLike, mode: str = "rb", opener=open, **kwargs):
+    """opener(path, mode, **kwargs), builtin open by default; where the file
+    cannot be opened, raise a FlatlinkError that reads `cannot read <path>:
+    <OS reason>`, as atomic_output names an output."""
+    try:
+        return opener(path, mode, **kwargs)
+    except OSError as exc:
+        raise FlatlinkError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 @contextlib.contextmanager

@@ -6,14 +6,14 @@ record.  Output lines are sorted ascending by subject URI and the whole run
 is byte-deterministic for fixed inputs and config.
 
 Items ``subject TAB predicate TAB seq8 kind lexical`` are built straight
-from the triple bytes that ``iter_triple_bytes`` yields a block at a time,
-cut by one ``findall`` a block from the groups of its block regex, or of
-the escaped twin for a block with a backslash, wherever a line has the
-regex's shape.  Each block's items are encoded in one list comprehension
+from the triple bytes that ``iter_triple_bytes`` yields a part at a time,
+cut by one ``findall`` a part from the groups of its block regex, or of
+the escaped twin for a part with a backslash, wherever a line has the
+regex's shape.  Each part's items are encoded in one list comprehension
 and fed, chained, to ``engine.external_sort``, which sorts them as they
-are; one block's triples and items, about 8 KiB of input, are held outside
-the sort budget.  One pass over the sorted stream (``_records``) groups
-each subject's items into raw tokens and drops duplicate values;
+are; one part's triples and items, at most about 8 KiB of input, are held
+outside the sort budget.  One pass over the sorted stream (``_records``)
+groups each subject's items into raw tokens and drops duplicate values;
 ``flat_record.record_line_bytes`` escapes and writes the line.  Each line
 is byte-equal to ``serialize_record(record_from_triples(...))`` of the
 triples that the reference reader ``iter_triples`` (text mode and the

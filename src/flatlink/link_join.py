@@ -190,8 +190,8 @@ def load_ground_truth(
     """Stream (left, right) URI pairs as UTF-8 bytes from a ground-truth
     file, plain or .gz, any line ending: tsv-pairs through read_lines, and
     ntriples-sameas through iter_triple_bytes, compile's parser, which cuts
-    each block's triples from one findall and yields them a block at a time
-    with their line numbers.  Each block's errors, the parser's and the
+    each part's triples from one findall and yields them a part at a time
+    with their line numbers.  Each part's errors, the reader's and the
     sameAs filter's, are recorded in line order under any error_cap.
 
     Pairs keep file orientation, and duplicates stream through: join2
@@ -219,11 +219,11 @@ def load_ground_truth(
             report.pairs_ok += 1
             yield left, right
     else:
-        # Compile's bytes path yields what iter_triples would, a block at a
+        # Compile's bytes path yields what iter_triples would, a part at a
         # time with each triple's line number, and its URIs and blank-node
-        # labels keep the tsv-pairs URI rule.  The cutter has recorded a
-        # block's parse errors by the time the block comes, so this loop's
-        # errors for the block are merged into them in line order, and the
+        # labels keep the tsv-pairs URI rule.  The reader has recorded a
+        # part's errors by the time the part comes, so this loop's errors
+        # for the part are merged into them in line order, and the
         # first error_cap of the two stay.  A sameas_uri that is not UTF-8
         # (a lone surrogate from argv) matches no line.
         sameas = sameas_uri.encode("utf-8", "surrogatepass")
@@ -270,7 +270,7 @@ def _entity_lines(path: str, side: str) -> Iterator[tuple[bytes, bytes]]:
     checked; the raw URI is the unescaped first token, which ground-truth
     items carry.  URIs must strictly ascend, as compile writes them."""
     prev = b""
-    with open(path, "rb") as fh:
+    with engine.open_input(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip(b"\n")
             if not line:
@@ -442,7 +442,7 @@ def _iter_2way(
 ) -> Iterator[tuple[bytes, bytes, str, dict[str, bytes]]]:
     """(shared URI, link id, other KB label, records by label) per 2-way line."""
     shared = shared_label.encode("ascii")
-    with open(path, "rb") as fh:
+    with engine.open_input(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
                 link_id, label_a, slot_a, label_b, slot_b = split_link_line(

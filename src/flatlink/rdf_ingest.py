@@ -15,30 +15,30 @@ sampled into the report, and skipped.
 
 Every raw input, KB files and both ground-truth formats, is read as bytes
 in blocks of whole lines of about 8 KiB, one block at a time, by one block
-reader: a plain or ``.gz`` file, split where text mode splits (LF, CR LF,
-lone CR), each line counted and one that is not UTF-8 skipped; a damaged
-``.gz`` is one ``FlatlinkError``.  ``read_lines`` yields the lines of those
-blocks.  ``parse_ntriples_line`` is the character parser and the reference,
-and alone names error reasons; ``iter_triples`` reads a file as text through
-it.  Compile and ntriples-sameas ground truth read ``iter_triple_bytes``,
-which yields one block at a time: the block's triples, each the UTF-8 bytes
-of its subject, predicate and kind byte plus lexical form, and their line
-numbers, with the block's lines counted and its errors recorded before it
-is yielded.  Its line shape is ``(<uri> | _:label) <uri> (<uri> | _:label |
+reader, plain or ``.gz``; a file that cannot be opened, or a damaged
+``.gz``, is one ``FlatlinkError``.  One splitter turns the blocks into parts
+of UTF-8 lines, each ending in LF: it splits where text mode splits (LF, CR
+LF, lone CR), counts each line and skips one that is not UTF-8.  A UTF-8
+block is one part, any other block one part per UTF-8 line.  ``read_lines``
+yields the lines of the parts.  ``parse_ntriples_line`` is the character
+parser and the reference, and alone names error reasons; ``iter_triples``
+reads a file as text through it.  Compile and ntriples-sameas ground truth
+read ``iter_triple_bytes``, which yields one part at a time: its triples,
+each the UTF-8 bytes of its subject, predicate and kind byte plus lexical
+form, and their line numbers, with the part's errors recorded before it is
+yielded.  Its line shape is ``(<uri> | _:label) <uri> (<uri> | _:label |
 "literal"(@lang | ^^<dtype>)?) .`` with an optional trailing comment, where
 URIs may hold ``\\u``/``\\U`` escapes and literals those and the ECHARs
 (``\\t``, ``\\"``, ...); a datatype IRI or language tag holds no escape.
 
-Each block is cut by one ``findall``: a block holding a CR is first split
-where text mode splits and joined back with LFs, and a block that is not
-UTF-8 is cut one line at a time.  A block with no backslash takes the block
-regex, the line shape without its escape alternatives, which such a block
-never needs; every other block takes its escaped twin, built from the same
-pieces.  Both stop literal bodies and comments at LF and end in a branch
+Each part is cut by one ``findall``.  A part with no backslash takes the
+block regex, the line shape without its escape alternatives, which such a
+part never needs; every other part takes its escaped twin, built from the
+same pieces.  Both stop literal bodies and comments at LF and end in a branch
 that takes any other line whole, so they yield one tuple per line, and a
-triple is cut from its groups with no regex call per line.  A block with no
+triple is cut from its groups with no regex call per line.  A part with no
 backslash whose lines all match becomes its triples in one list
-comprehension; every other block goes line by line.  A matched body
+comprehension; every other part goes line by line.  A matched body
 with a backslash is decoded by one codec call, ``unicode_escape`` after
 ``backslashreplace``, which is sound because the regex has proved that every
 backslash starts a well-formed escape.  A line the regex misses (blanks,
@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
+from .engine import open_input
 from .errors import FlatlinkError, NTriplesParseError
 
 URI = "uri"
@@ -115,7 +116,7 @@ _LANG = r"@[^\s.\\\x1c-\x1f\x80-\xff]+"
 
 
 def _block_regex(uri: str, literal: str) -> re.Pattern[bytes]:
-    """A regex that findall runs over a block of LF-ended lines, one tuple
+    """A regex that findall runs over a part of LF-ended lines, one tuple
     per line: the groups of the line shape with `uri` and `literal` for its
     URI and literal terms, then a last group that takes any other line
     whole.  A URI body is never empty, and findall gives b"" for a group
@@ -132,8 +133,8 @@ def _block_regex(uri: str, literal: str) -> re.Pattern[bytes]:
     )
 
 
-# A block with no backslash never needs an escape alternative, and the
-# regex without them runs faster on it; a block with one takes the twin.
+# A part with no backslash never needs an escape alternative, and the
+# regex without them runs faster on it; a part with one takes the twin.
 _BLOCK_LINES = _block_regex(rf"<({_URI_CHARS}+)>", rf'"({_LIT_CHARS}*)"')
 _ESCAPED_LINES = _block_regex(_URI, _LITERAL)
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
@@ -379,9 +380,7 @@ def render_triple(triple: Triple) -> str:
 
 
 def _open_bytes(path: str | os.PathLike) -> BinaryIO:
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    return open_input(path, "rb", gzip.open if str(path).endswith(".gz") else open)
 
 
 def open_text(path: str | os.PathLike) -> io.TextIOBase:
@@ -434,7 +433,8 @@ def iter_triples(
 def _blocks(path: str | os.PathLike) -> Iterator[bytes]:
     """The bytes of a plain or .gz file in blocks of whole lines, about
     8 KiB each; every block but the last ends at an LF, so no CR LF spans
-    two.  A damaged .gz raises FlatlinkError naming the path."""
+    two.  A file that cannot be opened, or a damaged .gz, raises
+    FlatlinkError naming the path."""
     try:
         with _open_bytes(path) as fh:
             while block := fh.readlines(1 << 13):
@@ -443,32 +443,48 @@ def _blocks(path: str | os.PathLike) -> Iterator[bytes]:
         raise FlatlinkError(f"{path}: damaged gzip data: {exc}") from exc
 
 
-def read_lines(path: str | os.PathLike, report: ParseReport) -> Iterator[tuple[int, bytes]]:
-    """(line number, line) of each UTF-8 line of a plain or .gz file, split at
-    LF, CR LF and a lone CR as text mode splits.  Each line counts into
-    report.lines_total, and one that is not UTF-8 is skipped as "not UTF-8".
-    A damaged .gz raises FlatlinkError naming the path."""
-    line_no = 0
-    for block in _blocks(path):
-        # bytes.splitlines() splits at LF, CR LF and a lone CR.
-        for line in block.splitlines():
-            line_no += 1
-            report.lines_total += 1
-            if not line.isascii():
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    report.record_error(line_no, "not UTF-8")
-                    continue
-            yield line_no, line
-
-
 def _is_utf8(data: bytes) -> bool:
     try:
         data.decode("utf-8")
     except UnicodeDecodeError:
         return False
     return True
+
+
+def _utf8_parts(blocks: Iterable[bytes], report: ParseReport) -> Iterator[tuple[int, bytes]]:
+    """(number of the line before it, part) of each part of `blocks`: UTF-8
+    lines, each ending in LF, numbered from 1 across blocks.  A block is
+    split where text mode splits (LF, CR LF, lone CR) and its lines are
+    counted into report.lines_total before its first part is yielded.  A
+    UTF-8 block is one part; a block that is not UTF-8 is one part per UTF-8
+    line, each of its other lines recorded as "not UTF-8" in line order."""
+    line_no = 0
+    for block in blocks:
+        if _CR in block:
+            # bytes.splitlines() splits at LF, CR LF and a lone CR.
+            block = b"\n".join(block.splitlines()) + b"\n"
+        elif not block.endswith(b"\n"):
+            block += b"\n"
+        first = line_no
+        line_no += block.count(b"\n")
+        report.lines_total += line_no - first
+        if block.isascii() or _is_utf8(block):
+            yield first, block
+            continue
+        for before, line in enumerate(block.splitlines(True), first):
+            if _is_utf8(line):
+                yield before, line
+            else:
+                report.record_error(before + 1, "not UTF-8")
+
+
+def read_lines(path: str | os.PathLike, report: ParseReport) -> Iterator[tuple[int, bytes]]:
+    """(line number, line) of each UTF-8 line of a plain or .gz file, the
+    lines of _utf8_parts: each counts into report.lines_total, and one that
+    is not UTF-8 is skipped as "not UTF-8".  A file that cannot be opened,
+    or a damaged .gz, raises FlatlinkError naming the path."""
+    for first, part in _utf8_parts(_blocks(path), report):
+        yield from enumerate(part.splitlines(), first + 1)
 
 
 def _char_triple(
@@ -496,9 +512,9 @@ def _char_triple(
 def _decoded_triple(
     subject: bytes, predicate: bytes, obj: bytes, lexical: bytes
 ) -> tuple[bytes, bytes, bytes]:
-    """The triple of a line the escaped block regex matched, from its groups,
-    each body's escapes decoded; ValueError where the character parser
-    would reject the line."""
+    """The triple of a line a block regex matched, from its groups, each
+    body's escapes decoded, a no-op on a body with no backslash; ValueError
+    where the character parser would reject the line."""
     if obj:
         return _decode_uri(subject), _decode_uri(predicate), b"U" + _decode_uri(obj)
     if _BACKSLASH in lexical:
@@ -507,93 +523,56 @@ def _decoded_triple(
 
 
 def _cut_lines(
-    part: bytes,
-    rows: list[tuple[bytes, ...]],
-    line_no: int,
-    report: ParseReport,
-    triples: list[tuple[bytes, bytes, bytes]],
-    numbers: list[int],
-) -> int:
-    """Append the triples of `part`, UTF-8 lines that findall cut into
-    `rows`, and their line numbers, one line at a time, the first line being
-    line_no + 1; returns the number of its last line.  A line taken as a
-    triple is cut from its groups, and a matched body with a backslash
+    part: bytes, rows: list[tuple[bytes, ...]], first: int, report: ParseReport
+) -> tuple[list[tuple[bytes, bytes, bytes]], list[int]]:
+    """The triples of `part`, UTF-8 lines that findall cut into `rows`, and
+    their line numbers, one line at a time, the first line being first + 1.
+    A matched line is cut from its groups, each body with a backslash
     decoded; any other line, and a matched line whose decoding fails, is
     decoded and parsed by the character parser."""
-    start = line_no
-    escaped = _BACKSLASH in part
-    for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other in rows:
-        line_no += 1
+    triples, numbers = [], []
+    for line_no, row in enumerate(rows, first + 1):
+        s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other = row
         subject = s_uri or s_bnode
         if not subject:
             triple = _char_triple(other, line_no, report)
-        elif not escaped:
-            obj = o_uri or o_bnode
-            triple = subject, predicate, b"U" + obj if obj else b"L" + lexical
         else:
             try:
                 triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical)
             except ValueError:
                 # findall keeps no matched line whole, so cut it from the part.
-                line = part.split(b"\n")[line_no - start - 1]
-                triple = _char_triple(line, line_no, report)
+                triple = _char_triple(part.split(b"\n")[line_no - first - 1], line_no, report)
         if triple is not None:
             triples.append(triple)
             numbers.append(line_no)
-    return line_no
-
-
-def _findall(part: bytes) -> list[tuple[bytes, ...]]:
-    """One tuple per line of `part`, by the escaped block regex if it holds
-    a backslash, else by the block regex."""
-    regex = _ESCAPED_LINES if _BACKSLASH in part else _BLOCK_LINES
-    # endpos leaves out a final LF, which would end one more line.
-    return regex.findall(part, 0, len(part) - part.endswith(b"\n"))
+    return triples, numbers
 
 
 def _cut_blocks(
     blocks: Iterable[bytes], report: ParseReport
 ) -> Iterator[tuple[list[tuple[bytes, bytes, bytes]], Sequence[int]]]:
-    """Yield, per block of `blocks`, each whole lines of bytes, its triples
-    as iter_triple_bytes yields them and their line numbers, numbering lines
-    from 1; each block is counted into `report` before it is yielded.
+    """Yield, per part of `blocks` (_utf8_parts), its triples as
+    iter_triple_bytes yields them and their line numbers, numbering lines
+    from 1; each part is counted into `report` before it is yielded.
 
-    A block holding a CR is first split where text mode splits and joined
-    back with LFs.  One findall cuts the block, and a block that is not
-    UTF-8 is cut one line at a time.  A block with no backslash whose lines
-    all match becomes its triples in one comprehension; every other block
-    goes line by line (_cut_lines).  The line numbers are a range where
-    every line of the block gave a triple.
+    One findall cuts the part.  A part with no backslash whose lines all
+    match becomes its triples in one comprehension, their line numbers a
+    range; every other part goes line by line (_cut_lines).
     """
-    line_no = 0
-    for block in blocks:
-        if _CR in block:
-            block = b"\n".join(block.splitlines()) + b"\n"
-        first = line_no
-        if block.isascii() or _is_utf8(block):
-            rows = _findall(block)
-            # The predicate group is set exactly where the line matched.
-            if _BACKSLASH not in block and b"" not in map(_PREDICATE, rows):
-                triples = [
-                    (s_uri or s_bnode, predicate,
-                     b"U" + o_uri if o_uri else b"U" + o_bnode if o_bnode else b"L" + lexical)
-                    for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, _ in rows
-                ]
-                line_no += len(rows)
-            else:
-                triples, numbers = [], []
-                line_no = _cut_lines(block, rows, line_no, report, triples, numbers)
+    for first, part in _utf8_parts(blocks, report):
+        escaped = _BACKSLASH in part
+        # endpos leaves out the part's final LF, which would end one more line.
+        rows = (_ESCAPED_LINES if escaped else _BLOCK_LINES).findall(part, 0, len(part) - 1)
+        # The predicate group is set exactly where the line matched.
+        if not escaped and b"" not in map(_PREDICATE, rows):
+            triples = [
+                (s_uri or s_bnode, predicate,
+                 b"U" + o_uri if o_uri else b"U" + o_bnode if o_bnode else b"L" + lexical)
+                for s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, _ in rows
+            ]
+            numbers = range(first + 1, first + len(rows) + 1)
         else:
-            triples, numbers = [], []
-            for line in block.splitlines():
-                if _is_utf8(line):
-                    line_no = _cut_lines(line, _findall(line), line_no, report, triples, numbers)
-                else:
-                    line_no += 1
-                    report.record_error(line_no, "not UTF-8")
-        if len(triples) == line_no - first:  # every line gave a triple
-            numbers = range(first + 1, line_no + 1)
-        report.lines_total += line_no - first
+            triples, numbers = _cut_lines(part, rows, first, report)
         report.triples_ok += len(triples)
         yield triples, numbers
 
@@ -601,9 +580,9 @@ def _cut_blocks(
 def iter_triple_bytes(
     path: str | os.PathLike, report: ParseReport
 ) -> Iterator[tuple[list[tuple[bytes, bytes, bytes]], Sequence[int]]]:
-    """Yield, one block at a time, the block's triples as (subject,
+    """Yield, one part at a time, the part's triples as (subject,
     predicate, kind + lexical) in UTF-8 bytes, the kind byte b"U" or b"L",
     and each one's line number: in order, the triples iter_triples(path)
-    yields, with `report` filled as it fills it, each block counted before
-    it is yielded.  The blocks are those of _blocks, cut by _cut_blocks."""
+    yields, with `report` filled as it fills it, each part counted before
+    it is yielded.  _cut_blocks cuts the parts of _blocks(path)."""
     return _cut_blocks(_blocks(path), report)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .engine import atomic_output
+from .engine import atomic_output, open_input
 from .errors import FlatlinkError
 from .flat_record import parse_record, record_tokens, unescape_token
 # parse_link_line is not called here; it stays for the benchmark's trace hook.
@@ -55,7 +55,7 @@ def sample_lines(in_path: str, spec: SampleSpec, out_path: str) -> int:
     spec.validate()
     rng = random.Random(spec.seed)
     reservoir: list[tuple[int, bytes]] = []
-    with atomic_output(out_path) as out, open(in_path, "rb") as fh:
+    with atomic_output(out_path) as out, open_input(in_path) as fh:
         for i, line in enumerate(fh):
             if i < spec.n:
                 reservoir.append((i, line))
@@ -145,7 +145,7 @@ def filter_by_type(
     spec.validate(mode)
     if report is None:
         report = FilterReport()
-    with atomic_output(out_path) as out, open(in_path, "rb") as fh:
+    with atomic_output(out_path) as out, open_input(in_path) as fh:
         for raw in fh:
             report.lines_read += 1
             try:
@@ -206,7 +206,7 @@ def stats(
     report = StatsReport(mode=mode)
     slot_uris: list[set[str]] = [set() for _ in range(_ARITY[mode])]
     histogram: Counter[str] = Counter()
-    with open(in_path, "rb") as fh:
+    with open_input(in_path) as fh:
         for raw in fh:
             report.lines += 1
             report.bytes += len(raw)
@@ -252,7 +252,7 @@ def validate(in_path: str, mode: str) -> ValidationReport:
         raise FlatlinkError(f"unknown mode {mode!r}")
     report = ValidationReport()
     seen_ids: set[str] = set()
-    with open(in_path, "rb") as fh:
+    with open_input(in_path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
                 link_id, _ = _line_records(raw, mode)

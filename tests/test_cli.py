@@ -510,6 +510,48 @@ def test_output_and_spill_dir_errors_name_the_given_path(capsys, tmp_path, monke
     assert list((tmp_path / "adir").iterdir()) == []
 
 
+# Each input that cannot be opened, written here as BAD, is refused by the
+# path the user gave and the OS reason, as outputs are.  Every other input
+# exists (`empty` is a valid entity, ground-truth and linkage file), so the
+# error is BAD's, even where it is read after them.
+INPUT_ERRORS = {
+    "compile-in": ["compile", "--label", "kb", "--in", "BAD", "--out", "o"],
+    "compile-second-in": ["compile", "--label", "kb", "--in", "a.nt,BAD", "--out", "o"],
+    "join2-gt": ["join2", "--left", "empty", "--right", "empty", "--gt", "BAD",
+                 "--labels", "f,d", "--out", "o"],
+    "join2-left": ["join2", "--left", "BAD", "--right", "empty", "--gt", "empty",
+                   "--labels", "f,d", "--out", "o"],
+    "join3-right": ["join3", "--left", "empty", "--right", "BAD", "--shared", "d",
+                    "--order", "f,d,y", "--out", "o"],
+    "validate-in": ["validate", "--in", "BAD", "--mode", "entity"],
+    "stats-in": ["stats", "--in", "BAD", "--mode", "entity"],
+    "filter-type-in": ["filter-type", "--in", "BAD", "--out", "o", "--mode", "entity",
+                       "--type-uri", "http://t"],
+    "sample-in": ["sample", "--in", "BAD", "--out", "o", "-n", "1"],
+    "pipeline-config": ["pipeline", "--config", "BAD"],
+}
+
+
+@pytest.mark.parametrize("bad, reason", [("adir", "Is a directory"),
+                                         ("absent", "No such file or directory")])
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_name_the_given_path(capsys, tmp_path, monkeypatch, case, bad, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.nt").write_bytes(b"<http://a> <http://p> <http://b> .\n")
+    (tmp_path / "empty").write_bytes(b"")
+    (tmp_path / "adir").mkdir()
+    argv = [arg.replace("BAD", bad) for arg in INPUT_ERRORS[case]]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [
+        f"error: cannot read {bad}: {reason}"
+    ]
+    # No output, and no <out>.<pid>.tmp beside it.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nt", "adir", "empty"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 @pytest.mark.parametrize("out", ["gt_yd.nt", "out/../gt_yd.nt", "gt_yd.link"])
 def test_pipeline_refuses_an_output_on_an_input(capsys, demo_dir, out):
     # link1 writing over link2's ground truth would leave yd.links and

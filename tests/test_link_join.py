@@ -5,7 +5,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlink import engine
@@ -135,6 +135,26 @@ def test_gt_ntriples_sameas_errors_in_line_order(tmp_path, cap):
     ]
     assert report.first_errors == expected[:cap]
     assert report.lines_skipped == 5
+
+    # A block with a line that is not UTF-8 is cut one part a line, and the
+    # splitter's "not UTF-8" keeps its place between the filter's errors and
+    # the parser's.
+    path.write_bytes(
+        b"<http://f/1> <http://other/pred> <http://d/1> .\n"
+        b"<http://f/\xff> <http://www.w3.org/2002/07/owl#sameAs> <http://d/2> .\n"
+        b"not a triple\n"
+        b'<http://f/4> <http://www.w3.org/2002/07/owl#sameAs> "literal" .\n'
+    )
+    report = GtReport(error_cap=cap)
+    assert list(load_ground_truth(str(path), "ntriples-sameas", report=report)) == []
+    expected = [
+        (1, "predicate is not http://www.w3.org/2002/07/owl#sameAs"),
+        (2, "not UTF-8"),
+        (3, "expected <uri> for subject"),
+        (4, "sameAs object is a literal"),
+    ]
+    assert report.first_errors == expected[:cap]
+    assert report.lines_skipped == 4
 
 
 GT_TWO_ERRORS = {
@@ -359,6 +379,57 @@ def test_gt_tsv_pairs_rows_match_the_text_reader(tmp_path, suffix, ending):
               "first_errors")
     assert [getattr(report, f) for f in fields] == [getattr(expected, f) for f in fields]
     assert (report.lines_total, report.pairs_ok, report.lines_blank) == (len(_TSV_ROWS), 5, 2)
+
+
+# Files of 4 blocks of about 8 KiB from valid pairs, which a splice may turn
+# into a block that is not UTF-8 and so is split one part a line.  A spliced
+# row is a _TSV_ROWS row, a blank or "   " line, or one that is not UTF-8,
+# with its own LF, CR LF or lone CR.
+_TSV_BASE = [b"http://f/%04d\thttp://d/" % i + "é".encode() + b"%04d" % (i * 7919 % 10000)
+             for i in range(800)]
+_TSV_SECOND_BLOCK = len(io.BytesIO(b"".join(row + b"\n" for row in _TSV_BASE)).readlines(1 << 13))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_TSV_BASE)),
+            st.sampled_from(_TSV_ROWS + [b"", b"   ", b"\xff", b"http://f/\xe9\thttp://d/x"]),
+            st.sampled_from([b"\n", b"\r\n", b"\r"]),
+        ),
+        max_size=8,
+    ),
+    st.booleans(),
+    st.sampled_from([".tsv", ".tsv.gz"]),
+    st.sampled_from([1, 3, 1000]),
+)
+# A blank line and a line that is not UTF-8 in one block: each UTF-8 line of
+# such a block, the blank one too, is its own part.
+@example(splices=[(_TSV_SECOND_BLOCK + 3, b"", b"\n"), (_TSV_SECOND_BLOCK + 3, b"\xff", b"\n")],
+         final=True, suffix=".tsv", cap=1000)
+@example(splices=[(len(_TSV_BASE), b"", b"\r")], final=False, suffix=".tsv.gz", cap=1000)
+def test_gt_tsv_pairs_match_the_text_reader_across_blocks(splices, final, suffix, cap):
+    rows = [(row, b"\n") for row in _TSV_BASE]
+    for at, row, ending in splices:
+        rows.insert(at, (row, ending))
+    data = b"".join(row + ending for row, ending in rows)
+    if not final:
+        data = data[: -len(rows[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = os.path.join(tmp, "gt.tsv")
+        with open(plain, "wb") as fh:
+            fh.write(data)
+        path = os.path.join(tmp, "gt" + suffix)
+        if suffix.endswith(".gz"):
+            with open(path, "wb") as fh:
+                fh.write(gzip.compress(data))
+        report = GtReport(error_cap=cap)
+        pairs = list(load_ground_truth(path, "tsv-pairs", report=report))
+        expected_pairs, expected = _tsv_pairs_text_reader(plain, cap)
+    assert len(io.BytesIO(data).readlines(1 << 13)) >= 3
+    assert pairs == expected_pairs
+    assert report == expected  # every field, first_errors included
 
 
 def test_gt_unknown_format(tmp_path):
