@@ -171,7 +171,9 @@ class PipelineConfig:
     links: list[dict] = field(default_factory=list)  # 2-way jobs, in order
     join3: dict | None = None
     engine_values: dict = field(default_factory=dict)
-    # Config key -> (path as given, resolved path) of each output, in stage order.
+    # (config key, (path as given, resolved path)) of each input file and,
+    # keyed the same way, of each output, in stage order.
+    inputs: list[tuple[str, tuple[str, str]]] = field(default_factory=list)
     outputs: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
@@ -251,8 +253,10 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         engine["spill_dir"] = resolve(engine["spill_dir"])
     cfg = PipelineConfig(engine_values=engine)
     for i, kb in enumerate(sections["kb"], 1):
-        inputs = _split_inputs(kb["inputs"], f"kb{i}.inputs")
-        spec = KbSpec(kb["label"], [resolve(p) for p in inputs], resolve(kb["out"]))
+        key = f"kb{i}.inputs"
+        inputs = [(p, resolve(p)) for p in _split_inputs(kb["inputs"], key)]
+        cfg.inputs += [(key, pair) for pair in inputs]
+        spec = KbSpec(kb["label"], [path for _, path in inputs], resolve(kb["out"]))
         try:
             spec.validate()
         except FlatlinkError as exc:
@@ -261,7 +265,9 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     for i, link in enumerate(sections["link"], 1):
         if link["gt_format"] not in GT_FORMATS:
             raise ConfigError(f"link{i}.gt_format must be one of {GT_FORMATS}")
-        cfg.links.append({**link, "gt": resolve(link["gt"]), "out": resolve(link["out"])})
+        gt = resolve(link["gt"])
+        cfg.inputs.append((f"link{i}.gt", (link["gt"], gt)))
+        cfg.links.append({**link, "gt": gt, "out": resolve(link["out"])})
     if "join3.out" in values:
         cfg.join3 = {"out": resolve(values["join3.out"]), "order": values.get("join3.order")}
 
@@ -296,8 +302,7 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
     real = {key: os.path.realpath(p) for key, p in outputs.items()}
     if len(set(real.values())) != len(real):
         raise ConfigError("output paths must be distinct")
-    inputs = [p for kb in cfg.kbs for p in kb.input_paths] + [j["gt"] for j in cfg.links]
-    read = set(map(os.path.realpath, inputs))
+    read = {os.path.realpath(path) for _, (_, path) in cfg.inputs}
     for key, path in real.items():
         if path in read:
             raise ConfigError(f"{key} names an input: {outputs[key]!r}")
@@ -325,8 +330,14 @@ def _cmd_pipeline(args) -> int:
             pipe.join3["order"], pipe.join3["out"], cfg,
         ))
 
-    # Every output directory is made before the first stage runs, so one
-    # that cannot be made is refused before any stage has run.
+    # Every input is opened, and then every output directory made, before
+    # the first stage runs, so any of them that fails is refused before any
+    # stage has run, by its key and the path as given.
+    for key, (given, path) in pipe.inputs:
+        try:
+            open(path, "rb").close()
+        except OSError as exc:
+            raise ConfigError(f"{key}: cannot read {given}: {exc.strerror}") from exc
     for key, (given, path) in pipe.outputs.items():
         make_dir(os.path.dirname(path), f"{key}: cannot write {given}")
     for stage in stages:

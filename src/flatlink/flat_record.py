@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FlatRecordError
-from .rdf_ingest import LITERAL, URI, ObjectValue, Triple
+from .rdf_ingest import _BACKSLASH, _CR, _LF, _TAB, LITERAL, URI, ObjectValue, Triple
 
 # Join labels are validated against this alphabet, so every registered
 # sentinel token falls inside SENTINEL_SHAPE and the escape guard below is
@@ -50,9 +50,6 @@ SENTINEL_SUFFIX = "-instance"
 SENTINEL_SHAPE = re.compile(LABEL_RE.pattern + re.escape(SENTINEL_SUFFIX))
 _SENTINEL_SHAPE_BYTES = re.compile(SENTINEL_SHAPE.pattern.encode("ascii"))
 _SENTINEL_SUFFIX_BYTES = SENTINEL_SUFFIX.encode("ascii")
-# The bytes escape_token_bytes rewrites, as ints: `int in bytes` is one
-# memchr, while a bytes needle is first tried as an int, which raises.
-_BACKSLASH, _TAB, _LF, _CR = b"\\\t\n\r"
 
 
 @dataclass

@@ -47,17 +47,14 @@ from typing import Iterator
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
 from .flat_record import LABEL_RE, SENTINEL_SUFFIX, unescape_token
-from .rdf_ingest import _BACKSLASH, _CONTROL_OR_SPACE, ParseReport, iter_triple_bytes, read_lines
+from .rdf_ingest import (
+    _BACKSLASH, _CONTROL_OR_SPACE, _CR, _TAB, ParseReport, iter_triple_bytes, read_lines,
+)
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 GT_FORMATS = ("tsv-pairs", "ntriples-sameas")
 
-# Byte values for `in` tests on bytes: `int in bytes` is one memchr, while
-# `bytes in bytes` first tries its operand as an integer and pays for the
-# TypeError, several times slower per line.
-_CR = ord("\r")
-_TAB = ord("\t")
-_COMMA = ord(",")
+_COMMA = ord(",")  # an int for `in` tests, as rdf_ingest's byte values
 # The kind byte that opens a URI object of iter_triple_bytes.
 _URI_KIND = ord("U")
 
@@ -437,37 +434,35 @@ class Join3Report:
         )
 
 
-def _iter_2way(
-    path: str, shared_label: str, allowed: set[str]
-) -> Iterator[tuple[bytes, bytes, str, dict[str, bytes]]]:
-    """(shared URI, link id, other KB label, records by label) per 2-way line."""
-    shared = shared_label.encode("ascii")
+def _cut_2way(line: bytes, shared: bytes, others: dict[bytes, bytes]) -> tuple[bytes, ...]:
+    """(shared URI, link id, other KB label, shared slot, other slot) of a
+    2-way line, or its first fault, which names no location."""
+    link_id, label_a, slot_a, label_b, slot_b = split_link_line(line, 2)
+    if label_a == shared:
+        other, shared_slot, other_slot = label_b, slot_a, slot_b
+    elif label_b == shared:
+        other, shared_slot, other_slot = label_a, slot_b, slot_a
+    else:
+        raise LinkJoinError(f"shared KB {shared.decode()!r} absent")
+    if other == shared:
+        raise LinkJoinError("one KB holds both records")
+    if other not in others:
+        raise LinkJoinError(f"KB {other.decode()!r} is not in the output order")
+    try:
+        uri = _record_uri(shared_slot)
+    except (LinkJoinError, FlatRecordError) as exc:
+        raise LinkJoinError(f"bad entity line: {exc}") from exc
+    return uri, link_id, other, shared_slot, other_slot
+
+
+def _iter_2way(path: str, shared: bytes, others: dict[bytes, bytes]) -> Iterator[tuple]:
+    """_cut_2way of each line of a 2-way linkage file; a fault names its line."""
     with engine.open_input(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
-                link_id, label_a, slot_a, label_b, slot_b = split_link_line(
-                    raw.rstrip(b"\n"), 2
-                )
+                yield _cut_2way(raw.rstrip(b"\n"), shared, others)
             except LinkJoinError as exc:
                 raise LinkJoinError(f"{path}:{line_no}: {exc}") from exc
-            if label_a == shared:
-                other, shared_slot, other_slot = label_b, slot_a, slot_b
-            elif label_b == shared:
-                other, shared_slot, other_slot = label_a, slot_b, slot_a
-            else:
-                raise LinkJoinError(f"{path}:{line_no}: shared KB {shared_label!r} absent")
-            if other == shared:
-                raise LinkJoinError(f"{path}:{line_no}: one KB holds both records")
-            other_label = other.decode("ascii")
-            if other_label not in allowed:
-                raise LinkJoinError(
-                    f"{path}:{line_no}: KB {other_label!r} is not in the output order"
-                )
-            try:
-                uri = _record_uri(shared_slot)
-            except (LinkJoinError, FlatRecordError) as exc:
-                raise LinkJoinError(f"{path}:{line_no}: bad entity line: {exc}") from exc
-            yield uri, link_id, other_label, {shared_label: shared_slot, other_label: other_slot}
 
 
 def _reduce_by_uri(key: bytes, items: Iterator[bytes]):
@@ -542,8 +537,12 @@ def join3(
         raise LinkJoinError("order must list 3 distinct KB labels")
     if shared_label not in order:
         raise LinkJoinError(f"shared label {shared_label!r} missing from order")
-    sentinels = {label: sentinel_for(label).encode("utf-8") for label in order}
-    allowed = set(order)
+    # Labels are bytes from here on, as lines hold them: the sentinel of each
+    # in output order, and the KB that a line of each other KB lacks.
+    tokens = [sentinel_for(label).encode("ascii") for label in order]
+    sentinels = {token[: -len(SENTINEL_SUFFIX)]: token for token in tokens}
+    shared = shared_label.encode("ascii")
+    others = {a: b for a in sentinels for b in sentinels if shared != a != b != shared}
     if stats is None:
         stats = engine.JobStats()
     report = Join3Report()
@@ -551,18 +550,18 @@ def join3(
     def left_items() -> Iterator[bytes]:
         # record = the line's groups in output order, with a newline in
         # place of the record of C, the KB that the right line supplies.
-        for uri, link_id, other_label, slots in _iter_2way(ab_path, shared_label, allowed):
+        for uri, link_id, other, shared_slot, other_slot in _iter_2way(ab_path, shared, others):
             report.lines_left += 1
-            (missing,) = allowed - set(slots)
+            slots = {shared: shared_slot, other: other_slot}
             record = b"\t".join(
-                sentinels[label] + b"\t" + slots.get(label, b"\n") for label in order
+                sentinel + b"\t" + slots.get(label, b"\n") for label, sentinel in sentinels.items()
             )
-            yield b"\t".join((uri, link_id, missing.encode("utf-8"), record))
+            yield b"\t".join((uri, link_id, others[other], record))
 
     def right_items() -> Iterator[bytes]:
-        for uri, link_id, other_label, slots in _iter_2way(cb_path, shared_label, allowed):
+        for uri, link_id, other, _, other_slot in _iter_2way(cb_path, shared, others):
             report.lines_right += 1
-            yield b"\t".join((uri, link_id, other_label.encode("utf-8"), slots[other_label]))
+            yield b"\t".join((uri, link_id, other, other_slot))
 
     by_uri = engine.run_group_by(
         [(0, left_items()), (1, right_items())],

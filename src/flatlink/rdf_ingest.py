@@ -18,11 +18,12 @@ in blocks of whole lines of about 8 KiB, one block at a time, by one block
 reader, plain or ``.gz``; a file that cannot be opened, or a damaged
 ``.gz``, is one ``FlatlinkError``.  One splitter turns the blocks into parts
 of UTF-8 lines, each ending in LF: it splits where text mode splits (LF, CR
-LF, lone CR), counts each line and skips one that is not UTF-8.  A UTF-8
-block is one part, any other block one part per UTF-8 line.  ``read_lines``
-yields the lines of the parts.  ``parse_ntriples_line`` is the character
-parser and the reference, and alone names error reasons; ``iter_triples``
-reads a file as text through it.  Compile and ntriples-sameas ground truth
+LF, lone CR), counts each line and skips one that is not UTF-8, checking
+UTF-8 a few hundred bytes at a time.  A UTF-8 block is one part, any other
+block one part per UTF-8 line.  ``read_lines`` yields the lines of the
+parts.  ``parse_ntriples_line`` is the character parser and the reference,
+and alone names error reasons; ``iter_triples`` reads a file as text
+through it.  Compile and ntriples-sameas ground truth
 read ``iter_triple_bytes``, which yields one part at a time: its triples,
 each the UTF-8 bytes of its subject, predicate and kind byte plus lexical
 form, and their line numbers, with the part's errors recorded before it is
@@ -55,6 +56,7 @@ the plain tuple of its fields.
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import os
@@ -141,11 +143,11 @@ _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 # The predicate group of a findall tuple of either block regex.
 _PREDICATE = itemgetter(2)
 
-# A byte value for `in` tests on bytes: `int in bytes` is one memchr, while
-# `bytes in bytes` first tries its operand as an integer and pays for the
-# TypeError, several times slower per line.
-_BACKSLASH = ord("\\")
-_CR = ord("\r")
+# Byte values for `in` tests on bytes, here and in flat_record and
+# link_join: `int in bytes` is one memchr, while `bytes in bytes` first tries
+# its operand as an integer and pays for the TypeError, several times slower
+# per line.
+_BACKSLASH, _TAB, _LF, _CR = b"\\\t\n\r"
 
 
 class ObjectValue(NamedTuple):
@@ -443,9 +445,19 @@ def _blocks(path: str | os.PathLike) -> Iterator[bytes]:
         raise FlatlinkError(f"{path}: damaged gzip data: {exc}") from exc
 
 
+# The bytes _is_utf8 decodes at a time: their str holds at most 2 KiB.
+_UTF8_SLICE = 512
+
+
 def _is_utf8(data: bytes) -> bool:
+    """True if `data` is UTF-8.  It is decoded a slice at a time, so no
+    temporary str the size of a block grows the heap; a character cut at
+    the end of a slice is left to the next."""
+    at, end = 0, len(data)
     try:
-        data.decode("utf-8")
+        while at < end:
+            stop = at + _UTF8_SLICE
+            at += codecs.utf_8_decode(data[at:stop], "strict", stop >= end)[1]
     except UnicodeDecodeError:
         return False
     return True

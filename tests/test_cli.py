@@ -603,6 +603,39 @@ def test_pipeline_refuses_an_output_under_a_file_before_any_stage(capsys, demo_d
     assert [out for out in outs if (demo_dir / out).exists()] == []
 
 
+# (config key, its value in demo.cfg, that value with BAD for one input)
+PIPELINE_INPUTS = [
+    ("kb2.inputs", "dbpedia_infobox.nt,dbpedia_types.nt", "dbpedia_infobox.nt,BAD"),
+    ("link1.gt", "gt_fd.tsv", "BAD"),
+]
+
+
+@pytest.mark.parametrize("bad, reason", [("adir", "Is a directory"),
+                                         ("absent", "No such file or directory")])
+@pytest.mark.parametrize("key, value, edited", PIPELINE_INPUTS,
+                         ids=[key for key, *_ in PIPELINE_INPUTS])
+def test_pipeline_input_errors_name_the_key_and_given_path(capsys, demo_dir, key, value, edited,
+                                                           bad, reason):
+    # Every input is opened before any output directory is made or any stage
+    # runs, so one read after earlier stages (kb2's second input, link1's
+    # ground truth) is refused first, by its key and the path as given.
+    (demo_dir / "adir").mkdir()
+    cfg = demo_dir / "demo.cfg"
+    text = cfg.read_text(encoding="utf-8")
+    assert f"\n{key}={value}\n" in text
+    cfg.write_text(text.replace(f"\n{key}={value}\n", f"\n{key}={edited.replace('BAD', bad)}\n"),
+                   encoding="utf-8")
+    names = sorted(os.listdir(demo_dir))
+    code, stdout, stderr = run(capsys, "pipeline", "--config", str(cfg))
+    assert code == 2
+    assert stdout == ""
+    assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [
+        f"error: {key}: cannot read {bad}: {reason}"
+    ]
+    assert sorted(os.listdir(demo_dir)) == names  # no out/
+    assert list((demo_dir / "adir").iterdir()) == []
+
+
 def test_report_out_flag_is_gone(capsys, demo_dir, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "compile", "--label", "freebase", "--in", str(demo_dir / "freebase.nt"),

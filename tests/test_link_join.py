@@ -1240,6 +1240,46 @@ def test_join3_sum_of_products_oracle(tmp_path, rng):
     assert read_lines(out) == join3_oracle(fd_rows, yd_rows, ids_a, ids_b)
 
 
+def test_join3_reads_the_shared_group_first_or_second(tmp_path):
+    # Both files put dbpedia's group first on some lines and second on the
+    # others; join3 gives the bytes and report of the same rows with
+    # dbpedia always second, at a spilling budget too.
+    d_lines = [entity(f"http://d/{k}", age=[str(k)])[1] for k in range(7)]
+    rows = {
+        ("fd", "freebase"): [(entity(f"http://f/{i}", name=[str(i)])[1], d_lines[i % 7])
+                             for i in range(20)],
+        ("yd", "yago"): [(entity(f"http://y/{i}", label=[str(i)])[1], d_lines[i * 3 % 7])
+                         for i in range(15)],
+    }
+
+    def write(name, label, flip):
+        # dbpedia's group comes first on the lines whose number % 2 is flip.
+        path = tmp_path / f"{name}-{flip}.links"
+        with open(path, "w", encoding="utf-8") as fh:
+            for n, (line, d_line) in enumerate(rows[name, label], 1):
+                groups = [f"{label}-instance\t{line}", f"dbpedia-instance\t{d_line}"]
+                if n % 2 == flip:
+                    groups.reverse()
+                fh.write("\t".join((f"{name}-{n}", *groups)) + "\n")
+        return str(path)
+
+    for budget in (1 << 20, 2048):
+        outcomes = []
+        for fd_flip, yd_flip in ((None, None), (1, 0), (0, 1)):
+            out = tmp_path / "dfy.links"
+            report = join3(
+                write("fd", "freebase", fd_flip), write("yd", "yago", yd_flip), "dbpedia",
+                ["dbpedia", "freebase", "yago"], str(out),
+                cfg_for(tmp_path, memory_budget_bytes=budget),
+            )
+            outcomes.append((out.read_bytes(), report))
+        assert outcomes[1] == outcomes[0] == outcomes[2]
+        assert outcomes[0][1].lines_emitted == sum(
+            1 for _, d in rows["fd", "freebase"] for _, e in rows["yd", "yago"] if d == e
+        )
+    assert outcomes[0][1].spill_runs > 0
+
+
 def test_join3_bad_shared_uri_escape_names_file_and_line(tmp_path):
     _, f1 = entity("http://f/1", name=["f"])
     _, d1 = entity("http://d/1", age=["1"])

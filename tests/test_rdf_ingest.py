@@ -668,3 +668,24 @@ def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
             tracemalloc.stop()
         assert count == 35_350
         assert peak < 512 << 10
+
+
+def test_read_lines_checks_utf8_without_a_str_of_the_block(tmp_path):
+    # Every line holds one 4-byte UTF-8 character, so no block is ASCII and
+    # each is checked as UTF-8; a check that decoded a block whole would
+    # make a str of 4 bytes a character.  Against an ASCII file of the same
+    # lines and sizes, the peak stays within a few slices.
+    peaks = {}
+    for name, char in (("ascii", "wxyz"), ("utf8", "\U0001F600")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text("".join(f"http://a/{i}\thttp://b/{i}{char}\n" for i in range(12_000)),
+                        encoding="utf-8")
+        assert path.stat().st_size > 300_000
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in read_lines(path, ParseReport()))
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 12_000
+    assert peaks["utf8"] - peaks["ascii"] < 4 << 10
