@@ -24,7 +24,6 @@ from .engine import ExecConfig, make_dir, open_input
 from .errors import ConfigError, FlatlinkError
 from .kb_compile import KbSpec, compile_kb
 from .link_join import GT_FORMATS, OWL_SAMEAS, join2, join3
-from .rdf_ingest import not_utf8
 from .tools import (
     MODES,
     RDF_TYPE,
@@ -205,22 +204,25 @@ def parse_pipeline_config(path: str) -> PipelineConfig:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     values: dict[str, str] = {}
-    with open_input(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            if not_utf8(raw):
-                raise ConfigError(f"{path}:{line_no}: not UTF-8")
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in values:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-            if not value:
-                raise ConfigError(f"{path}:{line_no}: empty value for {key!r}")
-            values[key] = value
+    with open_input(path) as fh:
+        data = fh.read()
+    # bytes.splitlines() splits at LF, CR LF and a lone CR, as text mode does.
+    for line_no, raw in enumerate(data.splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}:{line_no}: not UTF-8") from None
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+        if not value:
+            raise ConfigError(f"{path}:{line_no}: empty value for {key!r}")
+        values[key] = value
 
     engine = {k: values[k] for k in ("memory_budget_bytes", "spill_dir") if k in values}
     known = set(engine)

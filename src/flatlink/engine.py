@@ -97,8 +97,11 @@ class _Spill:
                 write(len(item).to_bytes(4, "little"))
                 write(item)
             fh.detach()  # flushes, and drops the buffer while the run waits
-        except BaseException:
+        except BaseException as exc:
             self.file.close()
+            if isinstance(exc, OSError):
+                # The run has no name, so a full disk names its dir.
+                exc.filename = self.spill_dir
             raise
 
     def read_items(self) -> Iterator[bytes]:
@@ -205,14 +208,30 @@ def external_sort(
             items.close()
 
 
-def open_input(path: str | os.PathLike, mode: str = "rb", opener=open, **kwargs):
-    """opener(path, mode, **kwargs), builtin open by default; where the file
-    cannot be opened, raise a FlatlinkError that reads `cannot read <path>:
-    <OS reason>`, as atomic_output names an output."""
+def open_input(path: str | os.PathLike, opener=open) -> BinaryIO:
+    """opener(path, "rb"), builtin open by default: every input is read as
+    bytes.  Where the file cannot be opened, raise a FlatlinkError that reads
+    `cannot read <path>: <OS reason>`, as atomic_output names an output."""
     try:
-        return opener(path, mode, **kwargs)
+        return opener(path, "rb")
     except OSError as exc:
         raise FlatlinkError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+class _OutputFile(io.FileIO):
+    """An output's temp file under its buffer: a write or flush that fails
+    raises the EngineError that names the output as given, so a full disk
+    is never read as a spill run's or an input's fault."""
+
+    def __init__(self, tmp: str, path: str):
+        super().__init__(tmp, "w")
+        self.path = path
+
+    def write(self, data) -> int:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise EngineError(f"cannot write {self.path}: {exc.strerror}") from exc
 
 
 @contextlib.contextmanager
@@ -226,13 +245,14 @@ def atomic_output(path: str) -> Iterator[BinaryIO]:
     it gets the same mode, not a private temp file's 0o600.  A stage enters
     this before it reads any input, so a target that is a directory, or
     that cannot be opened or replaced, is refused with an EngineError that
-    names `path` and the OS reason, never the temp name.
+    names `path` and the OS reason, never the temp name; so is a write or
+    flush to it that fails.
     """
     if os.path.isdir(path):
         raise EngineError(f"cannot write {path}: Is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        out = open(tmp, "wb")
+        out = io.BufferedWriter(_OutputFile(tmp, path))
     except OSError as exc:
         raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
     try:

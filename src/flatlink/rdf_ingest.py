@@ -91,8 +91,9 @@ _ECHAR = {
 
 _HEX = re.compile(r"[0-9A-Fa-f]*")
 
-# The surrogateescape error handler (open_text uses it) turns each byte that
-# is not valid UTF-8 into a lone surrogate; strict UTF-8 never decodes to one.
+# The surrogateescape error handler (iter_triples reads a path with it) turns
+# each byte that is not valid UTF-8 into a lone surrogate; strict UTF-8 never
+# decodes to one.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 # The block regexes' line shape, after the W3C N-Triples grammar (UCHAR,
@@ -382,22 +383,7 @@ def render_triple(triple: Triple) -> str:
 
 
 def _open_bytes(path: str | os.PathLike) -> BinaryIO:
-    return open_input(path, "rb", gzip.open if str(path).endswith(".gz") else open)
-
-
-def open_text(path: str | os.PathLike) -> io.TextIOBase:
-    """Open a plain or gzip-compressed text file for reading.
-
-    Bytes that are not valid UTF-8 decode to lone surrogates instead of
-    raising, so one bad line cannot abort the rest of the file.
-    """
-    return io.TextIOWrapper(_open_bytes(path), encoding="utf-8", errors="surrogateescape")
-
-
-def not_utf8(line: str) -> bool:
-    """True if `line`, decoded with errors="surrogateescape" as open_text
-    does, came from bytes that are not UTF-8."""
-    return not line.isascii() and _SURROGATE.search(line) is not None
+    return open_input(path, gzip.open if str(path).endswith(".gz") else open)
 
 
 def iter_triples(
@@ -407,17 +393,21 @@ def iter_triples(
     """Yield triples from a path or an iterable of lines, filling `report`.
 
     The reference reader: text mode and the character parser.  Never
-    materializes the input; malformed lines are skipped and counted.
+    materializes the input; malformed lines are skipped and counted.  A
+    path, plain or .gz, is decoded with errors="surrogateescape", so a line
+    that is not UTF-8 holds a lone surrogate and is skipped as "not UTF-8"
+    instead of aborting the rest of the file.
     """
     if report is None:
         report = ParseReport()
     if isinstance(source, (str, os.PathLike)):
-        with open_text(source) as fh:
+        with io.TextIOWrapper(_open_bytes(source), encoding="utf-8",
+                              errors="surrogateescape") as fh:
             yield from iter_triples(fh, report)
         return
     for line_no, line in enumerate(source, 1):
         report.lines_total += 1
-        if not_utf8(line):
+        if not line.isascii() and _SURROGATE.search(line):
             report.record_error(line_no, "not UTF-8")
             continue
         try:
@@ -543,6 +533,7 @@ def _cut_lines(
     decoded; any other line, and a matched line whose decoding fails, is
     decoded and parsed by the character parser."""
     triples, numbers = [], []
+    lines = None  # the part split at LF, on its first undecodable line
     for line_no, row in enumerate(rows, first + 1):
         s_uri, s_bnode, predicate, o_uri, o_bnode, lexical, other = row
         subject = s_uri or s_bnode
@@ -553,7 +544,9 @@ def _cut_lines(
                 triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical)
             except ValueError:
                 # findall keeps no matched line whole, so cut it from the part.
-                triple = _char_triple(part.split(b"\n")[line_no - first - 1], line_no, report)
+                if lines is None:
+                    lines = part.split(b"\n")
+                triple = _char_triple(lines[line_no - first - 1], line_no, report)
         if triple is not None:
             triples.append(triple)
             numbers.append(line_no)

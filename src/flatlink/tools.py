@@ -1,13 +1,17 @@
 """Post-processing utilities: seeded sampling, type filtering, stats, validation.
 
-All tools are single-pass and streaming; sampled or filtered lines are
-copied byte-identically, so link ids and provenance survive.  validate,
-filter-type and stats judge a line by one function, ``_line_records``: the
-head check (``line_text``) and the linkage-line split (``split_link_line``,
-which names each fault of a line's cut, link id and group count) that
-join2 and join3 use, then a check of each record by its escaped tokens
-(``record_tokens``), with no ``EntityRecord`` built; ``parse_record`` runs
-only on a record the quick test cannot clear, to name its fault.
+Every tool reads its input once, a line at a time; sampled or filtered
+lines are copied byte-identically, so link ids and provenance survive.
+Not every tool holds bounded memory: sample holds its reservoir, validate
+every link id, and stats every distinct URI of each slot and every type.
+
+validate, filter-type and stats judge a line by one function,
+``_line_records``: the head check (``line_text``) and the linkage-line
+split (``split_link_line``, which names each fault of a line's cut, link
+id and group count) that join2 and join3 use, then a check of each record
+by its escaped tokens (``record_tokens``), with no ``EntityRecord`` built;
+``parse_record`` runs only on a record the quick test cannot clear, to
+name its fault.
 """
 
 from __future__ import annotations

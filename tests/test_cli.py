@@ -1,13 +1,22 @@
+import errno
 import hashlib
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatlink
 from flatlink.cli import build_parser, main, parse_pipeline_config
 from flatlink.engine import ExecConfig
 from flatlink.errors import ConfigError
@@ -494,6 +503,10 @@ OUTPUT_ERRORS = {
                                   _NO_DIR),
     "filter-type-out-is-a-dir": (["filter-type", "--in", "absent", "--out", "adir",
                                   "--mode", "entity", "--type-uri", "http://t"], _IS_DIR),
+    # Refused before the output is opened, so nothing is written either.
+    "join2-three-labels": (["join2", "--left", "absent", "--right", "absent", "--gt", "absent",
+                            "--labels", "f,d,y", "--out", "o"],
+                           "error: --labels needs exactly two comma-separated labels"),
 }
 
 
@@ -508,6 +521,48 @@ def test_output_and_spill_dir_errors_name_the_given_path(capsys, tmp_path, monke
     assert [line for line in stderr.splitlines() if line.startswith("error: ")] == [message]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.nt", "adir"]
     assert list((tmp_path / "adir").iterdir()) == []
+
+
+# A child that lowers its own file-size limit and runs the CLI, so a write
+# past the limit fails with EFBIG (Python ignores SIGXFSZ).
+_FSIZE_CHILD = """
+import resource, sys
+from flatlink.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.RLIM_INFINITY))
+sys.exit(main(sys.argv[2:]))
+"""
+_FSIZE_ERRORS = {
+    "output": ([], "error: cannot write o.ents: {reason}"),
+    "spill-run": (["--memory-budget", "300000", "--spill-dir", "sp"],
+                  "error: [Errno {errno}] {reason}: 'sp'"),
+}
+
+
+@pytest.mark.skipif(resource is None or not hasattr(resource, "RLIMIT_FSIZE"),
+                    reason="needs resource.RLIMIT_FSIZE")
+@pytest.mark.parametrize("case", sorted(_FSIZE_ERRORS))
+def test_a_write_that_fails_mid_stage_names_its_file(tmp_path, case):
+    # The output's write fails as an EngineError naming the output as given;
+    # a spill run's stays an OSError and names the spill dir.  Either way no
+    # temp output or spill run is left.  Every write past 100 kB fails.
+    (tmp_path / "kb.nt").write_text(
+        "".join(f'<http://e/{i:06}> <http://p/v> "{"x" * 40}" .\n' for i in range(5000)),
+        encoding="utf-8")
+    (tmp_path / "sp").mkdir()
+    flags, message = _FSIZE_ERRORS[case]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flatlink.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    child = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", _FSIZE_CHILD,
+         "100000", "compile", "--label", "kb", "--in", "kb.nt", "--out", "o.ents", *flags],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr.splitlines()[1:] == [
+        message.format(errno=errno.EFBIG, reason=os.strerror(errno.EFBIG))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.nt", "sp"]
+    assert list((tmp_path / "sp").iterdir()) == []
 
 
 # Each input that cannot be opened, written here as BAD, is refused by the
@@ -581,6 +636,30 @@ def test_pipeline_refuses_a_config_line_that_is_not_utf8(capsys, demo_dir):
     assert code == 2
     assert (stdout, stderr) == ("", f"error: {cfg}:{line_no}: not UTF-8\n")
     assert sorted(os.listdir(demo_dir)) == names  # no out/
+
+
+def test_config_lines_end_where_text_mode_ends_them(demo_dir):
+    # LF, CR LF and a lone CR end a line, and a last line needs no ending;
+    # a form feed, vertical tab or 0x1C-0x1E separator inside a value ends
+    # nothing.
+    lines = (demo_dir / "demo.cfg").read_bytes().splitlines()
+    assert len(lines) > 10
+    expected = parse_pipeline_config(str(demo_dir / "demo.cfg"))
+    for name, data in [("crlf", b"\r\n".join(lines) + b"\r\n"),
+                       ("cr", b"\r".join(lines) + b"\r"),
+                       ("no-final-newline", b"\n".join(lines))]:
+        (demo_dir / f"{name}.cfg").write_bytes(data)
+        assert parse_pipeline_config(str(demo_dir / f"{name}.cfg")) == expected, name
+    cfg = demo_dir / "sep.cfg"
+    for sep in b"\x0b\x0c\x1c\x1d\x1e":
+        cfg.write_bytes(b"\n".join(lines) + b"\nspill_dir=a" + bytes([sep]) + b"b\n")
+        engine_values = parse_pipeline_config(str(cfg)).engine_values
+        assert engine_values["spill_dir"] == str(demo_dir / f"a{chr(sep)}b")
+    # The bad line is numbered among CR-ended lines, not as their one line.
+    cfg.write_bytes(b"\r".join(lines[:4]) + b"\rkb9.x=a\xff\r" + b"\r".join(lines[4:]))
+    with pytest.raises(ConfigError) as exc:
+        parse_pipeline_config(str(cfg))
+    assert str(exc.value) == f"{cfg}:5: not UTF-8"
 
 
 @pytest.mark.parametrize("key", ["kb1.out", "link1.out"])

@@ -609,6 +609,22 @@ def test_atomic_output_failure_keeps_target_and_leaves_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_atomic_output_that_cannot_replace_its_target_names_it(tmp_path):
+    # The target turns into a non-empty directory while the block runs, so
+    # os.replace fails: the error names the target, not the temp file, the
+    # temp file goes and the directory stays as it is.
+    target = tmp_path / "out"
+    with pytest.raises(EngineError) as exc:
+        with atomic_output(str(target)) as out:
+            out.write(b"new\n")
+            target.mkdir()
+            (target / "kept").write_bytes(b"old\n")
+    assert str(exc.value) == f"cannot write {target}: {os.strerror(errno.EISDIR)}"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in target.iterdir()] == ["kept"]
+    assert (target / "kept").read_bytes() == b"old\n"
+
+
 def test_atomic_output_gets_the_mode_of_a_plainly_opened_file(tmp_path):
     # mkstemp would create 0600; a new file from open(path, "wb") gets
     # 0666 less the umask.

@@ -78,6 +78,8 @@ def test_blank_and_comment_lines_skip(line):
         "<http://x/a> <http://x/p> <a\\u+041> .",
         '<http://x/a> <http://x/p> "x\\U-0000041" .',
         "<http://x/a\\U0000_041> <http://x/p> <http://x/b> .",
+        # a line cut off inside an escape
+        '<http://x/a> <http://x/p> "x\\u12',
     ],
 )
 def test_malformed_lines_raise(line):
@@ -689,3 +691,33 @@ def test_read_lines_checks_utf8_without_a_str_of_the_block(tmp_path):
             tracemalloc.stop()
         assert count == 12_000
     assert peaks["utf8"] - peaks["ascii"] < 4 << 10
+
+
+class _CountingSplits(bytes):
+    """A part whose split() counts its calls."""
+
+    splits = 0
+
+    def split(self, *args):
+        type(self).splits += 1
+        return super().split(*args)
+
+
+def test_cut_lines_splits_a_part_at_most_once():
+    # Each matched line whose decoding fails is cut from the part; the part
+    # is split on the first such line only, not again for each.
+    bad = b'<http://x/s> <http://x/p> "v\\uD800" .'
+    good = b'<http://x/s> <http://x/p> "v\\u00E9" .'
+    part = _CountingSplits(b"\n".join([bad, good, bad, bad, good, bad]) + b"\n")
+    rows = rdf_ingest._ESCAPED_LINES.findall(part, 0, len(part) - 1)
+    report = ParseReport()
+    triples, numbers = rdf_ingest._cut_lines(part, rows, 10, report)
+    assert _CountingSplits.splits == 1
+    assert numbers == [12, 15]
+    assert triples == [(b"http://x/s", b"http://x/p", "Lvé".encode())] * 2
+    assert report.first_errors == [
+        (line_no, "\\u escape is a surrogate code point") for line_no in (11, 13, 14, 16)
+    ]
+    _CountingSplits.splits = 0
+    rdf_ingest._cut_lines(_CountingSplits(good + b"\n"), rows[1:2], 0, ParseReport())
+    assert _CountingSplits.splits == 0

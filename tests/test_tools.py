@@ -363,6 +363,22 @@ def test_validate_mode_checked():
         validate("x", "link9")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda out: filter_by_type("absent", TypeFilterSpec(FOOT), out, "link9"),
+     "unknown mode 'link9'"),
+    (lambda out: filter_by_type("absent", TypeFilterSpec(FOOT, side="left"), out, "link2"),
+     "unknown side 'left'"),
+    (lambda out: stats("absent", "link9"), "unknown mode 'link9'"),
+])
+def test_library_calls_refuse_an_unknown_mode_or_side(tmp_path, call, message):
+    # The CLI's choices never let these through; a library caller is refused
+    # before any file is opened or written.
+    with pytest.raises(FlatlinkError) as exc:
+        call(str(tmp_path / "out"))
+    assert str(exc.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- one judge per line -------------------------------------------------------
 
 BAD_TYPED_LINES = {
