@@ -3,8 +3,10 @@
 Subcommands: compile, join2, join3, sample, filter-type, stats, validate,
 pipeline.  Every run echoes its effective configuration to stderr so results
 can be reproduced: every parsed argument by its dest, plus the engine
-settings the engine flags resolved to.  Failures print a single
-``error: ...`` line and exit nonzero.
+settings the engine flags resolved to.  Each stage's report is printed to
+stdout as data, one ``name=value`` word per report field; ``stats`` and
+``validate`` also print text.  Failures print a single ``error: ...`` line
+and exit nonzero.
 
 Engine settings are the sort memory budget and the spill directory.  They
 resolve flag > environment > config file > default; ``FLATLINK_SPILL_DIR`` is
@@ -17,7 +19,7 @@ import argparse
 import os
 import shlex
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
 
 from .engine import ExecConfig, make_dir, open_input
@@ -61,6 +63,21 @@ def _shell_word(value) -> str:
     return shlex.quote(text)
 
 
+def _report_line(report, omit: str = "") -> str:
+    """One `name=value` word per field of a stage report, in field order: a
+    list or tuple value joined by commas, a nested report and the field
+    named `omit` left out."""
+    words = []
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name == omit or is_dataclass(value):
+            continue
+        if isinstance(value, (list, tuple)):
+            value = ",".join(map(str, value))
+        words.append(f"{f.name}={value}")
+    return " ".join(words)
+
+
 def _exec_config(args, file_values: dict | None = None) -> ExecConfig:
     file_values = file_values or {}
     spill_dir = args.spill_dir
@@ -100,8 +117,7 @@ def _cmd_compile(args) -> int:
     cfg = _exec_config(args)
     spec = KbSpec(args.label, _split_inputs(args.inputs, "--in"), args.out)
     _echo_config(args, cfg)
-    report = compile_kb(spec, cfg)
-    print(report.as_kv())
+    print(_report_line(compile_kb(spec, cfg)))
     return 0
 
 
@@ -115,7 +131,7 @@ def _cmd_join2(args) -> int:
         args.left, args.right, args.gt, args.gt_format, labels, args.out, cfg,
         sameas_uri=args.sameas_uri,
     )
-    print(report.as_kv())
+    print(_report_line(report))
     return 0
 
 
@@ -123,7 +139,7 @@ def _cmd_join3(args) -> int:
     cfg = _exec_config(args)
     _echo_config(args, cfg)
     report = join3(args.left, args.right, args.shared, args.order.split(","), args.out, cfg)
-    print(report.as_kv())
+    print(_report_line(report))
     return 0
 
 
@@ -145,7 +161,19 @@ def _cmd_filter_type(args) -> int:
 def _cmd_stats(args) -> int:
     _echo_config(args)
     report = stats(args.infile, args.mode, args.type_predicate, args.top_k)
-    print(report.as_kv() if args.machine else report.as_text())
+    if args.machine:
+        types = [f"type:{uri}={n}" for uri, n in report.top_types]
+        print(" ".join([_report_line(report, omit="top_types"), *types]))
+        return 0
+    print(f"lines:       {report.lines}")
+    print(f"bytes:       {report.bytes}")
+    print(f"unparseable: {report.unparseable}")
+    for i, count in enumerate(report.slot_entities, 1):
+        print(f"slot {i} distinct entities: {count}")
+    if report.top_types:
+        print("top types:")
+    for uri, n in report.top_types:
+        print(f"  {n:>10}  {uri}")
     return 0
 
 
@@ -153,7 +181,7 @@ def _cmd_validate(args) -> int:
     _echo_config(args)
     report = validate(args.infile, args.mode)
     if args.machine:
-        print(report.as_kv())
+        print(f"ok_lines={report.ok_lines} violations={report.violation_count}")
     else:
         print(f"ok_lines:   {report.ok_lines}")
         print(f"violations: {report.violation_count}")
@@ -343,7 +371,7 @@ def _cmd_pipeline(args) -> int:
     for key, (given, path) in pipe.outputs.items():
         make_dir(os.path.dirname(path), f"{key}: cannot write {given}")
     for stage in stages:
-        print(stage().as_kv())
+        print(_report_line(stage()))
     return 0
 
 

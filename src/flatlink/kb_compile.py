@@ -68,12 +68,6 @@ class CompileReport:
     spill_runs: int = 0
     parse: ParseReport = field(default_factory=ParseReport)
 
-    def as_kv(self) -> str:
-        return (
-            f"label={self.label} entities={self.entities} triples={self.triples} "
-            f"skipped_lines={self.skipped_lines} spill_runs={self.spill_runs}"
-        )
-
 
 def _records(items: Iterator[bytes], stats: engine.JobStats) -> Iterator[bytes]:
     # Sorted items `subject TAB predicate TAB seq8 kind lexical`: subject and

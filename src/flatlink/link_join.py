@@ -253,14 +253,6 @@ class Join2Report:
     gt_lines_skipped: int = 0
     spill_runs: int = 0
 
-    def as_kv(self) -> str:
-        return (
-            f"labels={self.labels[0]},{self.labels[1]} pairs_read={self.pairs_read} "
-            f"pairs_unique={self.pairs_unique} pairs_dropped_left={self.pairs_dropped_left} "
-            f"pairs_dropped_right={self.pairs_dropped_right} lines_emitted={self.lines_emitted} "
-            f"gt_lines_skipped={self.gt_lines_skipped} spill_runs={self.spill_runs}"
-        )
-
 
 def _entity_lines(path: str, side: str) -> Iterator[tuple[bytes, bytes]]:
     """(raw URI, verbatim line) of each line of an entity file, every line
@@ -426,12 +418,6 @@ class Join3Report:
     lines_right: int = 0
     lines_emitted: int = 0
     spill_runs: int = 0
-
-    def as_kv(self) -> str:
-        return (
-            f"lines_left={self.lines_left} lines_right={self.lines_right} "
-            f"lines_emitted={self.lines_emitted} spill_runs={self.spill_runs}"
-        )
 
 
 def _cut_2way(line: bytes, shared: bytes, others: dict[bytes, bytes]) -> tuple[bytes, ...]:

@@ -15,8 +15,10 @@ sampled into the report, and skipped.
 
 Every raw input, KB files and both ground-truth formats, is read as bytes
 in blocks of whole lines of about 8 KiB, one block at a time, by one block
-reader, plain or ``.gz``; a file that cannot be opened, or a damaged
-``.gz``, is one ``FlatlinkError``.  One splitter turns the blocks into parts
+reader, plain or ``.gz``: it cuts each read of 8 KiB after its last LF or
+CR, so a block stays near 8 KiB whether lines end in LF, CR LF or a lone
+CR.  A file that cannot be opened, or a damaged ``.gz``, is one
+``FlatlinkError``.  One splitter turns the blocks into parts
 of UTF-8 lines, each ending in LF: it splits where text mode splits (LF, CR
 LF, lone CR), counts each line and skips one that is not UTF-8, checking
 UTF-8 a few hundred bytes at a time.  A UTF-8 block is one part, any other
@@ -424,15 +426,27 @@ def iter_triples(
 
 def _blocks(path: str | os.PathLike) -> Iterator[bytes]:
     """The bytes of a plain or .gz file in blocks of whole lines, about
-    8 KiB each; every block but the last ends at an LF, so no CR LF spans
-    two.  A file that cannot be opened, or a damaged .gz, raises
-    FlatlinkError naming the path."""
+    8 KiB each.  Each read of 8 KiB is cut after its last LF or CR, but not
+    after a CR that is its last byte, which an LF may follow; so every block
+    but the last ends at an LF or a CR, and no CR LF spans two.  A read with
+    no line end is held until one comes, so a long line is joined once.  A
+    file that cannot be opened, or a damaged .gz, raises FlatlinkError
+    naming the path."""
+    held: list[bytes] = []
     try:
         with _open_bytes(path) as fh:
-            while block := fh.readlines(1 << 13):
-                yield b"".join(block)
+            while data := fh.read(1 << 13):
+                end = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+                if not end:
+                    held.append(data)
+                    continue
+                held.append(data[:end])
+                yield b"".join(held)
+                held = [data[end:]]
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise FlatlinkError(f"{path}: damaged gzip data: {exc}") from exc
+    if last := b"".join(held):
+        yield last
 
 
 # The bytes _is_utf8 decodes at a time: their str holds at most 2 KiB.

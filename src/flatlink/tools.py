@@ -172,29 +172,6 @@ class StatsReport:
     slot_entities: list[int] = field(default_factory=list)  # distinct URIs per slot
     top_types: list[tuple[str, int]] = field(default_factory=list)
 
-    def as_kv(self) -> str:
-        slots = ",".join(str(c) for c in self.slot_entities)
-        types = " ".join(f"type:{uri}={n}" for uri, n in self.top_types)
-        base = (
-            f"mode={self.mode} lines={self.lines} bytes={self.bytes} "
-            f"unparseable={self.unparseable} slot_entities={slots}"
-        )
-        return f"{base} {types}".rstrip()
-
-    def as_text(self) -> str:
-        out = [
-            f"lines:       {self.lines}",
-            f"bytes:       {self.bytes}",
-            f"unparseable: {self.unparseable}",
-        ]
-        for i, count in enumerate(self.slot_entities, 1):
-            out.append(f"slot {i} distinct entities: {count}")
-        if self.top_types:
-            out.append("top types:")
-            for uri, n in self.top_types:
-                out.append(f"  {n:>10}  {uri}")
-        return "\n".join(out)
-
 
 def stats(
     in_path: str,
@@ -240,9 +217,6 @@ class ValidationReport:
         self.violation_count += 1
         if len(self.violations) < VIOLATION_CAP:
             self.violations.append((line_no, reason))
-
-    def as_kv(self) -> str:
-        return f"ok_lines={self.ok_lines} violations={self.violation_count}"
 
 
 def validate(in_path: str, mode: str) -> ValidationReport:

@@ -757,6 +757,86 @@ def test_stats_text_output(capsys, demo_dir):
     assert len(lines) == 7
 
 
+_FD_TYPES = [
+    (2, "http://dbpedia.org/ontology/FootballPlayer"),
+    (2, "http://dbpedia.org/ontology/MusicalArtist"),
+    (2, "http://rdf.freebase.com/ns/music.artist"),
+    (2, "http://rdf.freebase.com/ns/sports.football_player"),
+    (1, "http://dbpedia.org/ontology/CivilParish"),
+    (1, "http://dbpedia.org/ontology/Person"),
+    (1, "http://rdf.freebase.com/ns/location.civil_parish"),
+]
+# Every line a run prints on the demo, whole: (argv, exit code, stdout).
+# {d} is the demo copy, {o} its out/ after the pipeline.
+PRINTED = [
+    (["pipeline", "--config", "{d}/demo.cfg"], 0, [
+        "label=freebase entities=8 triples=18 skipped_lines=0 spill_runs=0",
+        "label=dbpedia entities=7 triples=17 skipped_lines=0 spill_runs=0",
+        "label=yago entities=5 triples=8 skipped_lines=0 spill_runs=0",
+        "labels=freebase,dbpedia pairs_read=8 pairs_unique=8 pairs_dropped_left=1"
+        " pairs_dropped_right=1 lines_emitted=6 gt_lines_skipped=0 spill_runs=0",
+        "labels=yago,dbpedia pairs_read=6 pairs_unique=6 pairs_dropped_left=1"
+        " pairs_dropped_right=0 lines_emitted=5 gt_lines_skipped=0 spill_runs=0",
+        "lines_left=6 lines_right=5 lines_emitted=4 spill_runs=0",
+    ]),
+    (["compile", "--label", "yago", "--in", "{d}/yago.nt", "--out", "{d}/y.ents"], 0, [
+        "label=yago entities=5 triples=8 skipped_lines=0 spill_runs=0",
+    ]),
+    (["join2", "--left", "{o}/freebase.ents", "--right", "{o}/dbpedia.ents",
+      "--gt", "{d}/gt_fd.tsv", "--labels", "freebase,dbpedia", "--out", "{d}/fd.links"], 0, [
+        "labels=freebase,dbpedia pairs_read=8 pairs_unique=8 pairs_dropped_left=1"
+        " pairs_dropped_right=1 lines_emitted=6 gt_lines_skipped=0 spill_runs=0",
+    ]),
+    (["join3", "--left", "{o}/fd.links", "--right", "{o}/yd.links", "--shared", "dbpedia",
+      "--order", "dbpedia,freebase,yago", "--out", "{d}/dfy.links"], 0, [
+        "lines_left=6 lines_right=5 lines_emitted=4 spill_runs=0",
+    ]),
+    (["stats", "--in", "{o}/fd.links", "--mode", "link2", "--machine"], 0, [
+        "mode=link2 lines=6 bytes=2849 unparseable=0 slot_entities=6,6 "
+        + " ".join(f"type:{uri}={n}" for n, uri in _FD_TYPES),
+    ]),
+    (["stats", "--in", "{o}/yago.ents", "--mode", "entity", "--machine", "--top-k", "0"], 0, [
+        "mode=entity lines=5 bytes=773 unparseable=0 slot_entities=5",
+    ]),
+    (["stats", "--in", "{o}/fd.links", "--mode", "link2"], 0, [
+        "lines:       6",
+        "bytes:       2849",
+        "unparseable: 0",
+        "slot 1 distinct entities: 6",
+        "slot 2 distinct entities: 6",
+        "top types:",
+        *(f"  {n:>10}  {uri}" for n, uri in _FD_TYPES),
+    ]),
+    (["validate", "--in", "{o}/yago.ents", "--mode", "entity", "--machine"], 0, [
+        "ok_lines=5 violations=0",
+    ]),
+    (["validate", "--in", "{d}/bad.ents", "--mode", "entity", "--machine"], 1, [
+        "ok_lines=1 violations=1",
+    ]),
+    (["validate", "--in", "{d}/bad.ents", "--mode", "entity"], 1, [
+        "ok_lines:   1",
+        "violations: 1",
+        "  line 2: even token count (2)",
+    ]),
+    (["sample", "--in", "{o}/dfy.links", "--out", "{d}/dfy.sample.links", "-n", "2"], 0, [
+        "lines_written=2",
+    ]),
+    (["filter-type", "--in", "{o}/fd.links", "--out", "{d}/players.links", "--mode", "link2",
+      "--type-uri", "http://dbpedia.org/ontology/FootballPlayer"], 0, [
+        "lines_written=2",
+    ]),
+]
+
+
+def test_every_printed_line_on_the_demo(capsys, demo_dir):
+    # Whole lines, so a report key that drifts from its field, a field that
+    # moves or a separator that changes fails here.
+    (demo_dir / "bad.ents").write_bytes(b"http://a/1\tk\tv\nuri\tkey-without-value\n")
+    for argv, code, lines in PRINTED:
+        argv = [a.format(d=demo_dir, o=demo_dir / "out") for a in argv]
+        assert run(capsys, *argv)[:2] == (code, "".join(line + "\n" for line in lines)), argv
+
+
 _KB = "kb{i}.label=k{i}\nkb{i}.inputs=x{i}.nt\nkb{i}.out=o{i}.ents\n"
 _LINK = "link{i}.gt=g{i}\nlink{i}.gt_format=tsv-pairs\nlink{i}.out=l{i}.links\n"
 _THREE = (_KB.format(i=1) + _KB.format(i=2) + _KB.format(i=3) + _LINK.format(i=1)

@@ -578,6 +578,26 @@ def test_fast_path_matches_character_parser(line):
     assert report == expected
 
 
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("shift", range(12))
+def test_blocks_end_at_a_line_end_and_keep_cr_lf_whole(tmp_path, ending, shift):
+    # A first line of 11 + `shift` bytes, then lines of 12, so that across
+    # the shifts each byte of a line, the CR of a CR LF among them, falls on
+    # the last byte of the first 8 KiB read; then one line of 10 reads.  A
+    # block may start with what the read before it left after its cut.
+    lines = [b"x" * (11 + shift - len(ending))] + [b"y" * (12 - len(ending))] * 2000
+    lines.append(b"z" * (10 << 13))
+    data = b"".join(line + ending for line in lines)
+    path = tmp_path / "kb.nt"
+    path.write_bytes(data)
+    blocks = list(rdf_ingest._blocks(path))
+    assert b"".join(blocks) == data
+    assert all(block.endswith((b"\n", b"\r")) for block in blocks)
+    assert not any(a.endswith(b"\r") and b.startswith(b"\n") for a, b in zip(blocks, blocks[1:]))
+    assert max(len(block) for block in blocks[:-1]) <= (1 << 13) + 12
+    assert blocks[-1] == b"z" * (10 << 13) + ending
+
+
 @pytest.mark.parametrize(
     "damage, cause",
     [("truncated", EOFError), ("corrupt", zlib.error), ("header", gzip.BadGzipFile)],
@@ -599,7 +619,7 @@ def test_read_lines_names_a_damaged_gz_file(tmp_path, damage, cause):
             for got in reader(path, report):
                 yielded += count(got)
         assert type(info.value.__cause__) is cause
-        assert yielded == report.lines_total == len(io.BytesIO(data).readlines(1 << 13))
+        assert yielded == report.lines_total == data[: 1 << 13].count(b"\n")
 
 
 def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
@@ -654,12 +674,14 @@ def test_only_missed_or_undecodable_lines_reach_the_character_parser(tmp_path, m
 
 
 def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
-    # Clean LF lines, and escaped CR LF lines, which each block first rejoins
-    # with LFs.
+    # Clean LF lines, escaped CR LF lines, which each block first rejoins
+    # with LFs, and clean lines that end in a lone CR, which a reader that
+    # cut blocks only at LF would read whole.
     path = tmp_path / "kb.nt"
     lines = criterion8_lines(3500)
     for data in (b"".join(line + b"\n" for line in lines),
-                 b"".join(_escape(line) + b"\r\n" for line in lines)):
+                 b"".join(_escape(line) + b"\r\n" for line in lines),
+                 b"".join(line + b"\r" for line in lines)):
         path.write_bytes(data)
         assert path.stat().st_size > 2_000_000
         tracemalloc.start()
@@ -670,6 +692,23 @@ def test_iter_triple_bytes_holds_one_block_at_a_time(tmp_path):
             tracemalloc.stop()
         assert count == 35_350
         assert peak < 512 << 10
+
+
+def test_read_lines_holds_one_block_at_a_time(tmp_path):
+    # Ground-truth rows that end in a lone CR: the blocks are cut at CR as
+    # at LF, so the reader holds one block, not the file.
+    path = tmp_path / "gt.tsv"
+    path.write_bytes(b"".join(b"http://f/%07d\thttp://d/%07d\r" % (i, i * 7919 % 10**7)
+                              for i in range(100_000)))
+    assert path.stat().st_size > 2_800_000
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in read_lines(path, ParseReport()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 100_000
+    assert peak < 512 << 10
 
 
 def test_read_lines_checks_utf8_without_a_str_of_the_block(tmp_path):
