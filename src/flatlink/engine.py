@@ -58,29 +58,17 @@ class ExecConfig:
 
 @dataclass
 class JobStats:
-    """Filled in as a job runs; spill_runs is the observable for scale tests.
+    """Filled in as a job runs, each count exact for the whole job;
+    spill_runs is the observable for scale tests.
 
     items_in counts the items fed to every sort of the job, each one
     external_sort call; each sorter adds its count when it spills a run or
     starts to yield from memory, so counting costs nothing per item.
-    peak_buffer_bytes is the largest in-memory buffer one sort of the job
-    held, as an exact byte count: sys.getsizeof(item) plus an 8-byte list
-    slot per item (the list's spare capacity aside).  A sort that spilled
-    holds no buffer while it merges, and one that did not lets go of each
-    item as it yields it, so when a later sort is fed from an earlier one's
-    output (join2's and join3's second sorts take the outputs of their
-    first) the two hold about one buffer of items between them; this
-    figure does not add the two buffers up.
     """
 
     items_in: int = 0
     spill_runs: int = 0
-    peak_buffer_bytes: int = 0
     keys_reduced: int = 0
-
-    def saw_buffer(self, nbytes: int) -> None:
-        if nbytes > self.peak_buffer_bytes:
-            self.peak_buffer_bytes = nbytes
 
 
 class _Spill:
@@ -136,7 +124,6 @@ class ExternalSorter:
     def _spill(self) -> None:
         if not self._buffer:
             return
-        self.stats.saw_buffer(self._buffer_bytes)
         self.stats.items_in += len(self._buffer)
         self._buffer.sort()
         self._runs.append(_Spill(self.spill_dir, self._buffer))
@@ -153,7 +140,6 @@ class ExternalSorter:
         as one more run and merges runs only, so it holds no buffer then.
         """
         if not self._runs:
-            self.stats.saw_buffer(self._buffer_bytes)
             buffer = self._buffer
             self.stats.items_in += len(buffer)
             buffer.sort(reverse=True)
@@ -235,6 +221,16 @@ class _OutputFile(io.FileIO):
 
 
 @contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Raise an OSError of the block as the EngineError that reads
+    `cannot write <path>: <OS reason>`."""
+    try:
+        yield
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
 def atomic_output(path: str) -> Iterator[BinaryIO]:
     """Open a temp file beside `path` for binary writing, and os.replace it
     onto `path` when the block ends cleanly; on any exception remove it and
@@ -245,23 +241,32 @@ def atomic_output(path: str) -> Iterator[BinaryIO]:
     it gets the same mode, not a private temp file's 0o600.  A stage enters
     this before it reads any input, so a target that is a directory, or
     that cannot be opened or replaced, is refused with an EngineError that
-    names `path` and the OS reason, never the temp name; so is a write or
-    flush to it that fails.
+    names `path` and the OS reason, never the temp name; so is a write,
+    flush or fsync to it that fails.
+
+    The temp file is fsynced before the replace and its directory after
+    it, so a crash or power loss leaves either the old file or the whole
+    new one, never the new name on a short file (Pillai et al., "All File
+    Systems Are Not Created Equal", OSDI 2014).
     """
     if os.path.isdir(path):
         raise EngineError(f"cannot write {path}: Is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
-    try:
+    with _writing(path):
         out = io.BufferedWriter(_OutputFile(tmp, path))
-    except OSError as exc:
-        raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with out:
             yield out
-        try:
+            out.flush()
+            with _writing(path):
+                os.fsync(out.fileno())
+        with _writing(path):
             os.replace(tmp, path)
-        except OSError as exc:
-            raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
+            dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -798,6 +798,24 @@ def test_join2_skips_invalid_utf8_ground_truth_line(tmp_path):
     )
     assert read_lines(out) == [f"fd-1\tfreebase-instance\t{f_line}\tdbpedia-instance\t{d_line}"]
     assert report.gt_lines_skipped == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+def test_join2_output_validates_or_join2_refuses(tmp_path):
+    # join2 checks only the join key of an entity line before it copies the
+    # record, so a record that validate flags must be refused, not copied.
+    left, right, gt = tmp_path / "f.ents", tmp_path / "d.ents", tmp_path / "gt.tsv"
+    left.write_bytes(b'http://f/1\tk\t""broken\n')
+    right.write_bytes(b'http://r/1\tk\t"ok"\n')
+    gt.write_bytes(b"http://f/1\thttp://r/1\n")
+    out = tmp_path / "fd.links"
+    try:
+        join2(str(left), str(right), str(gt), "tsv-pairs", ("freebase", "dbpedia"), str(out),
+              cfg_for(tmp_path))
+    except LinkJoinError:
+        assert list(tmp_path.glob("fd.links*")) == []
+    else:
+        assert validate(str(out), "link2").violation_count == 0
     assert report.pairs_read == 1
 
 

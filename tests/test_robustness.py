@@ -3,21 +3,27 @@ validate.
 
 The fault tests make one sort, one reduce, one record of compile or one
 output write of compile, join2 or join3 raise part-way through a spilling
-job.  The property test runs compile x3, join2 x2
-and join3 over generated N-Triples and ground truth of awkward shapes."""
+job.  The first property test runs compile x3, join2 x2
+and join3 over generated N-Triples and ground truth of awkward shapes.  The
+second runs `pipeline` on such inputs at three budgets: the outputs, or the
+one refusal, are the same at each, and no spill run, temp file or open
+descriptor is left."""
 
 import contextlib
 import functools
 import gzip
+import io
 import itertools
 import os
+import pathlib
+import shutil
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatlink import engine, kb_compile, link_join, rdf_ingest
+from flatlink import cli, engine, kb_compile, link_join, rdf_ingest
 from flatlink.engine import ExecConfig, JobStats
 from flatlink.kb_compile import KbSpec, compile_kb
 from flatlink.link_join import OWL_SAMEAS, join2, join3
@@ -322,3 +328,95 @@ def test_every_output_passes_validate(kbs, gt_fd, gt_yd, endings, budget):
                 ids = _link_ids(path)
                 assert len(ids) == len(set(ids))
         assert os.listdir(os.path.join(tmp, "spill")) == []
+
+
+# --- the three promises at spilling budgets -----------------------------------
+
+_PIPELINE_CFG = """\
+kb1.label=freebase
+kb1.inputs=freebase.nt
+kb1.out=out/freebase.ents
+kb2.label=dbpedia
+kb2.inputs=dbpedia.nt
+kb2.out=out/dbpedia.ents
+kb3.label=yago
+kb3.inputs=yago.nt
+kb3.out=out/yago.ents
+link1.gt=gt_fd.tsv
+link1.gt_format=tsv-pairs
+link1.out=out/fd.links
+link2.gt=gt_yd.nt
+link2.gt_format=ntriples-sameas
+link2.out=out/yd.links
+join3.out=out/dfy.links
+join3.order=dbpedia,freebase,yago
+"""
+_PIPELINE_OUTPUTS = ["freebase.ents", "dbpedia.ents", "yago.ents", "fd.links", "yd.links",
+                     "dfy.links"]
+
+
+@st.composite
+def _gt_with_faults(draw, left: str, tsv: bool) -> list[bytes]:
+    """_gt_lines with a duplicate of the pair every run keeps and a pair
+    whose URIs no KB holds, in a drawn order."""
+    lines = draw(_gt_lines(left, tsv))
+    dangling = (b"http://%b/absent\thttp://d/absent" % left.encode() if tsv else
+                b"<http://%b/absent> <%b> <http://d/absent> ." % (left.encode(),
+                                                                  OWL_SAMEAS.encode()))
+    return draw(st.permutations(lines + [lines[-1], dangling]))
+
+
+def _open_fds() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _run_pipeline(tmp: str, budget_flag: list[str]) -> tuple[int, list[str], dict]:
+    """cli pipeline's exit status, its error: lines and each output's bytes
+    (None where missing); checks that it leaves no spill run, temp file or
+    descriptor behind."""
+    out_dir = os.path.join(tmp, "out")
+    spill = os.path.join(tmp, "spill")
+    stderr = io.StringIO()
+    fds = _open_fds()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        status = cli.main(["pipeline", "--config", os.path.join(tmp, "pipe.cfg"),
+                           "--spill-dir", spill, *budget_flag])
+    assert _open_fds() == fds
+    assert not os.path.isdir(spill) or os.listdir(spill) == []
+    left = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+    assert set(left) <= set(_PIPELINE_OUTPUTS), left  # no <out>.<pid>.tmp
+    outputs = {name: pathlib.Path(out_dir, name).read_bytes() if name in left else None
+               for name in _PIPELINE_OUTPUTS}
+    shutil.rmtree(out_dir, ignore_errors=True)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    return status, errors, outputs
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kbs=st.tuples(_kb_lines("f"), _kb_lines("d"), _kb_lines("y")),
+    hub=st.integers(0, 40),
+    gt_fd=_gt_with_faults("f", tsv=True),
+    gt_yd=_gt_with_faults("y", tsv=False),
+    endings=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=5, max_size=5),
+)
+def test_pipeline_keeps_its_promises_at_every_budget(kbs, hub, gt_fd, gt_yd, endings):
+    # A 64-byte budget spills every item as its own run, 4 KiB spills some
+    # sorts and the default none; the outputs, or the one refusal, must not
+    # depend on which.  The shared KB's hub subject holds `hub` more values.
+    kbs = (kbs[0], kbs[1] + [b'<http://d/0> <http://x/hub> "v%d" .' % i for i in range(hub)],
+           kbs[2])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines, ending in zip(["freebase.nt", "dbpedia.nt", "yago.nt", "gt_fd.tsv",
+                                        "gt_yd.nt"], [*kbs, gt_fd, gt_yd], endings):
+            _write(os.path.join(tmp, name), lines, ending)
+        with open(os.path.join(tmp, "pipe.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(_PIPELINE_CFG)
+        runs = [_run_pipeline(tmp, flag)
+                for flag in (["--memory-budget", "64"], ["--memory-budget", "4096"], [])]
+    status, errors, outputs = runs[0]
+    assert all(run == runs[0] for run in runs[1:])
+    if status == 0:
+        assert errors == [] and None not in outputs.values()
+    else:
+        assert len(errors) == 1
