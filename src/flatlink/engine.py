@@ -204,6 +204,16 @@ def open_input(path: str | os.PathLike, opener=open) -> BinaryIO:
         raise FlatlinkError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Raise an OSError of the block as the EngineError that reads
+    `cannot write <path>: <OS reason>`."""
+    try:
+        yield
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 class _OutputFile(io.FileIO):
     """An output's temp file under its buffer: a write or flush that fails
     raises the EngineError that names the output as given, so a full disk
@@ -214,20 +224,8 @@ class _OutputFile(io.FileIO):
         self.path = path
 
     def write(self, data) -> int:
-        try:
+        with _writing(self.path):
             return super().write(data)
-        except OSError as exc:
-            raise EngineError(f"cannot write {self.path}: {exc.strerror}") from exc
-
-
-@contextlib.contextmanager
-def _writing(path: str) -> Iterator[None]:
-    """Raise an OSError of the block as the EngineError that reads
-    `cannot write <path>: <OS reason>`."""
-    try:
-        yield
-    except OSError as exc:
-        raise EngineError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 @contextlib.contextmanager
@@ -247,7 +245,9 @@ def atomic_output(path: str) -> Iterator[BinaryIO]:
     The temp file is fsynced before the replace and its directory after
     it, so a crash or power loss leaves either the old file or the whole
     new one, never the new name on a short file (Pillai et al., "All File
-    Systems Are Not Created Equal", OSDI 2014).
+    Systems Are Not Created Equal", OSDI 2014).  A directory fsync that
+    fails is refused the same way, but the whole new file is then already
+    in place under `path`.
     """
     if os.path.isdir(path):
         raise EngineError(f"cannot write {path}: Is a directory")

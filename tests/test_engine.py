@@ -753,6 +753,29 @@ def test_atomic_output_whose_fsync_fails_names_it_and_changes_nothing(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_atomic_output_whose_dir_fsync_fails_names_it_after_the_replace(
+    tmp_path, monkeypatch
+):
+    # The directory is synced after the rename, so the refusal comes with
+    # the whole new file already under the output's name.
+    target = tmp_path / "out"
+    target.write_bytes(b"old\n")
+    fsync = os.fsync
+
+    def dir_failing_fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", dir_failing_fsync)
+    with pytest.raises(EngineError) as exc:
+        with atomic_output(str(target)) as out:
+            out.write(b"new\n")
+    assert str(exc.value) == f"cannot write {target}: {os.strerror(errno.EIO)}"
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_atomic_output_gets_the_mode_of_a_plainly_opened_file(tmp_path):
     # mkstemp would create 0600; a new file from open(path, "wb") gets
     # 0666 less the umask.

@@ -20,7 +20,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlink import cli, engine, kb_compile, link_join, rdf_ingest
@@ -399,6 +399,16 @@ def _run_pipeline(tmp: str, budget_flag: list[str]) -> tuple[int, list[str], dic
     gt_fd=_gt_with_faults("f", tsv=True),
     gt_yd=_gt_with_faults("y", tsv=False),
     endings=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=5, max_size=5),
+)
+# A refusal, drawn on every run: yago holds no parseable triple, so its
+# compile fails after the other two KBs' sorts have spilled.
+@example(
+    kbs=([b'<http://f/0> <http://x/p> "kept" .'], [b'<http://d/0> <http://x/p> "kept" .'],
+         [b"not a triple", b"\xff\xfe"]),
+    hub=20,
+    gt_fd=[b"http://f/0\thttp://d/0"],
+    gt_yd=[b"<http://y/0> <%b> <http://d/0> ." % OWL_SAMEAS.encode()],
+    endings=[b"\n", b"\r\n", b"\r", b"\n", b"\n"],
 )
 def test_pipeline_keeps_its_promises_at_every_budget(kbs, hub, gt_fd, gt_yd, endings):
     # A 64-byte budget spills every item as its own run, 4 KiB spills some
