@@ -25,8 +25,9 @@ so the first bad escape names the error.
 ``escape_token_bytes`` applies the rule to UTF-8 bytes, and
 ``record_line_bytes`` writes ``serialize_record``'s line from a record's raw
 UTF-8 tokens, so no other module restates the rule.  A record with no
-backslash, TAB, LF, CR, ``""`` or ``-instance`` in any token is written
-without per-token escaping, since no token would change.
+``""`` or ``-instance`` in any token needs no guard, so its line is escaped
+whole rather than token by token (unless a token holds a NUL), or not at
+all when no token holds a backslash, TAB, LF or CR.
 
 ``parse_record`` builds a record and names the first fault of a bad line.
 ``record_tokens`` is its quick stand-in for callers that only judge a line
@@ -48,7 +49,7 @@ from .rdf_ingest import _BACKSLASH, _CR, _LF, _TAB, LITERAL, URI, ObjectValue, T
 LABEL_RE = re.compile(r"[a-z0-9][a-z0-9_.-]*")
 SENTINEL_SUFFIX = "-instance"
 SENTINEL_SHAPE = re.compile(LABEL_RE.pattern + re.escape(SENTINEL_SUFFIX))
-_SENTINEL_SHAPE_BYTES = re.compile(SENTINEL_SHAPE.pattern.encode("ascii"))
+_LABEL_BYTES = re.compile(LABEL_RE.pattern.encode("ascii"))
 _SENTINEL_SUFFIX_BYTES = SENTINEL_SUFFIX.encode("ascii")
 
 
@@ -93,25 +94,11 @@ def escape_token_bytes(raw: bytes) -> bytes:
             .replace(b"\r", b"\\r")
         )
     if esc.startswith(b'""') or (
-        esc.endswith(_SENTINEL_SUFFIX_BYTES) and _SENTINEL_SHAPE_BYTES.fullmatch(esc)
+        esc.endswith(_SENTINEL_SUFFIX_BYTES)
+        and _LABEL_BYTES.fullmatch(esc, 0, len(esc) - len(_SENTINEL_SUFFIX_BYTES))
     ):
         esc = b"\\s" + esc
     return esc
-
-
-def _escapes_nothing(line: bytes) -> bool:
-    """True when escape_token_bytes leaves every token of `line`, a record's
-    raw tokens joined by spaces, as it is.  No pattern here holds a space, so
-    the line holds one only where a token does; a token that holds none of
-    them has no byte to escape and needs no guard."""
-    return not (
-        _BACKSLASH in line
-        or _TAB in line
-        or _LF in line
-        or _CR in line
-        or line.find(b'""') >= 0
-        or line.find(_SENTINEL_SUFFIX_BYTES) >= 0
-    )
 
 
 def record_line_bytes(tokens: list[bytes], literals: list[int]) -> bytes:
@@ -120,15 +107,39 @@ def record_line_bytes(tokens: list[bytes], literals: list[int]) -> bytes:
     of the literal values.  The caller gives up `tokens`: its literals may be
     wrapped in place.
 
-    The tokens are checked once, joined by spaces, and escaped only when one
-    of them would change; the joined line is freed before the output line is
+    The tokens are checked once, joined by NUL; no pattern below holds a
+    NUL, so the joined line holds one only where a token does.  A record
+    whose tokens hold no ``""`` or ``-instance`` needs no guard.  If none
+    holds a byte to escape either, its literals are wrapped and it is
+    written as it is.  If one does and none holds a NUL, the NULs are just
+    the token bounds: the literals are wrapped, and the line is escaped
+    whole, then each NUL made a TAB; escaping changes no quote and no NUL,
+    so this equals escaping token by token.  Any other record is escaped a
+    token at a time.  The check line is freed before the output line is
     built, so a hub record holds no third copy.
     """
-    if not _escapes_nothing(b" ".join(tokens)):
+    line = b"\0".join(tokens)
+    escape = _BACKSLASH in line or _TAB in line or _LF in line or _CR in line
+    per_token = (
+        line.find(b'""') >= 0
+        or line.find(_SENTINEL_SUFFIX_BYTES) >= 0
+        or (escape and line.count(b"\0") >= len(tokens))
+    )
+    del line
+    if per_token:
         tokens = [escape_token_bytes(token) for token in tokens]
     for i in literals:
         tokens[i] = b'""' + tokens[i] + b'""'
-    return b"\t".join(tokens)
+    if per_token or not escape:
+        return b"\t".join(tokens)
+    return (
+        b"\0".join(tokens)
+        .replace(b"\\", b"\\\\")
+        .replace(b"\t", b"\\t")
+        .replace(b"\n", b"\\n")
+        .replace(b"\r", b"\\r")
+        .replace(b"\0", b"\t")
+    )
 
 
 # DOTALL, so that a backslash before a raw newline is an unknown code, not a
@@ -188,33 +199,33 @@ def serialize_record(rec: EntityRecord) -> str:
 # Every backslash of the line opens a known two-character code.  The loop is
 # unrolled, so it runs in linear time; a backslash before a TAB fails it.
 _CLEAN_ESCAPES = re.compile(r"[^\\]*(?:\\[\\tnrs][^\\]*)*")
-# A token after a TAB that opens a literal wrapper and does not close it.  The
-# pattern starts with a literal, so the engine skips straight to each "".
-_UNCLOSED_WRAPPER = re.compile(r'\t""(?![^\t]*""(?:\t|\Z))')
+# A token after a TAB that is empty, opens with a guard, or opens a literal
+# wrapper and does not close it.  The pattern starts with a TAB, so the
+# engine tries it only at the line's TABs.
+_SUSPECT_TOKEN = re.compile(r'\t(?:\t|\\s|""(?![^\t]*""(?:\t|\Z)))')
 
 
 def record_tokens(line: str) -> list[str] | None:
     """The escaped tokens of a record line that parse_record accepts, or None.
 
     A few whole-line tests stand in for parse_record's checks without
-    building the record.  They are conservative: None means only that they
-    could not prove the line well-formed, and parse_record then gives the
-    reason, or accepts the line after all.
+    building the record, and the line is split only once they pass.  They
+    are conservative: None means only that they could not prove the line
+    well-formed, and parse_record then gives the reason, or accepts the
+    line after all.
     """
-    tokens = line.split("\t")
-    if len(tokens) % 2 == 0 or len(tokens) == 1 or not tokens[0] or "" in tokens[1::2]:
-        return None
+    # An empty or guarded URI, and one that opens a quote, are left to
+    # parse_record: the codec writes no URI that opens with "" unguarded.
     # With every escape known, a token unescapes to "" only if it is \s
-    # guards alone.  The codec guards only rare tokens (a leading "" or a
-    # sentinel shape), so any token that opens with a guard is left to
-    # parse_record.
-    if "\\" in line and (
-        not _CLEAN_ESCAPES.fullmatch(line) or "\t\\s" in line or line.startswith("\\s")
-    ):
+    # guards alone, and the codec guards only rare tokens (a leading "" or a
+    # sentinel shape), so any token that opens with a guard is left to it too,
+    # as is an empty token, key or value.
+    if not line or line[0] in '\t\\"' or _SUSPECT_TOKEN.search(line):
         return None
-    # The codec guards a URI that starts with "", so such a line is no output
-    # of it and is left to parse_record as well.
-    if line.startswith('""') or _UNCLOSED_WRAPPER.search(line):
+    if "\\" in line and not _CLEAN_ESCAPES.fullmatch(line):
+        return None
+    tokens = line.split("\t")
+    if len(tokens) % 2 == 0 or len(tokens) == 1:
         return None
     return tokens
 

@@ -8,15 +8,18 @@ where each record slot is the verbatim line from the source entity file.
 A 3-way line carries ``<idA>,<idB>`` in its first slot followed by three
 (sentinel, record) groups.  Sentinels never occur inside record tokens (the
 token escape layer guards them), so every line parses on its own with one
-``re.split`` on ``TAB (<label>)-instance``, followed by a TAB or the end of
-the line.  The rules of a flat line live here, for join2's entity lines,
-join3's 2-way lines and every line of validate, filter-type and stats:
-``line_text`` refuses a raw CR and bytes that are not UTF-8, and
-``split_link_line`` runs the split on the bytes of a linkage line and names
-each fault of its cut, its link id and its group count itself.  Ground truth
-is read through ``rdf_ingest``'s block reader, tsv-pairs by ``read_lines``
-and ntriples-sameas by ``iter_triple_bytes``, and its pairs stay UTF-8
-bytes into join2's items.
+``split`` on ``-instance TAB``: a chunk whose tail after its last TAB is a
+label ends in a sentinel, and a sentinel may also end the line.  The rules
+of a flat line live here, for join2's entity lines, join3's 2-way lines and
+every line of validate, filter-type and stats: ``line_text`` refuses a raw
+CR and bytes that are not UTF-8, and ``split_link_line`` cuts the bytes of
+a linkage line and names each fault of its cut, its link id and its group
+count itself.  The whole-line check is the caller's: join3 runs it on every
+line, since it copies bytes, and the tools, which decode each piece they
+read, run it only on a fault, so it still names a line's first fault.
+Ground truth is read through ``rdf_ingest``'s block reader, tsv-pairs by
+``read_lines`` and ntriples-sameas by ``iter_triple_bytes``, and its pairs
+stay UTF-8 bytes into join2's items.
 
 join2 is a merge join, because entity files strictly ascend by raw URI, the
 join key: it sorts only the ground-truth items ``right TAB left`` and merges
@@ -40,13 +43,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import engine
 from .errors import FlatRecordError, LinkJoinError
-from .flat_record import LABEL_RE, SENTINEL_SUFFIX, unescape_token
+from .flat_record import (
+    _LABEL_BYTES, _SENTINEL_SUFFIX_BYTES, LABEL_RE, SENTINEL_SUFFIX, unescape_token,
+)
 from .rdf_ingest import (
     _BACKSLASH, _CONTROL_OR_SPACE, _CR, _TAB, ParseReport, iter_triple_bytes, read_lines,
 )
@@ -78,31 +82,59 @@ class LinkLine:
     groups: list[tuple[str, str]]  # (label, verbatim record slot)
 
 
-# A sentinel token with its leading tab; \Z, since $ would also match before
-# a trailing newline.  split() puts each label between its neighbouring slots.
-# It matches ASCII bytes only, and UTF-8 never puts an ASCII byte inside a
-# multi-byte sequence, so it cuts a UTF-8 line where a text split would.
-_SENTINEL_SPLIT_BYTES = re.compile(
-    ("\t(" + LABEL_RE.pattern + ")" + re.escape(SENTINEL_SUFFIX) + r"(?=\t|\Z)").encode("ascii")
-)
+# Every sentinel token but one that ends the line is followed by a TAB.
+_SENTINEL_TAB = _SENTINEL_SUFFIX_BYTES + b"\t"
+_LABEL = _LABEL_BYTES.fullmatch
 
 
 def _cut(line: bytes) -> list[bytes]:
     """[link id, label, record, label, record, ...] of a linkage line, or
     the fault of its cut: an empty id, no sentinel after it, or an empty
-    record slot."""
-    parts = _SENTINEL_SPLIT_BYTES.split(line)
+    record slot.
+
+    A sentinel is a token after a TAB that is a label and ``-instance``, so
+    one ``split`` on ``-instance`` TAB finds every candidate, and a line
+    that ends in ``-instance`` gets one more, with no slot after it.  A
+    chunk ends in a sentinel when its tail after its last TAB is a label; a
+    chunk with no TAB of its own has the TAB that ends the chunk before it,
+    and none if it opens the line.  Any other chunk is glued to the next,
+    with its ``-instance`` TAB.  A sentinel right after another, or at the
+    end of the line, leaves its slot missing (None), while a TAB there
+    gives an empty slot.  Every cut byte is ASCII, and UTF-8 never puts an
+    ASCII byte inside a multi-byte sequence, so this cuts a UTF-8 line
+    where a text split would.
+    """
+    chunks = line.split(_SENTINEL_TAB)
+    if line.endswith(_SENTINEL_SUFFIX_BYTES):
+        chunks[-1] = chunks[-1][: -len(_SENTINEL_SUFFIX_BYTES)]
+        chunks.append(None)
+    last = chunks.pop()
+    parts = []
+    glued = b""  # the chunks since the last sentinel, each with its -instance TAB
+    for chunk in chunks:
+        head, tab, label = chunk.rpartition(b"\t")
+        if _LABEL(label) and (tab or glued or parts):
+            if tab:
+                parts += glued + head, label
+            elif glued:
+                parts += glued[:-1], label
+            else:
+                parts += None, label  # right after another sentinel
+            glued = b""
+        else:
+            glued += chunk + _SENTINEL_TAB
+    if last is None:
+        parts.append(glued[:-1] if glued else None)
+    else:
+        parts.append(glued + last)
     link_id = parts[0]
     if not link_id or link_id[0] == _TAB:
         raise LinkJoinError("empty link id slot")
     if len(parts) == 1 or _TAB in link_id:
         raise LinkJoinError("expected a sentinel label after the link id")
-    slots = parts[2::2]
-    if not all(slots):
-        label = parts[2 * slots.index(b"") + 1].decode("ascii")
+    if None in parts:
+        label = parts[parts.index(None) - 1].decode("ascii")
         raise LinkJoinError(f"empty record slot under {label!r}")
-    # Each slot holds the tab after its sentinel, then the record.
-    parts[2::2] = [slot[1:] for slot in slots]
     return parts
 
 
@@ -145,11 +177,16 @@ def line_text(line: bytes) -> str:
 
 def split_link_line(line: bytes, arity: int) -> list[bytes]:
     """[link id, label, record, label, record, ...] of a linkage line with
-    `arity` record groups, or its first fault: the line checks, the cut, the
-    link-id rule of join3 and validate (no byte at or below 0x20, which would
-    sort join3's second sort out of idB order, and no opening literal
-    wrapper, which join3 would copy into `idA,idB`), the group count."""
-    line_text(line)
+    `arity` record groups, or its first fault: the cut, the link-id rule of
+    join3 and validate (no byte at or below 0x20, which would sort join3's
+    second sort out of idB order, and no opening literal wrapper, which
+    join3 would copy into `idA,idB`), the group count.
+
+    A raw CR or a UTF-8 fault comes before all of these, and the caller
+    checks for it with ``line_text``: join3 first, the tools, which decode
+    the pieces, only on a fault.  On a line that is not UTF-8 the id of a
+    message may not decode, and UnicodeDecodeError leaves instead.
+    """
     fields = _cut(line)
     link_id = fields[0]
     if _CONTROL_OR_SPACE.search(link_id):
@@ -422,7 +459,9 @@ class Join3Report:
 
 def _cut_2way(line: bytes, shared: bytes, others: dict[bytes, bytes]) -> tuple[bytes, ...]:
     """(shared URI, link id, other KB label, shared slot, other slot) of a
-    2-way line, or its first fault, which names no location."""
+    2-way line, or its first fault, which names no location.  join3 copies
+    the slots' bytes, so the whole line is checked first."""
+    line_text(line)
     link_id, label_a, slot_a, label_b, slot_b = split_link_line(line, 2)
     if label_a == shared:
         other, shared_slot, other_slot = label_b, slot_a, slot_b

@@ -11,7 +11,8 @@ split (``split_link_line``, which names each fault of a line's cut, link
 id and group count) that join2 and join3 use, then a check of each record
 by its escaped tokens (``record_tokens``), with no ``EntityRecord`` built;
 ``parse_record`` runs only on a record the quick test cannot clear, to
-name its fault.
+name its fault.  A linkage line is decoded once, as its link id and record
+slots; the whole line is decoded only to name a fault.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import FlatlinkError
 from .flat_record import parse_record, record_tokens, unescape_token
 # parse_link_line is not called here; it stays for the benchmark's trace hook.
 from .link_join import line_text, parse_link_line, split_link_line  # noqa: F401
+from .rdf_ingest import _CR
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -106,13 +108,26 @@ def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[list[str]]]:
     id (None in entity mode) and the escaped tokens of its records, or a
     FlatlinkError giving the reason.  The head check and the linkage split
     are join2's and join3's own; record_tokens clears a record without
-    building it, and parse_record names the reason of one it cannot clear."""
+    building it, and parse_record names the reason of one it cannot clear.
+
+    A link line is decoded once, a piece at a time: the id and the slots
+    meet at ASCII bytes, so the line is UTF-8 exactly when every piece is.
+    The head check runs on the whole line only on a fault, so a raw CR or a
+    UTF-8 fault still comes first, with the decoder's reason for the line.
+    """
     line = raw.rstrip(b"\n")
     if mode == "entity":
         return None, [_checked_tokens(line_text(line))]
-    fields = split_link_line(line, _ARITY[mode])
-    records = [_checked_tokens(slot.decode("utf-8")) for slot in fields[2::2]]
-    return fields[0].decode("utf-8"), records
+    if _CR in line:
+        line_text(line)  # raises: a raw CR is the first fault of any line
+    try:
+        fields = split_link_line(line, _ARITY[mode])
+        link_id = fields[0].decode("utf-8")
+        records = [_checked_tokens(slot.decode("utf-8")) for slot in fields[2::2]]
+    except (FlatlinkError, UnicodeDecodeError):
+        line_text(line)  # a UTF-8 fault anywhere in the line comes first
+        raise
+    return link_id, records
 
 
 def _type_values(tokens: list[str], type_predicate: str) -> Iterator[str]:

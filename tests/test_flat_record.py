@@ -348,6 +348,10 @@ records = st.builds(
 # A lone LF or CR is the only byte that makes these records need escaping.
 @example(EntityRecord("u", {"p": [ObjectValue(LITERAL, "a\nb")]}))
 @example(EntityRecord("u", {"p": [ObjectValue(URI, "a\rb")]}))
+# A NUL, a quote pair or a sentinel suffix sends the record a token at a time.
+@example(EntityRecord("u\x00", {"p": [ObjectValue(LITERAL, "a\tb")]}))
+@example(EntityRecord("u", {"p": [ObjectValue(LITERAL, '""\\')]}))
+@example(EntityRecord("u", {"a-instance": [ObjectValue(URI, "\n")]}))
 def test_record_line_bytes_equals_serialize_record(rec):
     tokens = [rec.uri.encode("utf-8")]
     literals = []
@@ -448,6 +452,9 @@ Q3 = '"""'
         (f"{Q3}{TAB}k{TAB}v", False, f"unbalanced literal quotes in token {Q3!r}"),
         (f"u{TAB}{Q3}{TAB}v", False, f"unbalanced literal quotes in token {Q3!r}"),
         (f"u{TAB}k{TAB}{Q3}", False, f"unbalanced literal quotes in token {Q3!r}"),
+        # A URI that opens with one quote, and an empty value.
+        (f'"u{TAB}k{TAB}v', False, None),
+        (f"u{TAB}k{TAB}{TAB}k{TAB}v", False, None),
     ],
 )
 def test_record_tokens_rows(line, cleared, reason):

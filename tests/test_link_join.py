@@ -18,13 +18,15 @@ from flatlink.link_join import (
     gen_link_id,
     join2,
     join3,
+    line_text,
     load_ground_truth,
     parse_link_line,
     sentinel_for,
     split_link_line,
 )
 from flatlink.rdf_ingest import LITERAL, URI, ObjectValue, iter_triples
-from flatlink.tools import validate
+from flatlink.flat_record import parse_record
+from flatlink.tools import _line_records, validate
 
 
 def cfg_for(tmp_path, **kw) -> ExecConfig:
@@ -532,6 +534,10 @@ link_line_pieces = st.sampled_from(
         "\t", "\\", "\n", "\r", "\x85", "\u2028", "\x00", '"', '""', "\\s",
         "-instance", "freebase", "dbpedia", "my-kb.2", "x", "Y", "_", ".", "-",
         "freebase-instance", "\tdbpedia-instance", "\tyago-instance\t", "fd-1",
+        # A sentinel-like token with a label the shape refuses, a label that
+        # ends in -instance, one that opens the line and one that ends it.
+        "Foo-instance", "http://x/a-instance", "a-instance-instance", "dbpedia-instance\t",
+        "\tyago-instance",
     ]
 )
 link_lines = st.one_of(
@@ -557,6 +563,16 @@ def test_parse_link_line_matches_token_loop(line):
         ("id\tfreebase-instance\tx\tdbpedia-instance\n", [("freebase", "x\tdbpedia-instance\n")]),
         ("id\tfreebase-instance\t\tdbpedia-instance\tx", [("freebase", ""), ("dbpedia", "x")]),
         ("id\ta-instance-instance\tx", [("a-instance", "x")]),
+        # Chunks of the cut that are glued to the next: no label, no TAB
+        # before it, and a line that ends in a token that is no sentinel.
+        ("id\tfreebase-instance\tFoo-instance\tdbpedia-instance\tx",
+         [("freebase", "Foo-instance"), ("dbpedia", "x")]),
+        ("id\tfreebase-instance\tFoo-instance\tx\tdbpedia-instance\ty",
+         [("freebase", "Foo-instance\tx"), ("dbpedia", "y")]),
+        ("dbpedia-instance\tfreebase-instance\tx", [("freebase", "x")]),
+        ("id\tfreebase-instance\tx\thttp://x/a-instance", [("freebase", "x\thttp://x/a-instance")]),
+        ("id\tfreebase-instance\tx\tyago-instance", "empty record slot under 'yago'"),
+        ("id\tfreebase-instance\tyago-instance", "empty record slot under 'freebase'"),
     ],
 )
 def test_parse_link_line_rows(line, expected):
@@ -617,7 +633,9 @@ two_way_lines = st.builds(
 _SLOT_BYTES = st.lists(
     st.sampled_from([b"x", b"\t", b"\\s", b'""', b" ", b"\x01", "é".encode(), b"\r",
                      b"\tyago-instance", b"yago-instance", b"\tdbpedia-instance\t",
-                     b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"]),
+                     b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff",
+                     b"Foo-instance", b"http://x/a-instance", b"a-instance-instance",
+                     b"dbpedia-instance\t"]),
     max_size=6,
 ).map(b"".join)
 three_way_lines = st.builds(
@@ -638,13 +656,34 @@ three_way_lines = st.builds(
 )
 
 
+def checked_split(line: bytes, arity: int) -> list[bytes]:
+    """split_link_line after the head check, in join3's order."""
+    line_text(line)
+    return split_link_line(line, arity)
+
+
+def reference_line_judge(line: bytes, arity: int) -> str:
+    """The link id of a line that the text checks and parse_record accept
+    in every slot, or the first fault."""
+    fields = reference_split_2way(line, arity)
+    for slot in fields[2::2]:
+        parse_record(slot.decode("utf-8"))
+    return fields[0].decode("utf-8")
+
+
 @settings(max_examples=1500)
 @given(st.one_of(link_lines.map(str.encode), two_way_lines.map(str.encode), three_way_lines))
 def test_split_2way_matches_text_checks(line):
-    # Every line at both arities: join3 and link2 mode split at 2, link3 at 3.
-    for arity in (2, 3):
-        assert outcome(lambda l: split_link_line(l, arity), line) == outcome(
+    # Every line at both arities: join3 and link2 mode split at 2, link3 at
+    # 3.  join3 checks the whole line first; the tools, which get a line
+    # with its newline, decode the pieces and check the whole line only on
+    # a fault, and give the same first fault.
+    for arity, mode in ((2, "link2"), (3, "link3")):
+        assert outcome(lambda l: checked_split(l, arity), line) == outcome(
             lambda l: reference_split_2way(l, arity), line
+        )
+        assert outcome(lambda l: _line_records(l, mode)[0], line) == outcome(
+            lambda l: reference_line_judge(l.rstrip(b"\n"), arity), line
         )
 
 
@@ -675,13 +714,20 @@ SPLIT_2WAY_ROWS = [
      (LinkJoinError, "bad link id: 'fd,1' holds a comma")),
     (b'""fd,1""\tfreebase-instance\tf\tdbpedia-instance\td',
      (LinkJoinError, "bad link id: '\"\"fd,1\"\"' opens a literal wrapper")),
+    # The decoder's reason for the whole line: the slot alone would end in
+    # the middle of a character ("unexpected end of data").
+    (b"fd-1\tfreebase-instance\tf\xc3\tdbpedia-instance\td",
+     (LinkJoinError, "not UTF-8: invalid continuation byte")),
+    # A UTF-8 fault comes before a fault of the cut.
+    (b"\tfreebase-instance\t\xff\tdbpedia-instance\td",
+     (LinkJoinError, "not UTF-8: invalid start byte")),
 ]
 
 
 @pytest.mark.parametrize("line, expected", SPLIT_2WAY_ROWS)
 def test_split_2way_rows(line, expected):
     # expected: the fields, or the type and message of the error
-    got = outcome(lambda l: split_link_line(l, 2), line)
+    got = outcome(lambda l: checked_split(l, 2), line)
     assert got == outcome(lambda l: reference_split_2way(l, 2), line)
     assert got == expected
 
@@ -697,12 +743,17 @@ SPLIT_3WAY_ROWS = [
      (LinkJoinError, "expected 3 record groups, found 2")),
     (b'""fd-1,yd-2""\tdbpedia-instance\td\tfreebase-instance\tf\tyago-instance\ty',
      (LinkJoinError, "bad link id: '\"\"fd-1,yd-2\"\"' opens a literal wrapper")),
+    (b"fd-1,yd-2\tdbpedia-instance\td\tp\tv\xc3"
+     b"\tfreebase-instance\tf\tp\tv\tyago-instance\ty\tp\tv",
+     (LinkJoinError, "not UTF-8: invalid continuation byte")),
+    (b"\tdbpedia-instance\td\tp\tv\tfreebase-instance\t\xff\tyago-instance\ty\tp\tv",
+     (LinkJoinError, "not UTF-8: invalid start byte")),
 ]
 
 
 @pytest.mark.parametrize("line, expected", SPLIT_3WAY_ROWS)
 def test_split_3way_rows(tmp_path, line, expected):
-    got = outcome(lambda l: split_link_line(l, 3), line)
+    got = outcome(lambda l: checked_split(l, 3), line)
     assert got == outcome(lambda l: reference_split_2way(l, 3), line)
     assert got == expected
     path = tmp_path / "dfy.links"
