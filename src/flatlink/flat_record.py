@@ -30,9 +30,10 @@ whole rather than token by token (unless a token holds a NUL), or not at
 all when no token holds a backslash, TAB, LF or CR.
 
 ``parse_record`` builds a record and names the first fault of a bad line.
-``record_tokens`` is its quick stand-in for callers that only judge a line
-or read a few tokens: whole-line tests clear a well-formed line and return
-its escaped tokens, without building the record.
+``record_ok`` is its quick stand-in for callers that only judge a line:
+whole-line tests clear a well-formed line without building the record or
+splitting the line.  ``record_tokens`` runs the same tests and splits the
+line, for callers that read a few tokens.
 """
 
 from __future__ import annotations
@@ -197,23 +198,19 @@ def serialize_record(rec: EntityRecord) -> str:
 
 
 # Every backslash of the line opens a known two-character code.  The loop is
-# unrolled, so it runs in linear time; a backslash before a TAB fails it.
-_CLEAN_ESCAPES = re.compile(r"[^\\]*(?:\\[\\tnrs][^\\]*)*")
+# unrolled, and possessive (Python 3.11): its two classes are disjoint, so it
+# never needs to give a byte back, and it runs in linear time; a backslash
+# before a TAB fails it.
+_CLEAN_ESCAPES = re.compile(r"[^\\]*+(?:\\[\\tnrs][^\\]*+)*+")
 # A token after a TAB that is empty, opens with a guard, or opens a literal
 # wrapper and does not close it.  The pattern starts with a TAB, so the
 # engine tries it only at the line's TABs.
 _SUSPECT_TOKEN = re.compile(r'\t(?:\t|\\s|""(?![^\t]*""(?:\t|\Z)))')
 
 
-def record_tokens(line: str) -> list[str] | None:
-    """The escaped tokens of a record line that parse_record accepts, or None.
-
-    A few whole-line tests stand in for parse_record's checks without
-    building the record, and the line is split only once they pass.  They
-    are conservative: None means only that they could not prove the line
-    well-formed, and parse_record then gives the reason, or accepts the
-    line after all.
-    """
+def _clean_line(line: str) -> bool:
+    """The whole-line tests of record_ok and record_tokens, all but the
+    token count."""
     # An empty or guarded URI, and one that opens a quote, are left to
     # parse_record: the codec writes no URI that opens with "" unguarded.
     # With every escape known, a token unescapes to "" only if it is \s
@@ -221,8 +218,28 @@ def record_tokens(line: str) -> list[str] | None:
     # sentinel shape), so any token that opens with a guard is left to it too,
     # as is an empty token, key or value.
     if not line or line[0] in '\t\\"' or _SUSPECT_TOKEN.search(line):
-        return None
-    if "\\" in line and not _CLEAN_ESCAPES.fullmatch(line):
+        return False
+    return "\\" not in line or _CLEAN_ESCAPES.fullmatch(line) is not None
+
+
+def record_ok(line: str) -> bool:
+    """Whether whole-line tests prove that parse_record accepts a record
+    line, with no token list built: the line's TABs plus one is the token
+    count.
+
+    The tests stand in for parse_record's checks.  They are conservative:
+    False means only that they could not prove the line well-formed, and
+    parse_record then gives the reason, or accepts the line after all.
+    """
+    tokens = line.count("\t") + 1
+    return tokens > 1 and tokens % 2 == 1 and _clean_line(line)
+
+
+def record_tokens(line: str) -> list[str] | None:
+    """The escaped tokens of a record line that record_ok clears, or None.
+    The line is split once the other tests pass, and the token count read
+    from the split, which counting the TABs first would repeat."""
+    if not _clean_line(line):
         return None
     tokens = line.split("\t")
     if len(tokens) % 2 == 0 or len(tokens) == 1:

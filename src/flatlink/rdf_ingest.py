@@ -37,20 +37,22 @@ URIs may hold ``\\u``/``\\U`` escapes and literals those and the ECHARs
 Each part is cut by one ``findall``.  A part with no backslash takes the
 block regex, the line shape without its escape alternatives, which such a
 part never needs; every other part takes its escaped twin, built from the
-same pieces.  Both stop literal bodies and comments at LF and end in a branch
-that takes any other line whole, so they yield one tuple per line, and a
-triple is cut from its groups with no regex call per line.  A part with no
-backslash whose lines all match becomes its triples in one list
-comprehension; every other part goes line by line.  A matched body
-with a backslash is decoded by one codec call, ``unicode_escape`` after
-``backslashreplace``, which is sound because the regex has proved that every
-backslash starts a well-formed escape.  A line the regex misses (blanks,
+same pieces with possessive loops.  Both stop literal bodies and comments at
+LF and end in a branch that takes any other line whole, so they yield one
+tuple per line, and a triple is cut from its groups with no regex call per
+line.  A part with no backslash whose lines all match becomes its triples in
+one list comprehension; every other part goes line by line.  Its matched
+bodies with a backslash are decoded by one codec call, joined by NUL:
+``unicode_escape`` after ``backslashreplace``, which is sound because the
+regex has proved that every backslash starts a well-formed escape that ends
+inside its body.  Where a body holds a NUL or decodes to one, or the call
+fails, each body is decoded alone.  A line the regex misses (blanks,
 comments, escapes in a datatype or label, a byte in a label or tag where the
-character parser might end it, and anything malformed), or whose decoding
-finds what the character parser rejects (a surrogate or out-of-range code
-point, or a URI that decodes to a control or space character), is decoded
-and handed to the character parser.  A line taken by a regex yields the
-triple the character parser would.
+character parser might end it, and anything malformed), or whose own
+decoding finds what the character parser rejects (a surrogate or
+out-of-range code point, or a URI that decodes to a control or space
+character), is decoded and handed to the character parser.  A line taken by
+a regex yields the triple the character parser would.
 
 ``Triple`` and ``ObjectValue`` are named tuples, so each compares equal to
 the plain tuple of its fields.
@@ -66,7 +68,7 @@ import re
 import zlib
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import open_input
 from .errors import FlatlinkError, NTriplesParseError
@@ -111,28 +113,36 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # " \t\n\r\f\v".  So labels and tags here also leave out 0x1C-0x1F and
 # every byte >= 0x80: a line with such a byte in a label or tag misses and
 # goes to the character parser.
+#
+# Each loop's class is disjoint from what may follow it, so no match ever
+# needs a loop to give a byte back, and a possessive loop (*+, ++, Python
+# 3.11) matches the same bytes.  The escaped twin's loops are all possessive,
+# so the engine keeps no backtracking state for them; the block regex got
+# slower that way, so its loops stay greedy.
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _URI_CHARS = r"[^\x00-\x20>\\]"
-_URI = rf"<(?=[^>])({_URI_CHARS}*(?:{_UCHAR}{_URI_CHARS}*)*)>"
+_URI = rf"<(?=[^>])({_URI_CHARS}*+(?:{_UCHAR}{_URI_CHARS}*+)*+)>"
 _LIT_CHARS = r'[^"\\\t\n]'
-_LITERAL = rf'"({_LIT_CHARS}*(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_LIT_CHARS}*)*)"'
-_BNODE = r"(_:[^\s\x00-\x20\\\x80-\xff]+)(?!\S)"
-_LANG = r"@[^\s.\\\x1c-\x1f\x80-\xff]+"
+_LITERAL = rf'"({_LIT_CHARS}*+(?:(?:\\[tbnrf"\'\\]|{_UCHAR}){_LIT_CHARS}*+)*+)"'
 
 
-def _block_regex(uri: str, literal: str) -> re.Pattern[bytes]:
+def _block_regex(uri: str, literal: str, loop: str = "") -> re.Pattern[bytes]:
     """A regex that findall runs over a part of LF-ended lines, one tuple
     per line: the groups of the line shape with `uri` and `literal` for its
     URI and literal terms, then a last group that takes any other line
-    whole.  A URI body is never empty, and findall gives b"" for a group
-    that took no part: a line with no subject group is an other line, and
-    an object with no URI or blank-node group is a literal, the empty
+    whole.  `loop` follows each quantifier of the other pieces: "+" makes
+    them possessive.  A URI body is never empty, and findall gives b"" for a
+    group that took no part: a line with no subject group is an other line,
+    and an object with no URI or blank-node group is a literal, the empty
     literal included."""
+    space = rf"[ \t]*{loop}"
+    bnode = rf"(_:[^\s\x00-\x20\\\x80-\xff]+{loop})(?!\S)"
+    lang = rf"@[^\s.\\\x1c-\x1f\x80-\xff]+{loop}"
     return re.compile(
         (
-            rf"^(?:[ \t]*(?:{uri}|{_BNODE})[ \t]*{uri}[ \t]*"
-            rf"(?:{uri}|{_BNODE}|{literal}(?:{_LANG}|\^\^<{_URI_CHARS}+>)?)"
-            r"[ \t]*\.[ \t]*(?:#[^\n]*)?|(.*))$"
+            rf"^(?:{space}(?:{uri}|{bnode}){space}{uri}{space}"
+            rf"(?:{uri}|{bnode}|{literal}(?:{lang}|\^\^<{_URI_CHARS}+{loop}>)?)"
+            rf"{space}\.{space}(?:#[^\n]*{loop})?|(.*{loop}))$"
         ).encode("ascii"),
         re.MULTILINE,
     )
@@ -141,7 +151,7 @@ def _block_regex(uri: str, literal: str) -> re.Pattern[bytes]:
 # A part with no backslash never needs an escape alternative, and the
 # regex without them runs faster on it; a part with one takes the twin.
 _BLOCK_LINES = _block_regex(rf"<({_URI_CHARS}+)>", rf'"({_LIT_CHARS}*)"')
-_ESCAPED_LINES = _block_regex(_URI, _LITERAL)
+_ESCAPED_LINES = _block_regex(_URI, _LITERAL, "+")
 _CONTROL_OR_SPACE = re.compile(rb"[\x00-\x20]")
 # The predicate group of a findall tuple of either block regex.
 _PREDICATE = itemgetter(2)
@@ -287,16 +297,33 @@ def _decode_escapes(body: bytes) -> bytes:
     Sound only because the regex has proved that every backslash of the body
     starts a well-formed ECHAR or UCHAR.  A code point above U+10FFFF raises
     UnicodeDecodeError, and a surrogate fails the strict UTF-8 encoding.
+    _cut_lines decodes a part's bodies together by one such call, and calls
+    this on each body alone only when that call cannot stand for them.
     """
     if not body.isascii():
         body = body.decode("utf-8").encode("ascii", "backslashreplace")
     return body.decode("unicode_escape").encode("utf-8")
 
 
-def _decode_uri(body: bytes) -> bytes:
+def _decode_bodies(bodies: list[bytes]) -> list[bytes] | None:
+    """_decode_escapes of each of `bodies`, by one call on them joined by
+    NUL, or None where that call cannot stand for one call a body: a body
+    holds a NUL or decodes to one, or a body fails to decode.  Decoding
+    keeps every NUL and adds one for each escape of U+0000, so the result
+    splits into exactly one piece a body only when neither happens.  Exact
+    because the regex has proved that each backslash starts an escape that
+    ends inside its own body, so no escape spans a NUL."""
+    try:
+        decoded = _decode_escapes(b"\0".join(bodies)).split(b"\0")
+    except UnicodeError:
+        return None
+    return decoded if len(decoded) == len(bodies) else None
+
+
+def _decode_uri(body: bytes, decode: Callable[[bytes], bytes] = _decode_escapes) -> bytes:
     if _BACKSLASH not in body:
         return body
-    uri = _decode_escapes(body)
+    uri = decode(body)
     if _CONTROL_OR_SPACE.search(uri):
         raise ValueError("control or space character")
     return uri
@@ -526,16 +553,23 @@ def _char_triple(
 
 
 def _decoded_triple(
-    subject: bytes, predicate: bytes, obj: bytes, lexical: bytes
+    subject: bytes, predicate: bytes, obj: bytes, lexical: bytes,
+    decode: Callable[[bytes], bytes],
 ) -> tuple[bytes, bytes, bytes]:
     """The triple of a line a block regex matched, from its groups, each
-    body's escapes decoded, a no-op on a body with no backslash; ValueError
-    where the character parser would reject the line."""
+    body with a backslash decoded by `decode`; ValueError where the
+    character parser would reject the line."""
     if obj:
-        return _decode_uri(subject), _decode_uri(predicate), b"U" + _decode_uri(obj)
+        return (_decode_uri(subject, decode), _decode_uri(predicate, decode),
+                b"U" + _decode_uri(obj, decode))
     if _BACKSLASH in lexical:
-        lexical = _decode_escapes(lexical)
-    return _decode_uri(subject), _decode_uri(predicate), b"L" + lexical
+        lexical = decode(lexical)
+    return _decode_uri(subject, decode), _decode_uri(predicate, decode), b"L" + lexical
+
+
+# The bodies of a findall tuple that may hold an escape: the subject,
+# predicate and object URIs and the literal.  A blank node label holds none.
+_BODIES = itemgetter(0, 2, 3, 5)
 
 
 def _cut_lines(
@@ -543,9 +577,14 @@ def _cut_lines(
 ) -> tuple[list[tuple[bytes, bytes, bytes]], list[int]]:
     """The triples of `part`, UTF-8 lines that findall cut into `rows`, and
     their line numbers, one line at a time, the first line being first + 1.
-    A matched line is cut from its groups, each body with a backslash
-    decoded; any other line, and a matched line whose decoding fails, is
-    decoded and parsed by the character parser."""
+    The matched bodies with a backslash are decoded together first
+    (_decode_bodies), or each alone if they cannot be.  A matched line is
+    cut from its groups and its decoded bodies; any other line, and a
+    matched line whose decoding fails, is decoded and parsed by the
+    character parser."""
+    bodies = [body for row in rows for body in _BODIES(row) if _BACKSLASH in body]
+    decoded = _decode_bodies(bodies)
+    decode = _decode_escapes if decoded is None else dict(zip(bodies, decoded)).__getitem__
     triples, numbers = [], []
     lines = None  # the part split at LF, on its first undecodable line
     for line_no, row in enumerate(rows, first + 1):
@@ -555,7 +594,7 @@ def _cut_lines(
             triple = _char_triple(other, line_no, report)
         else:
             try:
-                triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical)
+                triple = _decoded_triple(subject, predicate, o_uri or o_bnode, lexical, decode)
             except ValueError:
                 # findall keeps no matched line whole, so cut it from the part.
                 if lines is None:

@@ -8,11 +8,12 @@ every link id, and stats every distinct URI of each slot and every type.
 validate, filter-type and stats judge a line by one function,
 ``_line_records``: the head check (``line_text``) and the linkage-line
 split (``split_link_line``, which names each fault of a line's cut, link
-id and group count) that join2 and join3 use, then a check of each record
-by its escaped tokens (``record_tokens``), with no ``EntityRecord`` built;
-``parse_record`` runs only on a record the quick test cannot clear, to
-name its fault.  A linkage line is decoded once, as its link id and record
-slots; the whole line is decoded only to name a fault.
+id and group count) that join2 and join3 use, then a quick check of each
+record (``record_ok``), with no ``EntityRecord`` built; ``parse_record``
+runs only on a record the quick check cannot clear, to name its fault.
+validate only judges; filter-type and stats also split each record into
+its escaped tokens.  A linkage line is decoded once, as its link id and
+record slots; the whole line is decoded only to name a fault.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .engine import atomic_output, open_input
 from .errors import FlatlinkError
-from .flat_record import parse_record, record_tokens, unescape_token
+from .flat_record import parse_record, record_ok, record_tokens, unescape_token
 # parse_link_line is not called here; it stays for the benchmark's trace hook.
 from .link_join import line_text, parse_link_line, split_link_line  # noqa: F401
 from .rdf_ingest import _CR
@@ -103,12 +104,20 @@ def _checked_tokens(slot: str) -> list[str]:
     return tokens
 
 
-def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[list[str]]]:
+def _check_record(slot: str) -> None:
+    """_checked_tokens for validate, which reads no token: no list is built."""
+    if not record_ok(slot):
+        parse_record(slot)  # raises the reason, or accepts the slot after all
+
+
+def _line_records(
+    raw: bytes, mode: str, read: Callable[[str], object] = _checked_tokens
+) -> tuple[str | None, list]:
     """The one judge of a line for validate, filter-type and stats: its link
-    id (None in entity mode) and the escaped tokens of its records, or a
-    FlatlinkError giving the reason.  The head check and the linkage split
-    are join2's and join3's own; record_tokens clears a record without
-    building it, and parse_record names the reason of one it cannot clear.
+    id (None in entity mode) and what `read` returns for each of its
+    records, or a FlatlinkError giving the reason.  The head check and the
+    linkage split are join2's and join3's own; `read` judges one decoded
+    record slot, by default returning its escaped tokens.
 
     A link line is decoded once, a piece at a time: the id and the slots
     meet at ASCII bytes, so the line is UTF-8 exactly when every piece is.
@@ -117,13 +126,13 @@ def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[list[str]]]:
     """
     line = raw.rstrip(b"\n")
     if mode == "entity":
-        return None, [_checked_tokens(line_text(line))]
+        return None, [read(line_text(line))]
     if _CR in line:
         line_text(line)  # raises: a raw CR is the first fault of any line
     try:
         fields = split_link_line(line, _ARITY[mode])
         link_id = fields[0].decode("utf-8")
-        records = [_checked_tokens(slot.decode("utf-8")) for slot in fields[2::2]]
+        records = [read(slot.decode("utf-8")) for slot in fields[2::2]]
     except (FlatlinkError, UnicodeDecodeError):
         line_text(line)  # a UTF-8 fault anywhere in the line comes first
         raise
@@ -248,7 +257,7 @@ def validate(in_path: str, mode: str) -> ValidationReport:
     with open_input(in_path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
-                link_id, _ = _line_records(raw, mode)
+                link_id, _ = _line_records(raw, mode, _check_record)
             except FlatlinkError as exc:
                 report.flag(line_no, str(exc))
                 continue

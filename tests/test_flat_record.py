@@ -10,6 +10,7 @@ from flatlink.flat_record import (
     parse_record,
     record_from_triples,
     record_line_bytes,
+    record_ok,
     record_tokens,
     serialize_record,
     unescape_token,
@@ -428,6 +429,11 @@ record_lines = st.one_of(
 @given(record_lines)
 def test_record_tokens_agrees_with_parse_record(line):
     assert outcome(record_via_tokens, line) == outcome(parse_record, line)
+    # The yes/no judge that validate calls clears exactly the lines that
+    # record_tokens splits, so only lines that parse_record accepts.
+    assert record_ok(line) == (record_tokens(line) is not None)
+    if record_ok(line):
+        assert isinstance(parse_record(line), EntityRecord)
 
 
 Q3 = '"""'
@@ -455,12 +461,17 @@ Q3 = '"""'
         # A URI that opens with one quote, and an empty value.
         (f'"u{TAB}k{TAB}v', False, None),
         (f"u{TAB}k{TAB}{TAB}k{TAB}v", False, None),
+        # Token counts, which the judge reads as the tabs plus one.
+        ("u", False, "record has no properties"),
+        (f"u{TAB}k", False, "even token count (2)"),
+        (f"u{TAB}k{TAB}v{TAB}k", False, "even token count (4)"),
+        (f"u{TAB}k{TAB}v{TAB}k{TAB}w", True, None),
     ],
 )
 def test_record_tokens_rows(line, cleared, reason):
     # cleared: whether the quick check alone accepts the line; reason: the
     # FlatRecordError message, or None where parse_record accepts the line.
-    assert (record_tokens(line) is not None) == cleared
+    assert (record_tokens(line) is not None) == record_ok(line) == cleared
     got = outcome(record_via_tokens, line)
     assert got == outcome(parse_record, line)
     if reason is None:

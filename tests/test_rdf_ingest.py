@@ -7,7 +7,7 @@ import zlib
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatlink import rdf_ingest
@@ -19,6 +19,7 @@ from flatlink.rdf_ingest import (
     ParseReport,
     Triple,
     _cut_blocks,
+    _decode_bodies,
     _decode_escapes,
     _decode_uri,
     iter_triple_bytes,
@@ -576,6 +577,72 @@ def test_fast_path_matches_character_parser(line):
     report = ParseReport()
     assert numbered_triples(_cut_blocks([line.encode()], report)) == text
     assert report == expected
+
+
+# Escaped lines the regex takes and whose bodies decode together, then one
+# line each whose body the one codec call for the part cannot stand for: a
+# raw NUL beside an escape, an escape to U+0000, a surrogate, a code point
+# above U+10FFFF, and an escaped space in a URI, which decodes but fails the
+# URI check.
+_CLEAN_ESCAPED = [
+    '<http://x/caf\\u00E9> <http://x/p> "a\\tb \\U0001F600 é" .',
+    "<http://x/s> <http://x/p\\u0041> <http://x/o\\u00e9> .",
+    '_:b <http://x/p> "é\\\\中\\"" .',
+]
+_ONE_BAD_BODY = [
+    '<http://x/s> <http://x/p> "nul\x00\\t" .',
+    '<http://x/s> <http://x/p> "nul\\u0000" .',
+    '<http://x/s> <http://x/p> "\\uD800" .',
+    "<http://x/s\\U00110000> <http://x/p> <http://x/o> .",
+    '<http://x/a\\u0020b> <http://x/p> "v\\t" .',
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_adversarial_lines(), min_size=2, max_size=8))
+@example(_CLEAN_ESCAPED)
+@example(_CLEAN_ESCAPED[:2] + [_ONE_BAD_BODY[0]] + _CLEAN_ESCAPED[2:])
+@example(_CLEAN_ESCAPED[:2] + [_ONE_BAD_BODY[1]] + _CLEAN_ESCAPED[2:])
+@example(_CLEAN_ESCAPED[:2] + [_ONE_BAD_BODY[2]] + _CLEAN_ESCAPED[2:])
+@example(_CLEAN_ESCAPED[:2] + [_ONE_BAD_BODY[3]] + _CLEAN_ESCAPED[2:])
+@example(_CLEAN_ESCAPED[:2] + [_ONE_BAD_BODY[4]] + _CLEAN_ESCAPED[2:])
+def test_multi_line_parts_match_character_parser(lines):
+    # Lines cut as one part, its escaped bodies decoded together, read as
+    # the text reader reads them: the same triples, line numbers and report.
+    block = "\n".join(lines)
+    expected = ParseReport()
+    text = text_numbered_triples(io.StringIO(block), expected)
+    report = ParseReport()
+    assert numbered_triples(_cut_blocks([block.encode()], report)) == text
+    assert report == expected
+
+
+@pytest.mark.parametrize("bad", _ONE_BAD_BODY[:4])
+def test_decode_bodies_falls_back_where_one_call_cannot_stand_for_each(bad):
+    bodies = [b for line in _CLEAN_ESCAPED for b in rdf_ingest._BODIES(
+        rdf_ingest._ESCAPED_LINES.findall(line.encode())[0]) if b"\\" in b]
+    assert len(bodies) == 5
+    assert _decode_bodies(bodies) == [_decode_escapes(body) for body in bodies]
+    (row,) = rdf_ingest._ESCAPED_LINES.findall(bad.encode())
+    (body,) = [b for b in rdf_ingest._BODIES(row) if b"\\" in b]
+    assert _decode_bodies(bodies[:3] + [body] + bodies[3:]) is None
+
+
+def test_cut_lines_decodes_a_part_by_one_codec_call(monkeypatch):
+    # A part whose bodies decode together takes one codec call; one bad body
+    # among them makes each body decode alone, and sends only its own line
+    # to the character parser.
+    calls = _count_calls(monkeypatch, "_decode_escapes", "parse_ntriples_line")
+    lines = _CLEAN_ESCAPED * 3
+    report = ParseReport()
+    assert len(numbered_triples(_cut_blocks(["\n".join(lines).encode()], report))) == 9
+    assert calls == {"_decode_escapes": 1, "parse_ntriples_line": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    lines.insert(4, _ONE_BAD_BODY[2])
+    report = ParseReport()
+    assert len(numbered_triples(_cut_blocks(["\n".join(lines).encode()], report))) == 9
+    assert report.first_errors == [(5, "\\u escape is a surrogate code point")]
+    assert calls == {"_decode_escapes": 1 + 5 * 3 + 1, "parse_ntriples_line": 1}
 
 
 @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
