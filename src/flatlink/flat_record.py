@@ -32,8 +32,8 @@ all when no token holds a backslash, TAB, LF or CR.
 ``parse_record`` builds a record and names the first fault of a bad line.
 ``record_ok`` is its quick stand-in for callers that only judge a line:
 whole-line tests clear a well-formed line without building the record or
-splitting the line.  ``record_tokens`` runs the same tests and splits the
-line, for callers that read a few tokens.
+splitting the line.  A caller that reads a few tokens splits a line that
+``record_ok`` clears.
 """
 
 from __future__ import annotations
@@ -208,20 +208,6 @@ _CLEAN_ESCAPES = re.compile(r"[^\\]*+(?:\\[\\tnrs][^\\]*+)*+")
 _SUSPECT_TOKEN = re.compile(r'\t(?:\t|\\s|""(?![^\t]*""(?:\t|\Z)))')
 
 
-def _clean_line(line: str) -> bool:
-    """The whole-line tests of record_ok and record_tokens, all but the
-    token count."""
-    # An empty or guarded URI, and one that opens a quote, are left to
-    # parse_record: the codec writes no URI that opens with "" unguarded.
-    # With every escape known, a token unescapes to "" only if it is \s
-    # guards alone, and the codec guards only rare tokens (a leading "" or a
-    # sentinel shape), so any token that opens with a guard is left to it too,
-    # as is an empty token, key or value.
-    if not line or line[0] in '\t\\"' or _SUSPECT_TOKEN.search(line):
-        return False
-    return "\\" not in line or _CLEAN_ESCAPES.fullmatch(line) is not None
-
-
 def record_ok(line: str) -> bool:
     """Whether whole-line tests prove that parse_record accepts a record
     line, with no token list built: the line's TABs plus one is the token
@@ -232,19 +218,17 @@ def record_ok(line: str) -> bool:
     parse_record then gives the reason, or accepts the line after all.
     """
     tokens = line.count("\t") + 1
-    return tokens > 1 and tokens % 2 == 1 and _clean_line(line)
-
-
-def record_tokens(line: str) -> list[str] | None:
-    """The escaped tokens of a record line that record_ok clears, or None.
-    The line is split once the other tests pass, and the token count read
-    from the split, which counting the TABs first would repeat."""
-    if not _clean_line(line):
-        return None
-    tokens = line.split("\t")
-    if len(tokens) % 2 == 0 or len(tokens) == 1:
-        return None
-    return tokens
+    if tokens == 1 or tokens % 2 == 0:
+        return False
+    # An empty or guarded URI, and one that opens a quote, are left to
+    # parse_record: the codec writes no URI that opens with "" unguarded.
+    # With every escape known, a token unescapes to "" only if it is \s
+    # guards alone, and the codec guards only rare tokens (a leading "" or a
+    # sentinel shape), so any token that opens with a guard is left to it too,
+    # as is an empty token, key or value.
+    if line[0] in '\t\\"' or _SUSPECT_TOKEN.search(line):
+        return False
+    return "\\" not in line or _CLEAN_ESCAPES.fullmatch(line) is not None
 
 
 def parse_record(line: str) -> EntityRecord:

@@ -27,8 +27,9 @@ them, grouped by right URI, with the right entity file as it reads it; then
 it sorts those outputs ``left TAB right TAB right line`` and merges them,
 grouped by left URI, with the left entity file.  Inside one left URI the
 second sort's items arrive by right URI, so the lines leave in link-id order
-with no third sort.  No entity line goes through a sort, and each merge reads
-its file to the end, so every line is checked.
+with no third sort.  Each right entity line rides through the second sort
+in the items of its pairs; no left entity line enters a sort, and each merge
+reads its file to the end, so every line is checked.
 
 join3 is two sorts.  The first, the shuffle ``engine.run_group_by`` keyed by
 the shared URI, merges the two files, so its items carry a tag byte; it keeps

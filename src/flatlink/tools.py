@@ -11,9 +11,10 @@ split (``split_link_line``, which names each fault of a line's cut, link
 id and group count) that join2 and join3 use, then a quick check of each
 record (``record_ok``), with no ``EntityRecord`` built; ``parse_record``
 runs only on a record the quick check cannot clear, to name its fault.
-validate only judges; filter-type and stats also split each record into
-its escaped tokens.  A linkage line is decoded once, as its link id and
-record slots; the whole line is decoded only to name a fault.
+validate reads only the link id; filter-type and stats split each
+cleared record slot into its escaped tokens.  A linkage line is decoded
+once, as its link id and record slots; the whole line is decoded only to
+name a fault.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .engine import atomic_output, open_input
 from .errors import FlatlinkError
-from .flat_record import parse_record, record_ok, record_tokens, unescape_token
+from .flat_record import parse_record, record_ok, unescape_token
 # parse_link_line is not called here; it stays for the benchmark's trace hook.
 from .link_join import line_text, parse_link_line, split_link_line  # noqa: F401
 from .rdf_ingest import _CR
@@ -96,47 +97,37 @@ class FilterReport:
     lines_skipped: int = 0  # unparseable
 
 
-def _checked_tokens(slot: str) -> list[str]:
-    tokens = record_tokens(slot)
-    if tokens is None:
-        parse_record(slot)  # raises the reason, or accepts the slot after all
-        tokens = slot.split("\t")
-    return tokens
-
-
-def _check_record(slot: str) -> None:
-    """_checked_tokens for validate, which reads no token: no list is built."""
-    if not record_ok(slot):
-        parse_record(slot)  # raises the reason, or accepts the slot after all
-
-
-def _line_records(
-    raw: bytes, mode: str, read: Callable[[str], object] = _checked_tokens
-) -> tuple[str | None, list]:
+def _line_records(raw: bytes, mode: str) -> tuple[str | None, list[str]]:
     """The one judge of a line for validate, filter-type and stats: its link
-    id (None in entity mode) and what `read` returns for each of its
-    records, or a FlatlinkError giving the reason.  The head check and the
-    linkage split are join2's and join3's own; `read` judges one decoded
-    record slot, by default returning its escaped tokens.
+    id (None in entity mode) and its decoded record slots, or a FlatlinkError
+    giving the reason.  The head check and the linkage split are join2's and
+    join3's own.  Each slot is cleared by record_ok, or else by parse_record,
+    which names its fault or accepts it after all.
 
     A link line is decoded once, a piece at a time: the id and the slots
     meet at ASCII bytes, so the line is UTF-8 exactly when every piece is.
     The head check runs on the whole line only on a fault, so a raw CR or a
     UTF-8 fault still comes first, with the decoder's reason for the line.
+    Every piece is decoded before any slot is judged, so a record fault
+    means the line has no CR and is UTF-8: the head check would pass it.
     """
     line = raw.rstrip(b"\n")
     if mode == "entity":
-        return None, [read(line_text(line))]
-    if _CR in line:
-        line_text(line)  # raises: a raw CR is the first fault of any line
-    try:
-        fields = split_link_line(line, _ARITY[mode])
-        link_id = fields[0].decode("utf-8")
-        records = [read(slot.decode("utf-8")) for slot in fields[2::2]]
-    except (FlatlinkError, UnicodeDecodeError):
-        line_text(line)  # a UTF-8 fault anywhere in the line comes first
-        raise
-    return link_id, records
+        link_id, slots = None, [line_text(line)]
+    else:
+        if _CR in line:
+            line_text(line)  # raises: a raw CR is the first fault of any line
+        try:
+            fields = split_link_line(line, _ARITY[mode])
+            link_id = fields[0].decode("utf-8")
+            slots = [slot.decode("utf-8") for slot in fields[2::2]]
+        except (FlatlinkError, UnicodeDecodeError):
+            line_text(line)  # a UTF-8 fault anywhere in the line comes first
+            raise
+    for slot in slots:
+        if not record_ok(slot):
+            parse_record(slot)  # raises the reason, or accepts the slot after all
+    return link_id, slots
 
 
 def _type_values(tokens: list[str], type_predicate: str) -> Iterator[str]:
@@ -148,16 +139,16 @@ def _type_values(tokens: list[str], type_predicate: str) -> Iterator[str]:
                 yield unescape_token(value)
 
 
-def _has_type(tokens: list[str], spec: TypeFilterSpec) -> bool:
-    return spec.type_uri in _type_values(tokens, spec.type_predicate)
+def _has_type(slot: str, spec: TypeFilterSpec) -> bool:
+    return spec.type_uri in _type_values(slot.split("\t"), spec.type_predicate)
 
 
-def _matches(records: list[list[str]], spec: TypeFilterSpec) -> bool:
+def _matches(slots: list[str], spec: TypeFilterSpec) -> bool:
     if spec.side == "any":
-        return any(_has_type(r, spec) for r in records)
+        return any(_has_type(slot, spec) for slot in slots)
     if spec.side == "all":
-        return all(_has_type(r, spec) for r in records)
-    return _has_type(records[_SLOT[spec.side]], spec)
+        return all(_has_type(slot, spec) for slot in slots)
+    return _has_type(slots[_SLOT[spec.side]], spec)
 
 
 def filter_by_type(
@@ -177,11 +168,11 @@ def filter_by_type(
         for raw in fh:
             report.lines_read += 1
             try:
-                _, records = _line_records(raw, mode)
+                _, slots = _line_records(raw, mode)
             except FlatlinkError:
                 report.lines_skipped += 1
                 continue
-            if _matches(records, spec):
+            if _matches(slots, spec):
                 out.write(raw)
                 report.lines_kept += 1
     return report.lines_kept
@@ -216,12 +207,13 @@ def stats(
             report.lines += 1
             report.bytes += len(raw)
             try:
-                _, records = _line_records(raw, mode)
+                _, slots = _line_records(raw, mode)
             except FlatlinkError:
                 report.unparseable += 1
                 continue
-            for slot, tokens in enumerate(records):
-                slot_uris[slot].add(unescape_token(tokens[0]))
+            for uris, slot in zip(slot_uris, slots):
+                tokens = slot.split("\t")
+                uris.add(unescape_token(tokens[0]))
                 histogram.update(_type_values(tokens, type_predicate))
     report.slot_entities = [len(s) for s in slot_uris]
     report.top_types = sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
@@ -257,7 +249,7 @@ def validate(in_path: str, mode: str) -> ValidationReport:
     with open_input(in_path) as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
-                link_id, _ = _line_records(raw, mode, _check_record)
+                link_id, _ = _line_records(raw, mode)
             except FlatlinkError as exc:
                 report.flag(line_no, str(exc))
                 continue

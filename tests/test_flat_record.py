@@ -11,7 +11,6 @@ from flatlink.flat_record import (
     record_from_triples,
     record_line_bytes,
     record_ok,
-    record_tokens,
     serialize_record,
     unescape_token,
 )
@@ -397,12 +396,12 @@ def test_self_containment_single_line():
 # --- the quick record check ---------------------------------------------------
 
 def record_via_tokens(line: str) -> EntityRecord:
-    """parse_record's record, rebuilt from the tokens that record_tokens
-    clears; a line it cannot clear gets parse_record's own verdict."""
-    tokens = record_tokens(line)
-    if tokens is None:
+    """parse_record's record, rebuilt from the tokens of a line that
+    record_ok clears; a line it cannot clear gets parse_record's own
+    verdict."""
+    if not record_ok(line):
         return parse_record(line)
-    assert tokens == line.split(TAB)
+    tokens = line.split(TAB)
     properties: dict[str, list[ObjectValue]] = {}
     for key, value in zip(tokens[1::2], tokens[2::2]):
         if value.startswith('""'):
@@ -427,11 +426,9 @@ record_lines = st.one_of(
 
 @settings(max_examples=1500)
 @given(record_lines)
-def test_record_tokens_agrees_with_parse_record(line):
+def test_record_ok_agrees_with_parse_record(line):
     assert outcome(record_via_tokens, line) == outcome(parse_record, line)
-    # The yes/no judge that validate calls clears exactly the lines that
-    # record_tokens splits, so only lines that parse_record accepts.
-    assert record_ok(line) == (record_tokens(line) is not None)
+    # The judge clears only lines that parse_record accepts.
     if record_ok(line):
         assert isinstance(parse_record(line), EntityRecord)
 
@@ -471,7 +468,7 @@ Q3 = '"""'
 def test_record_tokens_rows(line, cleared, reason):
     # cleared: whether the quick check alone accepts the line; reason: the
     # FlatRecordError message, or None where parse_record accepts the line.
-    assert (record_tokens(line) is not None) == record_ok(line) == cleared
+    assert record_ok(line) == cleared
     got = outcome(record_via_tokens, line)
     assert got == outcome(parse_record, line)
     if reason is None:

@@ -662,13 +662,14 @@ def checked_split(line: bytes, arity: int) -> list[bytes]:
     return split_link_line(line, arity)
 
 
-def reference_line_judge(line: bytes, arity: int) -> str:
-    """The link id of a line that the text checks and parse_record accept
-    in every slot, or the first fault."""
+def reference_line_judge(line: bytes, arity: int) -> tuple[str, list[str]]:
+    """The link id and decoded record slots of a line that the text checks
+    and parse_record accept in every slot, or the first fault."""
     fields = reference_split_2way(line, arity)
-    for slot in fields[2::2]:
-        parse_record(slot.decode("utf-8"))
-    return fields[0].decode("utf-8")
+    slots = [slot.decode("utf-8") for slot in fields[2::2]]
+    for slot in slots:
+        parse_record(slot)
+    return fields[0].decode("utf-8"), slots
 
 
 @settings(max_examples=1500)
@@ -683,7 +684,10 @@ def test_split_2way_matches_text_checks(line):
             lambda l: reference_split_2way(l, arity), line
         )
         assert outcome(lambda l: _line_records(l, mode)[0], line) == outcome(
-            lambda l: reference_line_judge(l.rstrip(b"\n"), arity), line
+            lambda l: reference_line_judge(l.rstrip(b"\n"), arity)[0], line
+        )
+        assert outcome(lambda l: _line_records(l, mode)[1], line) == outcome(
+            lambda l: reference_line_judge(l.rstrip(b"\n"), arity)[1], line
         )
 
 

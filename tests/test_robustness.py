@@ -7,9 +7,14 @@ job.  The first property test runs compile x3, join2 x2
 and join3 over generated N-Triples and ground truth of awkward shapes.  The
 second runs `pipeline` on such inputs at three budgets: the outputs, or the
 one refusal, are the same at each, and no spill run, temp file or open
-descriptor is left."""
+descriptor is left.  The sweep runs the demo `pipeline` once per call of
+each OS seam (spill create, write and read, output write, fsync, replace,
+input open and read) with that call failing, and checks the same after
+each run."""
 
+import builtins
 import contextlib
+import errno
 import functools
 import gzip
 import io
@@ -17,7 +22,9 @@ import itertools
 import os
 import pathlib
 import shutil
+import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -430,3 +437,125 @@ def test_pipeline_keeps_its_promises_at_every_budget(kbs, hub, gt_fd, gt_yd, end
         assert errors == [] and None not in outputs.values()
     else:
         assert len(errors) == 1
+
+
+# --- every OS seam fails at every call ----------------------------------------
+
+# The OS calls a pipeline makes, each a seam where the sweep plants a fault.
+# Both of atomic_output's fsyncs, the temp file's and its directory's, are
+# one seam: their calls alternate.
+SEAMS = ("spill create", "spill write", "spill read", "output write", "fsync", "replace",
+         "input open", "input read")
+_WRITE_SEAMS = {"spill write", "output write"}
+
+
+class _Seams:
+    """Counts each seam's calls in a run, and fails the k-th call of one:
+    ENOSPC for a write, as a full disk would, and EIO for any other call."""
+
+    def __init__(self):
+        self.calls = dict.fromkeys(SEAMS, 0)
+        self.fault: tuple[str, int] | None = None
+
+    def hit(self, seam: str) -> None:
+        self.calls[seam] += 1
+        if self.fault == (seam, self.calls[seam]):
+            code = errno.ENOSPC if seam in _WRITE_SEAMS else errno.EIO
+            raise OSError(code, os.strerror(code))
+
+
+def _plant_seams(monkeypatch, seams: _Seams) -> None:
+    """Route every seam of the program's I/O through `seams`.  The buffered
+    layers call their raw file's readinto and write by name, so a raw file
+    of the class below passes each of them through its seam."""
+
+    class SeamFile(io.FileIO):
+        read_seam = write_seam = None
+
+        def readinto(self, buffer):
+            seams.hit(self.read_seam)
+            return super().readinto(buffer)
+
+        def write(self, data):
+            seams.hit(self.write_seam)
+            return super().write(data)
+
+    class Output(engine._OutputFile, SeamFile):
+        # _OutputFile's write reaches SeamFile's under its own error
+        # wrapper, so a planted fault reads as a real one would.
+        write_seam = "output write"
+
+    make_temp, real_open = tempfile.TemporaryFile, open
+    fsync, replace = os.fsync, os.replace
+
+    def spill_file(*args, **kwargs):
+        seams.hit("spill create")
+        with make_temp(*args, **kwargs) as file:
+            run = SeamFile(os.dup(file.fileno()), "r+")
+        run.read_seam, run.write_seam = "spill read", "spill write"
+        return run
+
+    def input_open(file, mode="r", *args, **kwargs):
+        if mode != "rb":
+            return real_open(file, mode, *args, **kwargs)
+        seams.hit("input open")
+        raw = SeamFile(file)
+        raw.read_seam = "input read"
+        return io.BufferedReader(raw)
+
+    def seam(name, fn):
+        def call(*args):
+            seams.hit(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill_file)
+    monkeypatch.setattr(engine, "_OutputFile", Output)
+    monkeypatch.setattr(os, "fsync", seam("fsync", fsync))
+    monkeypatch.setattr(os, "replace", seam("replace", replace))
+    # The stages open their inputs through builtin open, looked up when
+    # called, or through open_input's default opener, bound when defined.
+    monkeypatch.setattr(builtins, "open", input_open)
+    monkeypatch.setattr(engine.open_input, "__defaults__", (input_open,))
+
+
+def test_every_os_fault_fails_the_pipeline_cleanly(tmp_path, monkeypatch):
+    # The demo pipeline at a budget where every stage spills, run once to
+    # count each seam's calls and then once per call of each seam with that
+    # call failing.  Each faulty run must refuse the job: exit 2 with one
+    # error line, no temp output, no spill run, no descriptor left open, no
+    # warning of a file never closed, and each output as it was before the
+    # run or whole and new; after a failed directory fsync, the replace has
+    # put the new file in place.
+    demo = pathlib.Path(__file__).resolve().parent.parent / "demo"
+    for path in demo.iterdir():
+        if path.is_file():
+            shutil.copy(path, tmp_path / ("pipe.cfg" if path.name == "demo.cfg" else path.name))
+    tmp, out_dir = str(tmp_path), tmp_path / "out"
+    budget = ["--memory-budget", "1024"]
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    seams = _Seams()
+    _plant_seams(monkeypatch, seams)
+    status, errors, new = _run_pipeline(tmp, budget)
+    assert (status, errors) == (0, [])
+    counts = dict(seams.calls)
+    assert all(counts.values()), counts
+    assert counts["fsync"] == 2 * counts["replace"] == 2 * len(_PIPELINE_OUTPUTS)
+    # Half the outputs hold an earlier run's bytes, half are absent.
+    before = {name: b"earlier\n" if i % 2 else None for i, name in enumerate(_PIPELINE_OUTPUTS)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for seam, k in [(seam, k) for seam in SEAMS for k in range(1, counts[seam] + 1)]:
+            out_dir.mkdir()
+            for name, data in before.items():
+                if data is not None:
+                    (out_dir / name).write_bytes(data)
+            seams.calls = dict.fromkeys(SEAMS, 0)
+            seams.fault = (seam, k)
+            status, errors, outputs = _run_pipeline(tmp, budget)
+            assert (status, len(errors)) == (2, 1), (seam, k, errors)
+            assert not caught and not unraisable, (
+                seam, k, [str(w.message) for w in caught], unraisable)
+            for name, data in outputs.items():
+                assert data in (before[name], new[name]), (seam, k, name)
